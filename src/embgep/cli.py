@@ -184,6 +184,10 @@ def cmd_split(args) -> int:
 
 
 def _stage_metrics(stage: str, records, chrom) -> dict:
+    if len(records) < 2:
+        raise data.DatasetError(
+            f"{stage}: the set has {len(records)} row(s), at least 2 are needed to score it"
+        )
     X, y = data.regression_arrays(records)
     preds = kernels.evaluate_chromosome_batch(chrom, X)
     finite = np.isfinite(preds)
@@ -280,18 +284,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _predict_row(model_id: str, record: data.CaseHistory, pole_eps: float, ambraseys_cm: bool):
-    inp = record.as_model_input()
-    verdict = displacement.check_applicability(model_id, inp)
+def _predict_row(model_id: str, inp: displacement.ModelInput, pole_eps: float,
+                 ambraseys_cm: bool):
+    """One prediction and its status; the prediction is None unless ``ok``."""
     try:
-        pred = displacement.predict(model_id, inp, pole_eps, ambraseys_cm)
-        return pred, verdict, "ok"
+        return displacement.predict(model_id, inp, pole_eps, ambraseys_cm), "ok"
     except displacement.PoleError:
-        return None, verdict, "pole"
+        return None, "pole"
     except displacement.MissingInputError:
-        return None, verdict, "missing_input"
+        return None, "missing_input"
     except displacement.ModelDomainError:
-        return None, verdict, "domain_error"
+        return None, "domain_error"
 
 
 def cmd_predict(args) -> int:
@@ -306,9 +309,11 @@ def cmd_predict(args) -> int:
 
     rows = []
     for record in records:
-        pred, verdict, status = _predict_row(args.model, record, args.pole_eps, args.ambraseys_cm)
+        inp = record.as_model_input()
+        pred, status = _predict_row(args.model, inp, args.pole_eps, args.ambraseys_cm)
         if pred is None:
-            rows.append((record.id, args.model, None, None, None, verdict.ok, status))
+            in_range = displacement.check_applicability(args.model, inp).ok
+            rows.append((record.id, args.model, None, None, None, in_range, status))
         else:
             rows.append(
                 (record.id, args.model, pred.value, pred.scale, pred.d_meters,
@@ -330,15 +335,15 @@ def cmd_compare(args) -> int:
     records, inputs, outputs = _load_records(args, outdir, rngs)
     _require_nonempty(records)
 
+    model_inputs = [record.as_model_input() for record in records]
     errors_by_model: dict[str, np.ndarray] = {}
     for model_id in displacement.MODEL_IDS:
         rows = []
         ok_errors = []
-        for record in records:
-            inp = record.as_model_input()
+        for record, inp in zip(records, model_inputs):
             if not displacement.check_applicability(model_id, inp).ok:
                 continue  # comparison is restricted to each model's applied range
-            pred, _, status = _predict_row(model_id, record, args.pole_eps, args.ambraseys_cm)
+            pred, status = _predict_row(model_id, inp, args.pole_eps, args.ambraseys_cm)
             if status != "ok":
                 rows.append((record.id, record.d, None, None, status))
                 continue
@@ -396,11 +401,11 @@ def cmd_sensitivity(args) -> int:
                 "Mw", grid, {args.family: level}, args.pole_eps
             )
             for p in points:
-                rows.append((args.family, level, p.value, p.ln_d, "pole" if p.pole else "ok"))
+                rows.append((args.family, level, p.value, p.ln_d, p.status))
         header = ("family_parameter", "level", "Mw", "ln_D_m", "status")
     else:
         points = displacement.sensitivity_profile(args.param, grid, None, args.pole_eps)
-        rows = [(args.param, p.value, p.ln_d, "pole" if p.pole else "ok") for p in points]
+        rows = [(args.param, p.value, p.ln_d, p.status) for p in points]
         header = ("parameter", "value", "ln_D_m", "status")
     _write_csv(outdir / "sensitivity.csv", header, rows)
     _write_manifest(outdir, "sensitivity", args, [], [outdir / "sensitivity.csv"])

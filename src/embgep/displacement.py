@@ -385,9 +385,16 @@ def predict(
 
 @dataclass(frozen=True)
 class SensitivityPoint:
+    """One grid point; ``status`` is ``ok``, ``pole`` or ``domain_error``,
+    and ``ln_d`` is None unless it is ``ok``."""
+
     value: float
     ln_d: float | None
-    pole: bool
+    status: str
+
+    @property
+    def pole(self) -> bool:
+        return self.status == "pole"
 
 
 def sensitivity_profile(
@@ -398,7 +405,8 @@ def sensitivity_profile(
 ) -> list[SensitivityPoint]:
     """ln D along a grid of one parameter, the others held at their anchors
     (defaults: database means).  Grid points inside the pole neighbourhood
-    come back as explicit pole markers, not values."""
+    or outside the model domain (Mw = 0) come back as explicit status
+    markers, not values."""
     if varied not in SENSITIVITY_PARAMS:
         raise ValueError(f"unknown parameter {varied!r}; expected one of {SENSITIVITY_PARAMS}")
     base = {
@@ -419,7 +427,9 @@ def sensitivity_profile(
             ln_d = gep_ln_displacement(
                 args["Mw"], args["ay_ratio"], args["period_ratio"], pole_eps
             )
-            points.append(SensitivityPoint(float(v), ln_d, False))
+            points.append(SensitivityPoint(float(v), ln_d, "ok"))
         except PoleError:
-            points.append(SensitivityPoint(float(v), None, True))
+            points.append(SensitivityPoint(float(v), None, "pole"))
+        except ModelDomainError:
+            points.append(SensitivityPoint(float(v), None, "domain_error"))
     return points

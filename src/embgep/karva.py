@@ -198,39 +198,45 @@ class Node:
         return 1 + sum(child.size for child in self.children)
 
 
-def consumed_length(gene: Gene) -> int:
-    """Number of leading symbols the breadth-first decoding actually reads."""
-    symbols = gene.symbols
+def coding_children(symbols) -> list[tuple[int, int] | None]:
+    """Breadth-first (Karva) layout of a gene's coding region.
+
+    Entry ``i`` is the index pair of coding position ``i``'s children, or
+    ``None`` for a terminal: the open argument slots of each level are filled
+    left to right by the next unread symbols, so the list's length is the
+    number of symbols read and the rest of the gene is non-coding.
+    """
+    children: list[tuple[int, int] | None] = []
     next_free = 1
     i = 0
     while i < next_free:
-        if not symbols[i].is_terminal:
+        if symbols[i].is_terminal:
+            children.append(None)
+        else:
+            if next_free + MAX_ARITY > len(symbols):
+                raise ValueError("gene too short to decode; did it pass validate()?")
+            children.append((next_free, next_free + 1))
             next_free += MAX_ARITY
         i += 1
-    return next_free
+    return children
+
+
+def consumed_length(gene: Gene) -> int:
+    """Number of leading symbols the breadth-first decoding actually reads."""
+    return len(coding_children(gene.symbols))
 
 
 def decode(gene: Gene) -> Node:
-    """Decode a gene breadth-first: the open argument slots of each level are
-    filled left to right by the next unread symbols; unread symbols are the
-    gene's non-coding region."""
+    """Decode a gene breadth-first into its expression tree (see
+    ``coding_children``); unread symbols are the gene's non-coding region."""
     symbols = gene.symbols
-    children_of: dict[int, tuple[int, int]] = {}
-    next_free = 1
-    i = 0
-    while i < next_free:
-        if not symbols[i].is_terminal:
-            if next_free + MAX_ARITY > len(symbols):
-                raise ValueError("gene too short to decode; did it pass validate()?")
-            children_of[i] = (next_free, next_free + 1)
-            next_free += MAX_ARITY
-        i += 1
+    children = coding_children(symbols)
 
     def build(idx: int) -> Node:
-        if idx in children_of:
-            a, b = children_of[idx]
-            return Node(symbols[idx], (build(a), build(b)))
-        return Node(symbols[idx])
+        pair = children[idx]
+        if pair is None:
+            return Node(symbols[idx])
+        return Node(symbols[idx], (build(pair[0]), build(pair[1])))
 
     return build(0)
 

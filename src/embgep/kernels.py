@@ -1,16 +1,9 @@
 """Batch evaluation of decoded genes over a data matrix.
 
-Genes are compiled once into flat integer programs (breadth-first node
-order, children always after their parent) and then evaluated bottom-up
-over every data row.  Two interchangeable backends produce bit-identical
-results:
-
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is controlled by the ``EMBGEP_BACKEND`` environment variable:
-``auto`` (default), ``numba`` or ``numpy``.  ``benchmarks/eval_benchmark.py``
-times both paths against each other.
+A gene is compiled once into a flat program of ``(code, arg1, arg2)``
+triples in breadth-first node order (children always after their parent,
+laid out by ``karva.coding_children``), then evaluated with numpy over every
+data row at once: one vectorised pass per node, in reverse node order.
 
 Non-finite semantics: a division by zero, an overflow or any other
 non-finite intermediate poisons that data row to NaN, even if later
@@ -19,95 +12,61 @@ operations would have brought it back to a finite value.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .karva import ADD, DIV, KIND_CONST, KIND_INPUT, MUL, SUB, Chromosome, Gene
+from .karva import ADD, KIND_INPUT, MUL, SUB, Chromosome, Gene, coding_children
 
 CODE_INPUT = 4
 CODE_CONST = 5
-
-_ENV_BACKEND = os.environ.get("EMBGEP_BACKEND", "auto").strip().lower()
-if _ENV_BACKEND not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"EMBGEP_BACKEND must be auto, numba or numpy, not {_ENV_BACKEND!r}")
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - depends on environment
-    NUMBA_AVAILABLE = False
-    if _ENV_BACKEND == "numba":
-        raise RuntimeError("EMBGEP_BACKEND=numba but numba is not importable")
-
-BACKEND = "numpy" if _ENV_BACKEND == "numpy" or not NUMBA_AVAILABLE else "numba"
 
 
 @dataclass(frozen=True)
 class GeneProgram:
     """Flat executable form of one gene's coding region.
 
-    ``code[i]`` is 0..3 for + - * /, 4 for an input load, 5 for a pool
-    constant.  For functions ``arg1``/``arg2`` are child node indices
-    (always > i); for loads ``arg1`` is the input column or pool slot.
+    ``nodes[i]`` is ``(code, arg1, arg2)``: ``code`` is 0..3 for + - * /,
+    4 for an input load, 5 for a pool constant.  For functions
+    ``arg1``/``arg2`` are child node indices (always > i); for loads
+    ``arg1`` is the input column or pool slot and ``arg2`` is 0.
     """
 
-    code: np.ndarray
-    arg1: np.ndarray
-    arg2: np.ndarray
-    constants: np.ndarray
+    nodes: tuple[tuple[int, int, int], ...]
+    constants: tuple[float, ...]
 
 
 def compile_gene(gene: Gene) -> GeneProgram:
     symbols = gene.symbols
-    children: dict[int, tuple[int, int]] = {}
-    next_free = 1
-    i = 0
-    while i < next_free:
-        if not symbols[i].is_terminal:
-            children[i] = (next_free, next_free + 1)
-            next_free += 2
-        i += 1
-    n = next_free
-    code = np.empty(n, dtype=np.int64)
-    arg1 = np.zeros(n, dtype=np.int64)
-    arg2 = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        sym = symbols[i]
-        if sym.kind == KIND_INPUT:
-            code[i] = CODE_INPUT
-            arg1[i] = sym.index
-        elif sym.kind == KIND_CONST:
-            code[i] = CODE_CONST
-            arg1[i] = sym.index
+    nodes = []
+    for sym, children in zip(symbols, coding_children(symbols)):
+        if children is not None:
+            nodes.append((sym.index, children[0], children[1]))
         else:
-            code[i] = sym.index
-            arg1[i], arg2[i] = children[i]
-    return GeneProgram(code, arg1, arg2, np.asarray(gene.constants, dtype=np.float64))
+            nodes.append((CODE_INPUT if sym.kind == KIND_INPUT else CODE_CONST, sym.index, 0))
+    return GeneProgram(tuple(nodes), gene.constants)
 
 
 def compile_chromosome(chrom: Chromosome) -> tuple[GeneProgram, ...]:
     return tuple(compile_gene(g) for g in chrom.genes)
 
 
-def evaluate_gene_numpy(prog: GeneProgram, X: np.ndarray) -> np.ndarray:
-    """Pure-numpy backend: one vectorised pass per node, reverse node order."""
-    n = prog.code.shape[0]
+def evaluate_gene_batch(prog: GeneProgram, X: np.ndarray) -> np.ndarray:
+    """Gene value per row of ``X``, NaN where any node is non-finite."""
+    nodes = prog.nodes
     rows = X.shape[0]
-    vals = np.empty((n, rows), dtype=np.float64)
+    vals = np.empty((len(nodes), rows), dtype=np.float64)
     bad = np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        for i in range(n - 1, -1, -1):
-            c = prog.code[i]
+        for i in range(len(nodes) - 1, -1, -1):
+            c, arg1, arg2 = nodes[i]
             if c == CODE_INPUT:
-                vals[i] = X[:, prog.arg1[i]]
+                vals[i] = X[:, arg1]
             elif c == CODE_CONST:
-                vals[i] = prog.constants[prog.arg1[i]]
+                vals[i] = prog.constants[arg1]
             else:
-                a = vals[prog.arg1[i]]
-                b = vals[prog.arg2[i]]
+                a = vals[arg1]
+                b = vals[arg2]
                 if c == ADD:
                     v = a + b
                 elif c == SUB:
@@ -121,49 +80,6 @@ def evaluate_gene_numpy(prog: GeneProgram, X: np.ndarray) -> np.ndarray:
     out = vals[0].copy()
     out[bad] = np.nan
     return out
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, error_model="numpy")
-    def _gene_kernel(code, arg1, arg2, constants, X, out):  # pragma: no cover - jitted
-        n = code.shape[0]
-        vals = np.empty(n, dtype=np.float64)
-        for r in range(X.shape[0]):
-            bad = False
-            for i in range(n - 1, -1, -1):
-                c = code[i]
-                if c == CODE_INPUT:
-                    v = X[r, arg1[i]]
-                elif c == CODE_CONST:
-                    v = constants[arg1[i]]
-                else:
-                    a = vals[arg1[i]]
-                    b = vals[arg2[i]]
-                    if c == ADD:
-                        v = a + b
-                    elif c == SUB:
-                        v = a - b
-                    elif c == MUL:
-                        v = a * b
-                    else:
-                        v = a / b
-                if not np.isfinite(v):
-                    bad = True
-                    break
-                vals[i] = v
-            out[r] = np.nan if bad else vals[0]
-
-    def evaluate_gene_numba(prog: GeneProgram, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        _gene_kernel(prog.code, prog.arg1, prog.arg2, prog.constants, X, out)
-        return out
-
-
-def evaluate_gene_batch(prog: GeneProgram, X: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return evaluate_gene_numba(prog, X)
-    return evaluate_gene_numpy(prog, X)
 
 
 def evaluate_chromosome_batch(chrom: Chromosome, X: np.ndarray,
@@ -181,15 +97,3 @@ def evaluate_chromosome_batch(chrom: Chromosome, X: np.ndarray,
             total = total + evaluate_gene_batch(prog, X)
     total[~np.isfinite(total)] = np.nan
     return total
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timing-sensitive callers pay it up front."""
-    from .karva import constant_symbol, function_symbol, input_symbol
-
-    g = Gene(
-        head=(function_symbol("+"), input_symbol(0), constant_symbol(0)),
-        tail=(input_symbol(0), constant_symbol(1), input_symbol(0), constant_symbol(2)),
-        constants=tuple(float(i) for i in range(10)),
-    )
-    evaluate_chromosome_batch(Chromosome((g,)), np.zeros((2, 1)))

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import oracles
-from embgep import data, displacement, evolution, karva, kernels, metrics
+from embgep import data, displacement, evolution, karva, metrics
 from embgep.cli import main as cli_main
 
 PASS = "CRITERION {n} PASS: {msg}"
@@ -200,7 +200,6 @@ def test_criterion_05_genome_structural_soundness():
 
 
 def test_criterion_06_gep_recovery():
-    kernels.warmup()  # JIT cost paid outside the per-seed budget
     data_rng = np.random.default_rng(123)
     X = data_rng.uniform(0.0, 1.0, (50, 2))
     y = X[:, 0] + 2.0 * X[:, 1] + data_rng.normal(0.0, 0.01, 50)

@@ -122,6 +122,14 @@ class TestFit:
         assert manifest["config"]["num_chromosomes"] == 12
         assert manifest["config"]["max_generations"] == 3
 
+    def test_too_small_validation_stage_named(self, tmp_path, capsys):
+        # 4 records split 3/1: one validation row cannot be scored
+        assert run_cli("fit", "--synth", 4, "--max-generations", 3, "--trials", 5,
+                       "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "Validation" in err and "1 row" in err
+        assert "non-finite" not in err
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("population_size = 12\n", encoding="utf-8")
@@ -254,6 +262,16 @@ class TestSensitivity:
                 assert r["ln_D_m"] == ""
             else:
                 assert math.isfinite(float(r["ln_D_m"]))
+
+    def test_magnitude_zero_marked_not_fatal(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("sensitivity", "--param", "Mw", "--from", 0, "--to", 8.3,
+                       "--steps", 5, "--out", out) == 0
+        rows = read_rows(out / "sensitivity.csv")
+        assert len(rows) == 5
+        assert (rows[0]["value"], rows[0]["ln_D_m"], rows[0]["status"]) == ("0.0", "", "domain_error")
+        for r in rows[1:]:
+            assert r["status"] == "ok" and math.isfinite(float(r["ln_D_m"]))
 
     def test_bad_param_exits_2(self, tmp_path):
         assert run_cli("sensitivity", "--param", "Tp", "--from", 1, "--to", 2,

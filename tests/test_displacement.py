@@ -280,6 +280,12 @@ class TestSensitivity:
         assert [p.pole for p in points] == [False, True, False]
         assert points[1].ln_d is None
 
+    def test_domain_error_marked(self):
+        points = sensitivity_profile("Mw", [0.0, 7.0])
+        assert [(p.status, p.pole) for p in points] == [("domain_error", False), ("ok", False)]
+        assert points[0].ln_d is None
+        assert points[1].ln_d == gep_ln_displacement(7.0, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             sensitivity_profile("Tp", [1.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from embgep import karva, kernels
+from embgep import karva
 from embgep.evolution import (
     ConfigError,
     GepConfig,

@@ -2,14 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_chromosome
 from embgep import karva, kernels
 from embgep.karva import Chromosome, Gene, parse_symbol
 
 POOL = tuple(float(i) for i in range(10))
+NUM_INPUTS = 3
 
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba unavailable")
+terminals = st.one_of(
+    st.integers(0, NUM_INPUTS - 1).map(karva.input_symbol),
+    st.integers(0, karva.POOL_SIZE - 1).map(karva.constant_symbol),
+)
+symbols = st.one_of(st.sampled_from(karva.FUNCTION_TOKENS).map(karva.function_symbol), terminals)
+# zeros provoke divisions by 0, 1e300 overflows
+values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300]), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def genes(draw, head_len=None):
+    h = draw(st.integers(1, 12)) if head_len is None else head_len
+    head = draw(st.lists(symbols, min_size=h, max_size=h))
+    tail = draw(st.lists(terminals, min_size=h + 1, max_size=h + 1))
+    pool = draw(st.lists(values, min_size=karva.POOL_SIZE, max_size=karva.POOL_SIZE))
+    return Gene(tuple(head), tuple(tail), tuple(pool))
+
+
+@st.composite
+def chromosomes(draw):
+    h = draw(st.integers(1, 12))
+    return Chromosome(tuple(draw(st.lists(genes(h), min_size=1, max_size=4))))
+
+
+data_rows = st.lists(st.lists(values, min_size=NUM_INPUTS, max_size=NUM_INPUTS),
+                     min_size=0, max_size=6).map(lambda rows: np.array(rows + [[0.0] * NUM_INPUTS]))
 
 
 def gene_from_tokens(tokens, head_len, constants=POOL):
@@ -30,30 +58,15 @@ def test_batch_matches_scalar_evaluation(rng):
                 assert batch[r] == scalar
 
 
-@needs_numba
-def test_backends_bit_identical(rng):
-    X = np.concatenate(
-        [rng.uniform(-4.0, 4.0, size=(30, 3)), np.zeros((3, 3))]  # zeros provoke divisions by 0
-    )
-    for _ in range(60):
-        chrom = random_chromosome(rng)
-        for prog in kernels.compile_chromosome(chrom):
-            a = kernels.evaluate_gene_numpy(prog, X)
-            b = kernels.evaluate_gene_numba(prog, X)
-            assert np.array_equal(a, b, equal_nan=True)
-
-
 def test_nonfinite_intermediate_flags_even_if_final_finite():
     # d0 / (c0 / d1) at d1 = 0: inner division is inf, outer would be 0.0
     gene = gene_from_tokens("/ d0 / c0 d1 d0 d0".split(), head_len=3, constants=(2.0,) + (0.0,) * 9)
     assert karva.evaluate_tree(karva.decode(gene), [1.0, 0.0], gene.constants) is None
     prog = kernels.compile_gene(gene)
     X = np.array([[1.0, 0.0], [1.0, 2.0]])
-    out = kernels.evaluate_gene_numpy(prog, X)
+    out = kernels.evaluate_gene_batch(prog, X)
     assert math.isnan(out[0])
     assert out[1] == 1.0  # 1 / (2/2)
-    if kernels.NUMBA_AVAILABLE:
-        assert np.array_equal(out, kernels.evaluate_gene_numba(prog, X), equal_nan=True)
 
 
 def test_chromosome_batch_is_gene_sum(rng):
@@ -80,3 +93,23 @@ def test_rejects_bad_shape():
     gene = gene_from_tokens("d0 d0 d0".split(), head_len=1)
     with pytest.raises(ValueError):
         kernels.evaluate_chromosome_batch(Chromosome((gene,)), np.zeros(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(genes())
+def test_layout_agrees_across_consumers(gene):
+    n = karva.consumed_length(gene)
+    assert n == karva.decode(gene).size == len(kernels.compile_gene(gene).nodes)
+    assert n <= gene.length
+
+
+@settings(max_examples=300, deadline=None)
+@given(chromosomes(), data_rows)
+def test_batch_matches_oracle_property(chrom, X):
+    batch = kernels.evaluate_chromosome_batch(chrom, X)
+    for r in range(X.shape[0]):
+        scalar = karva.evaluate_chromosome(chrom, X[r])
+        if scalar is None:
+            assert math.isnan(batch[r])
+        else:
+            assert batch[r] == scalar
