@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -148,7 +149,8 @@ def cmd_stats(args) -> int:
     names, corr = metrics.correlation_matrix(columns)
     rows = []
     for i, name in enumerate(names):
-        rows.append([name] + [corr[i, j] for j in range(i + 1)] + [None] * (len(names) - i - 1))
+        cells = [None if math.isnan(r) else r for r in corr[i, : i + 1]]  # NaN: undefined
+        rows.append([name] + cells + [None] * (len(names) - i - 1))
     _write_csv(outdir / "correlations.csv", ("parameter",) + names, rows)
 
     outputs += [outdir / "summary.csv", outdir / "correlations.csv"]
@@ -184,10 +186,6 @@ def cmd_split(args) -> int:
 
 
 def _stage_metrics(stage: str, records, chrom) -> dict:
-    if len(records) < 2:
-        raise data.DatasetError(
-            f"{stage}: the set has {len(records)} row(s), at least 2 are needed to score it"
-        )
     X, y = data.regression_arrays(records)
     preds = kernels.evaluate_chromosome_batch(chrom, X)
     finite = np.isfinite(preds)
@@ -220,6 +218,12 @@ def cmd_fit(args) -> int:
 
     split = data.split_matched(records, 0.75, args.trials, rngs.pop(0))
     train, test = data.split_records(records, split)
+    stages = (("Training", train), ("Validation", test), ("All data", records))
+    for stage, rows in stages:
+        if len(rows) < 2:
+            raise data.DatasetError(
+                f"{stage}: the set has {len(rows)} row(s), at least 2 are needed to score it"
+            )
     X, y = data.regression_arrays(train)
     result = evolution.run(config, X, y, rngs.pop(0))
 
@@ -235,11 +239,7 @@ def cmd_fit(args) -> int:
         ],
     )
 
-    stage_rows = [
-        _stage_metrics("Training", train, result.best),
-        _stage_metrics("Validation", test, result.best),
-        _stage_metrics("All data", records, result.best),
-    ]
+    stage_rows = [_stage_metrics(stage, rows, result.best) for stage, rows in stages]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
               "mae_conventional", "rmse", "scatter_index", "bias")
     _write_csv(outdir / "metrics.csv", header, [[row[k] for k in header] for row in stage_rows])
@@ -273,6 +273,7 @@ def cmd_fit(args) -> int:
             "best_fitness": result.report.fitness,
             "best_rmse": result.report.rmse,
             "generations_run": len(result.report.per_generation_best),
+            "evaluations": result.evaluations,
             "residuals_ln_space": residual_info,
         },
     )

@@ -25,7 +25,7 @@ from .karva import (
     input_symbol,
     tail_length,
 )
-from .kernels import compile_chromosome, evaluate_chromosome_batch
+from .kernels import compile_chromosome, compile_gene, evaluate_chromosome_batch
 
 
 class ConfigError(ValueError):
@@ -99,9 +99,14 @@ class FitnessReport:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Best-ever chromosome and its report, the per-generation mean fitness,
+    and ``evaluations``, the number of chromosomes actually evaluated (a
+    chromosome whose coding programs were already scored is not)."""
+
     best: Chromosome
     report: FitnessReport
     mean_history: tuple[float, ...]
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,15 @@ def _as_dataset(X, y):
     return X, y
 
 
-def fitness(chrom: Chromosome, X, y) -> FitnessReport:
-    """RMSE-based fitness; any non-finite prediction forces fitness 0."""
+def fitness(chrom: Chromosome, X, y, programs=None) -> FitnessReport:
+    """RMSE-based fitness; any non-finite prediction forces fitness 0.
+
+    ``programs`` are the chromosome's compiled genes, compiled here if not
+    given."""
     X, y = _as_dataset(X, y)
-    preds = evaluate_chromosome_batch(chrom, X, compile_chromosome(chrom))
+    if programs is None:
+        programs = compile_chromosome(chrom)
+    preds = evaluate_chromosome_batch(chrom, X, programs)
     if not np.isfinite(preds).all():
         return FitnessReport(0.0, math.inf)
     with np.errstate(over="ignore"):
@@ -212,21 +222,23 @@ def _point_mutation(chrom, rate, rng, space, conservative=False):
     if k == 0:
         return chrom
     positions = np.sort(rng.choice(n_positions, size=k, replace=False))
-    genes = [list(g.symbols) for g in chrom.genes]
+    touched: dict[int, list[Symbol]] = {}  # gene index -> its symbols, edited
     for pos in positions:
         gi, si = divmod(int(pos), gene_len)
+        symbols = touched.get(gi)
+        if symbols is None:
+            symbols = touched[gi] = list(chrom.genes[gi].symbols)
         in_head = si < head_len
         if conservative:
-            old = genes[gi][si]
+            old = symbols[si]
             pool = space.functions if not old.is_terminal else space.terminals
         else:
             pool = space.head_symbols if in_head else space.terminals
-        genes[gi][si] = pool[int(rng.integers(0, len(pool)))]
-    new_genes = tuple(
-        Gene(tuple(sym[:head_len]), tuple(sym[head_len:]), chrom.genes[gi].constants)
-        for gi, sym in enumerate(genes)
-    )
-    return Chromosome(new_genes)
+        symbols[si] = pool[int(rng.integers(0, len(pool)))]
+    genes = list(chrom.genes)
+    for gi, symbols in touched.items():
+        genes[gi] = Gene(tuple(symbols[:head_len]), tuple(symbols[head_len:]), genes[gi].constants)
+    return Chromosome(tuple(genes))
 
 
 def _constant_mutation(chrom, rate, rng):
@@ -236,14 +248,17 @@ def _constant_mutation(chrom, rate, rng):
     if k == 0:
         return chrom
     slots = np.sort(rng.choice(n_slots, size=k, replace=False))
-    pools = [list(g.constants) for g in chrom.genes]
+    touched: dict[int, list[float]] = {}  # gene index -> its pool, edited
     for slot in slots:
         gi, ci = divmod(int(slot), POOL_SIZE)
-        pools[gi][ci] += float(rng.normal(0.0, 1.0))
-    new_genes = tuple(
-        Gene(g.head, g.tail, tuple(pools[gi])) for gi, g in enumerate(chrom.genes)
-    )
-    return Chromosome(new_genes)
+        pool = touched.get(gi)
+        if pool is None:
+            pool = touched[gi] = list(chrom.genes[gi].constants)
+        pool[ci] += float(rng.normal(0.0, 1.0))
+    genes = list(chrom.genes)
+    for gi, pool in touched.items():
+        genes[gi] = Gene(genes[gi].head, genes[gi].tail, tuple(pool))
+    return Chromosome(tuple(genes))
 
 
 def _permutation(chrom, rng):
@@ -326,11 +341,20 @@ def _flat_symbols(chrom):
     return [s for g in chrom.genes for s in g.symbols]
 
 
-def _rebuild(symbols, pools, head_len, gene_len):
+def _rebuild(symbols, pools, parents, head_len, gene_len):
+    """Chromosome from a flat symbol list and one pool per gene.  A gene
+    whose segment and pool are a parent's own objects is that parent's
+    ``Gene``; the others are built anew."""
     genes = []
-    for gi in range(len(pools)):
+    for gi, pool in enumerate(pools):
         seg = symbols[gi * gene_len : (gi + 1) * gene_len]
-        genes.append(Gene(tuple(seg[:head_len]), tuple(seg[head_len:]), pools[gi]))
+        for parent in parents:
+            gene = parent.genes[gi]
+            if pool is gene.constants and all(a is b for a, b in zip(seg, gene.symbols)):
+                break
+        else:
+            gene = Gene(tuple(seg[:head_len]), tuple(seg[head_len:]), pool)
+        genes.append(gene)
     return Chromosome(tuple(genes))
 
 
@@ -346,8 +370,8 @@ def _one_point_recombination(c1, c2, rng):
     pools1 = [(c1 if g * gene_len < cut else c2).genes[g].constants for g in range(n_genes)]
     pools2 = [(c2 if g * gene_len < cut else c1).genes[g].constants for g in range(n_genes)]
     return (
-        _rebuild(s1[:cut] + s2[cut:], pools1, head_len, gene_len),
-        _rebuild(s2[:cut] + s1[cut:], pools2, head_len, gene_len),
+        _rebuild(s1[:cut] + s2[cut:], pools1, (c1, c2), head_len, gene_len),
+        _rebuild(s2[:cut] + s1[cut:], pools2, (c1, c2), head_len, gene_len),
     )
 
 
@@ -368,8 +392,8 @@ def _two_point_recombination(c1, c2, rng):
         return out
 
     return (
-        _rebuild(s1[:a] + s2[a:b] + s1[b:], pools(c1, c2), head_len, gene_len),
-        _rebuild(s2[:a] + s1[a:b] + s2[b:], pools(c2, c1), head_len, gene_len),
+        _rebuild(s1[:a] + s2[a:b] + s1[b:], pools(c1, c2), (c1, c2), head_len, gene_len),
+        _rebuild(s2[:a] + s1[a:b] + s2[b:], pools(c2, c1), (c1, c2), head_len, gene_len),
     )
 
 
@@ -389,8 +413,8 @@ def _uniform_recombination(c1, c2, rng):
         gi, ci = divmod(int(slot), POOL_SIZE)
         p1[gi][ci], p2[gi][ci] = p2[gi][ci], p1[gi][ci]
     return (
-        _rebuild(s1, [tuple(p) for p in p1], head_len, gene_len),
-        _rebuild(s2, [tuple(p) for p in p2], head_len, gene_len),
+        _rebuild(s1, [tuple(p) for p in p1], (c1, c2), head_len, gene_len),
+        _rebuild(s2, [tuple(p) for p in p2], (c1, c2), head_len, gene_len),
     )
 
 
@@ -440,20 +464,47 @@ def apply_operators(population, config: GepConfig, rng: np.random.Generator) -> 
 
 
 def _evaluate_population(pop, X, y, prev_cache):
-    """Fitness per chromosome, reusing reports for objects seen last
-    generation (chromosomes are immutable, so identity implies equality)."""
-    cache = {}
+    """Fitness per chromosome, evaluating each distinct coding program once.
+
+    The cache is a pair of maps.  The first maps ``id(gene)`` to
+    ``(gene, program, (program.nodes, program.constants))``, so a gene is
+    compiled only when its object is new.  The second maps the tuple of a
+    chromosome's ``(nodes, constants)`` pairs to its report: equal tuples
+    compute the same function, so a chromosome whose genes differ from one
+    already scored only in non-coding symbols or unread pool constants
+    takes that report.  Plain tuples hash and compare in C, which the
+    ``GeneProgram`` dataclass does not.
+
+    ``prev_cache`` is the pair returned for the previous generation
+    (``({}, {})`` for the first); the returned pair holds this generation's
+    entries only.  Returns the reports, the new pair and the number of
+    chromosomes evaluated.
+    """
+    prev_programs, prev_reports = prev_cache
+    programs, reports_by_key = {}, {}
     reports = []
+    evaluations = 0
     for chrom in pop:
-        key = id(chrom)
-        hit = prev_cache.get(key)
-        if hit is None or hit[0] is not chrom:
-            hit = cache.get(key)
-        if hit is None or hit[0] is not chrom:
-            hit = (chrom, fitness(chrom, X, y))
-        cache[key] = hit
-        reports.append(hit[1])
-    return reports, cache
+        keys = []
+        for gene in chrom.genes:
+            gid = id(gene)
+            entry = programs.get(gid) or prev_programs.get(gid)
+            if entry is None or entry[0] is not gene:
+                program = compile_gene(gene)
+                entry = (gene, program, (program.nodes, program.constants))
+            programs[gid] = entry
+            keys.append(entry[2])
+        key = tuple(keys)
+        report = reports_by_key.get(key)
+        if report is None:
+            report = prev_reports.get(key)
+            if report is None:
+                compiled = tuple(programs[id(gene)][1] for gene in chrom.genes)
+                report = fitness(chrom, X, y, compiled)
+                evaluations += 1
+            reports_by_key[key] = report
+        reports.append(report)
+    return reports, (programs, reports_by_key), evaluations
 
 
 def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunResult:
@@ -464,7 +515,7 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     pop = initialize(config, rng)
-    reports, cache = _evaluate_population(pop, X, y, {})
+    reports, cache, evaluations = _evaluate_population(pop, X, y, ({}, {}))
     fits = [r.fitness for r in reports]
     best_i = int(np.argmax(fits))
     best_chrom, best_rep = pop[best_i], reports[best_i]
@@ -477,7 +528,8 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
             break
         parents = select(pop, fits, rng)
         pop = [parents[0]] + apply_operators(parents[1:], config, rng)
-        reports, cache = _evaluate_population(pop, X, y, cache)
+        reports, cache, count = _evaluate_population(pop, X, y, cache)
+        evaluations += count
         fits = [r.fitness for r in reports]
         gen_i = int(np.argmax(fits))
         best_history.append(reports[gen_i].fitness)
@@ -489,7 +541,7 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
             stagnant += 1
 
     report = replace(best_rep, per_generation_best=tuple(best_history))
-    return RunResult(best_chrom, report, tuple(mean_history))
+    return RunResult(best_chrom, report, tuple(mean_history), evaluations)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,15 @@ class GeneProgram:
     """Flat executable form of one gene's coding region.
 
     ``nodes[i]`` is ``(code, arg1, arg2)``: ``code`` is 0..3 for + - * /,
-    4 for an input load, 5 for a pool constant.  For functions
+    4 for an input load, 5 for a constant load.  For functions
     ``arg1``/``arg2`` are child node indices (always > i); for loads
-    ``arg1`` is the input column or pool slot and ``arg2`` is 0.
+    ``arg1`` is the input column, or the index into ``constants``, and
+    ``arg2`` is 0.
+
+    ``constants`` holds only the pool constants the coding region reads,
+    once each, in the order of their first use.  Non-coding symbols and
+    unread pool slots never enter the program, so two genes compile to
+    equal programs exactly when they compute the same function.
     """
 
     nodes: tuple[tuple[int, int, int], ...]
@@ -39,12 +45,15 @@ class GeneProgram:
 def compile_gene(gene: Gene) -> GeneProgram:
     symbols = gene.symbols
     nodes = []
+    slots: dict[int, int] = {}  # pool slot -> index into the program's constants
     for sym, children in zip(symbols, coding_children(symbols)):
         if children is not None:
             nodes.append((sym.index, children[0], children[1]))
+        elif sym.kind == KIND_INPUT:
+            nodes.append((CODE_INPUT, sym.index, 0))
         else:
-            nodes.append((CODE_INPUT if sym.kind == KIND_INPUT else CODE_CONST, sym.index, 0))
-    return GeneProgram(tuple(nodes), gene.constants)
+            nodes.append((CODE_CONST, slots.setdefault(sym.index, len(slots)), 0))
+    return GeneProgram(tuple(nodes), tuple(gene.constants[slot] for slot in slots))
 
 
 def compile_chromosome(chrom: Chromosome) -> tuple[GeneProgram, ...]:

@@ -137,13 +137,25 @@ def pearson_r(x, y) -> float:
 
 
 def correlation_matrix(columns: dict[str, np.ndarray]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Pairwise Pearson correlations; returns (names, full symmetric matrix)."""
+    """Pairwise Pearson correlations; returns (names, full symmetric matrix).
+
+    A pair whose correlation is undefined (a constant column, fewer than two
+    rows) holds NaN, and so does a constant column's diagonal cell; every
+    other diagonal cell is 1.
+    """
     names = tuple(columns)
+    vectors = [np.asarray(columns[name], dtype=np.float64) for name in names]
+    if any(v.ndim != 1 or v.shape != vectors[0].shape for v in vectors):
+        raise MetricsError("correlation_matrix needs equal-length 1-D columns")
     k = len(names)
-    mat = np.eye(k)
+    mat = np.full((k, k), np.nan)
     for i in range(k):
-        for j in range(i):
-            mat[i, j] = mat[j, i] = pearson_r(columns[names[i]], columns[names[j]])
+        for j in range(i + 1):
+            try:
+                r = pearson_r(vectors[i], vectors[j])
+            except MetricsError:  # shapes are checked: a constant column or < 2 rows
+                continue
+            mat[i, j] = mat[j, i] = 1.0 if i == j else r
     return names, mat
 
 

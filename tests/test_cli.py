@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from embgep import data, displacement, karva
+from embgep import data, displacement, evolution, karva, metrics
 from embgep.cli import main
 
 HEADER = "id,Mw,amax_g,Tp_s,Td_s,ay_g,D_m,Tm_s,H_m,Vs_mps"
@@ -48,6 +48,26 @@ class TestStats:
         assert (out / "synthetic_input.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) >= {"summary.csv", "correlations.csv"}
+
+    def test_constant_column_leaves_blank_cells(self, tmp_path):
+        rows = [case_row(f"R{i}", m_w=7.0, a_max=0.2 + 0.03 * i, t_p=0.3 + 0.01 * i * i,
+                         t_d=0.9 - 0.02 * i, a_y=0.05 + 0.004 * i, d=0.1 + 0.07 * (i % 3))
+                for i in range(8)]
+        path = write_cases(tmp_path, rows)
+        out = tmp_path / "o"
+        assert run_cli("stats", "--input", path, "--out", out) == 0
+        mat = data._matrix(data.load(path))
+        corr = read_rows(out / "correlations.csv")
+        names = data.PARAMETERS
+        for i, row in enumerate(corr):
+            for j in range(i + 1):
+                cell = row[names[j]]
+                if "Mw" in (names[i], names[j]):
+                    assert cell == ""
+                elif i == j:
+                    assert float(cell) == 1.0
+                else:
+                    assert float(cell) == metrics.pearson_r(mat[:, i], mat[:, j])
 
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         path = write_cases(tmp_path, [])
@@ -92,8 +112,10 @@ class TestFit:
                 assert math.isfinite(float(row[col]))
         hist_rows = read_rows(out / "residual_histogram.csv")
         assert sum(int(r["count"]) for r in hist_rows) == 40
-        info = json.loads((out / "metrics.json").read_text())["residuals_ln_space"]
-        assert info["marker_low"] <= info["marker_high"]
+        info = json.loads((out / "metrics.json").read_text())
+        assert info["residuals_ln_space"]["marker_low"] <= info["residuals_ln_space"]["marker_high"]
+        # a chromosome whose coding programs were scored already is not evaluated again
+        assert 0 < info["evaluations"] <= evolution.GepConfig().num_chromosomes * (len(hist) + 1)
 
     def test_fit_zero_generations_reports_initial_best(self, tmp_path):
         out = tmp_path / "o"
@@ -122,8 +144,13 @@ class TestFit:
         assert manifest["config"]["num_chromosomes"] == 12
         assert manifest["config"]["max_generations"] == 3
 
-    def test_too_small_validation_stage_named(self, tmp_path, capsys):
-        # 4 records split 3/1: one validation row cannot be scored
+    def test_too_small_validation_stage_named(self, tmp_path, capsys, monkeypatch):
+        # 4 records split 3/1: one validation row cannot be scored, which is
+        # known before the evolution starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolution ran before the stage sizes were checked")
+
+        monkeypatch.setattr(evolution, "run", no_run)
         assert run_cli("fit", "--synth", 4, "--max-generations", 3, "--trials", 5,
                        "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err

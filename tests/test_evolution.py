@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from embgep import karva
+from conftest import random_chromosome
+from embgep import evolution, karva
 from embgep.evolution import (
     ConfigError,
     GepConfig,
     OperatorRates,
+    SymbolSpace,
+    _constant_mutation,
+    _one_point_recombination,
+    _point_mutation,
     apply_operators,
     config_from_text,
     config_to_text,
@@ -49,8 +54,6 @@ class TestFitness:
         assert report.fitness == 500.0
 
     def test_identity_holds(self, rng):
-        from conftest import random_chromosome
-
         X = rng.uniform(0.5, 2.0, (30, 3))
         y = rng.uniform(-1, 1, 30)
         for _ in range(20):
@@ -175,6 +178,59 @@ class TestOperators:
             assert before == after
 
 
+class OneSite:
+    """Generator stand-in whose per-site draw always picks exactly one site."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def binomial(self, n, p):
+        return 1
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class FixedCut:
+    """Generator stand-in for a one-point cut at a chosen position."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def integers(self, low, high):
+        return self.at
+
+
+class TestUntouchedGenesKept:
+    def test_one_drawn_site_rebuilds_one_gene(self, rng):
+        space = SymbolSpace.for_inputs(3)
+        for _ in range(30):
+            parent = random_chromosome(rng)
+            for child in (
+                _point_mutation(parent, 0.5, OneSite(rng), space),
+                _point_mutation(parent, 0.5, OneSite(rng), space, conservative=True),
+                _constant_mutation(parent, 0.5, OneSite(rng)),
+            ):
+                kept = [a is b for a, b in zip(child.genes, parent.genes)]
+                assert kept.count(False) == 1
+                new, old = child.genes[kept.index(False)], parent.genes[kept.index(False)]
+                edits = sum(a != b for a, b in zip(new.symbols, old.symbols))
+                edits += sum(a != b for a, b in zip(new.constants, old.constants))
+                assert edits <= 1
+
+    def test_one_point_cut_reuses_whole_parent_genes(self, rng):
+        a, b = random_chromosome(rng), random_chromosome(rng)
+        gene_len = a.genes[0].length
+        c, d = _one_point_recombination(a, b, FixedCut(2 * gene_len))
+        assert all(x is y for x, y in zip(c.genes, a.genes[:2] + b.genes[2:]))
+        assert all(x is y for x, y in zip(d.genes, b.genes[:2] + a.genes[2:]))
+        # a cut inside gene 2 rebuilds that gene only
+        c, d = _one_point_recombination(a, b, FixedCut(2 * gene_len + 3))
+        assert [x is y for x, y in zip(c.genes, a.genes[:2] + b.genes[2:])] == [True, True, False, True]
+        assert c.genes[2].symbols == a.genes[2].symbols[:3] + b.genes[2].symbols[3:]
+        assert c.genes[2].constants == a.genes[2].constants
+
+
 class TestRun:
     def test_identity_target_recovered_exactly(self):
         # y = d0 is representable by a single terminal; most seeds should hit
@@ -220,6 +276,39 @@ class TestRun:
         assert r1.best == r2.best
         assert r1.report == r2.report
         assert r1.mean_history == r2.mean_history
+
+    @pytest.mark.parametrize("mutation", [OperatorRates().mutation, 0.05])
+    def test_program_cache_changes_no_result(self, monkeypatch, mutation):
+        data_rng = np.random.default_rng(17)
+        X = data_rng.uniform(-2.0, 2.0, (30, 3))
+        X[::7, 1] = 0.0  # divisions by d1 flag these rows
+        y = X[:, 0] * X[:, 2] - X[:, 1]
+        rates = OperatorRates(mutation=mutation, biased_mutation=10 * mutation)
+        config = GepConfig(num_chromosomes=20, rates=rates, max_generations=80,
+                           stagnation_limit=80, rng_seed=6)
+        cached = run(config, X, y)
+
+        def every_chromosome(pop, X, y, prev_cache):
+            return [fitness(c, X, y) for c in pop], prev_cache, len(pop)
+
+        monkeypatch.setattr(evolution, "_evaluate_population", every_chromosome)
+        plain = run(config, X, y)
+        assert karva.chromosome_to_text(cached.best) == karva.chromosome_to_text(plain.best)
+        assert cached.report == plain.report
+        assert cached.mean_history == plain.mean_history
+        assert plain.evaluations == 20 * (len(plain.report.per_generation_best) + 1)
+        assert 0 < cached.evaluations < plain.evaluations
+
+    def test_copies_of_scored_chromosomes_are_not_evaluated(self):
+        # no operator fires, so every later generation holds copies of
+        # chromosomes scored in the generation before it
+        X = np.linspace(0, 1, 10).reshape(-1, 1)
+        rates = OperatorRates(**{k: 0.0 for k in OperatorRates().as_dict()})
+        config = GepConfig(num_chromosomes=12, num_inputs=1, rates=rates, max_generations=10,
+                           stagnation_limit=10, rng_seed=1)
+        result = run(config, X, X[:, 0])
+        assert len(result.report.per_generation_best) == 10
+        assert result.evaluations <= 12
 
     def test_stagnation_stops_early(self):
         X = np.linspace(0, 1, 10).reshape(-1, 1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chromosome
@@ -99,8 +99,52 @@ def test_rejects_bad_shape():
 @given(genes())
 def test_layout_agrees_across_consumers(gene):
     n = karva.consumed_length(gene)
-    assert n == karva.decode(gene).size == len(kernels.compile_gene(gene).nodes)
+    prog = kernels.compile_gene(gene)
+    assert n == karva.decode(gene).size == len(prog.nodes)
     assert n <= gene.length
+    # the program keeps one constant per distinct pool slot the coding region reads
+    coding = gene.symbols[:n]
+    assert len(prog.constants) == len({s.index for s in coding if s.kind == karva.KIND_CONST})
+    for sym, (code, arg1, _) in zip(coding, prog.nodes):
+        if code == kernels.CODE_CONST:
+            assert prog.constants[arg1] == gene.constants[sym.index]
+
+
+def read_slots(gene):
+    coding = gene.symbols[: karva.consumed_length(gene)]
+    return sorted({s.index for s in coding if s.kind == karva.KIND_CONST})
+
+
+@settings(max_examples=200, deadline=None)
+@given(genes(), st.data(), data_rows)
+def test_noncoding_edits_keep_the_program(gene, data, X):
+    n = karva.consumed_length(gene)
+    edited_symbols = list(gene.symbols)
+    for i in range(n, gene.length):
+        if data.draw(st.booleans()):
+            edited_symbols[i] = data.draw(symbols if i < gene.head_length else terminals)
+    read = read_slots(gene)
+    pool = [c if j in read or not data.draw(st.booleans()) else data.draw(values)
+            for j, c in enumerate(gene.constants)]
+    h = gene.head_length
+    edited = Gene(tuple(edited_symbols[:h]), tuple(edited_symbols[h:]), tuple(pool))
+    prog = kernels.compile_gene(gene)
+    assert kernels.compile_gene(edited) == prog
+    before = kernels.evaluate_gene_batch(prog, X)
+    after = kernels.evaluate_gene_batch(kernels.compile_gene(edited), X)
+    assert before.tobytes() == after.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(genes(), st.data())
+def test_read_constant_edit_changes_the_program(gene, data):
+    read = read_slots(gene)
+    assume(read)
+    slot = data.draw(st.sampled_from(read))
+    pool = list(gene.constants)
+    pool[slot] = data.draw(values.filter(lambda v: v != gene.constants[slot]))
+    edited = Gene(gene.head, gene.tail, tuple(pool))
+    assert kernels.compile_gene(edited) != kernels.compile_gene(gene)
 
 
 @settings(max_examples=300, deadline=None)
