@@ -137,14 +137,14 @@ def cmd_stats(args) -> int:
     records, inputs, outputs = _load_records(args, outdir, rngs)
     _require_nonempty(records)
 
-    summary = data.summarize(records)
+    mat = data._matrix(records)
+    summary = data.summarize(records, mat)
     _write_csv(
         outdir / "summary.csv",
         ("parameter", "min", "max", "mean", "sd"),
         [(name, s.minimum, s.maximum, s.mean, s.sd) for name, s in summary.items()],
     )
 
-    mat = data._matrix(records)
     columns = {name: mat[:, j] for j, name in enumerate(data.PARAMETERS)}
     names, corr = metrics.correlation_matrix(columns)
     rows = []

@@ -102,21 +102,15 @@ EMBANKMENT_SUMMARY: dict[str, ParamStats] = {
 }
 
 
-def _param_value(record: CaseHistory, name: str) -> float:
-    return {
-        "Mw": record.m_w,
-        "amax": record.a_max,
-        "Tp": record.t_p,
-        "Td": record.t_d,
-        "ay": record.a_y,
-        "ay_ratio": record.ay_ratio,
-        "period_ratio": record.period_ratio,
-        "D": record.d,
-    }[name]
-
-
 def _matrix(records) -> np.ndarray:
-    return np.array([[_param_value(r, p) for p in PARAMETERS] for r in records], dtype=np.float64)
+    """(n, 8) float64 matrix of PARAMETERS, one row per record.  The two
+    ratios are numpy divisions, IEEE-identical to the ``CaseHistory``
+    properties."""
+    stored = np.array([(r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.d) for r in records],
+                      dtype=np.float64).reshape(-1, 6)
+    m_w, a_max, t_p, t_d, a_y, d = stored.T
+    with np.errstate(over="ignore"):
+        return np.column_stack((m_w, a_max, t_p, t_d, a_y, a_y / a_max, t_d / t_p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +213,12 @@ def save(records, path) -> None:
 # summaries
 
 
-def summarize(records) -> dict[str, ParamStats]:
-    """Min/max/mean/sample-SD for the eight summary parameters."""
+def summarize(records, matrix: np.ndarray | None = None) -> dict[str, ParamStats]:
+    """Min/max/mean/sample-SD for the eight summary parameters; ``matrix``
+    is the records' ``_matrix`` when the caller already has it."""
     if not records:
         raise DatasetError("empty dataset")
-    mat = _matrix(records)
+    mat = _matrix(records) if matrix is None else matrix
     n = mat.shape[0]
     out = {}
     for j, name in enumerate(PARAMETERS):
@@ -245,6 +240,22 @@ class Split:
     score: float
 
 
+# one (trials, rows) float64 array of a split_matched chunk stays under this
+_SPLIT_CHUNK_BYTES = 2 * 2**20
+
+
+def _gap_score(train: np.ndarray, test: np.ndarray, ranges: np.ndarray) -> float:
+    """Sum over parameters with a positive range of (|mean gap| + |SD gap|)
+    / range; the SD gap counts only when both sides have at least 2 rows."""
+    dmean = np.abs(train.mean(axis=0) - test.mean(axis=0))
+    if train.shape[0] >= 2 and test.shape[0] >= 2:
+        dsd = np.abs(train.std(axis=0, ddof=1) - test.std(axis=0, ddof=1))
+    else:
+        dsd = np.zeros_like(dmean)
+    valid = ranges > 0
+    return float(((dmean + dsd)[valid] / ranges[valid]).sum())
+
+
 def match_score(train_records, test_records, full_records=None) -> float:
     """Sum over parameters of (|mean gap| + |SD gap|) / parameter range."""
     reference = list(full_records) if full_records is not None else list(train_records) + list(
@@ -252,21 +263,21 @@ def match_score(train_records, test_records, full_records=None) -> float:
     )
     full = _matrix(reference)
     ranges = full.max(axis=0) - full.min(axis=0)
-    tr = _matrix(train_records)
-    te = _matrix(test_records)
-    dmean = np.abs(tr.mean(axis=0) - te.mean(axis=0))
-    if tr.shape[0] >= 2 and te.shape[0] >= 2:
-        dsd = np.abs(tr.std(axis=0, ddof=1) - te.std(axis=0, ddof=1))
-    else:
-        dsd = np.zeros_like(dmean)
-    valid = ranges > 0
-    return float(((dmean + dsd)[valid] / ranges[valid]).sum())
+    return _gap_score(_matrix(train_records), _matrix(test_records), ranges)
 
 
 def split_matched(records, fraction: float = 0.75, trials: int = 1,
                   rng: np.random.Generator | None = None) -> Split:
     """Best of ``trials`` random splits by the normalised moment-matching
-    score.  85 records at the default fraction give the published 63/22."""
+    score.  85 records at the default fraction give the published 63/22.
+
+    Trials are screened in chunks without gathering rows: a 0/1 mask of each
+    trial's training rows times the column-centred matrix and its squares
+    gives the training sums, the column totals less those give the test
+    sums, and the moments follow.  The winner is rescored with
+    ``match_score``'s formula on its rows in sorted order, so ``score``
+    equals ``match_score`` of the split's records exactly.
+    """
     records = list(records)
     n = len(records)
     if n < 4:
@@ -280,27 +291,48 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     k = int(math.floor(fraction * n))
     k = min(max(k, 1), n - 1)
     mat = _matrix(records)
-    ranges = mat.max(axis=0) - mat.min(axis=0)
-    valid = ranges > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = mat.max(axis=0) - mat.min(axis=0)
+        valid = ranges > 0
+        width = int(valid.sum())
+        sums = np.empty((n, 2 * width))  # centred columns, then their squares
+        np.subtract(mat[:, valid], mat.mean(axis=0)[valid], out=sums[:, :width])
+        np.square(sums[:, :width], out=sums[:, width:])
+        totals = sums.sum(axis=0)
+    overflow = ~np.isfinite(totals[width:])
+    if overflow.any():
+        names = ", ".join(np.array(PARAMETERS)[valid][overflow])
+        raise DatasetError(
+            f"matched split: {names} too large to score (their centred squares overflow)"
+        )
     use_sd = k >= 2 and n - k >= 2
+    scale = ranges[valid]
 
     best_score = math.inf
     best_perm = None
-    chunk = 256
+    chunk = max(1, _SPLIT_CHUNK_BYTES // (8 * n))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
         perms = np.argsort(rng.random((m, n)), axis=1)
-        arr = mat[perms]  # (m, n, params)
-        tr, te = arr[:, :k, :], arr[:, k:, :]
-        gaps = np.abs(tr.mean(axis=1) - te.mean(axis=1))
+        mask = np.zeros((m, n))
+        np.put_along_axis(mask, perms[:, :k], 1.0, axis=1)
+        # einsum, not BLAS matmul: a BLAS row product can change with the
+        # number of rows in the chunk, and the pick must not depend on it
+        train = np.einsum("tn,nc->tc", mask, sums)
+        test = totals - train
+        mean_tr = train[:, :width] / k
+        mean_te = test[:, :width] / (n - k)
+        gaps = np.abs(mean_tr - mean_te)
         if use_sd:
-            gaps = gaps + np.abs(tr.std(axis=1, ddof=1) - te.std(axis=1, ddof=1))
-        scores = (gaps[:, valid] / ranges[valid]).sum(axis=1)
+            var_tr = (train[:, width:] - train[:, :width] * mean_tr) / (k - 1)
+            var_te = (test[:, width:] - test[:, :width] * mean_te) / (n - k - 1)
+            gaps += np.abs(np.sqrt(np.maximum(var_tr, 0.0)) - np.sqrt(np.maximum(var_te, 0.0)))
+        scores = (gaps / scale).sum(axis=1)
         i = int(np.argmin(scores))
         if scores[i] < best_score:
             best_score = float(scores[i])
-            best_perm = perms[i]
+            best_perm = perms[i].copy()
         done += m
 
     train_idx = np.sort(best_perm[:k])
@@ -308,7 +340,7 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     return Split(
         tuple(records[i].id for i in train_idx),
         tuple(records[i].id for i in test_idx),
-        best_score,
+        _gap_score(mat[train_idx], mat[test_idx], ranges),
     )
 
 

@@ -9,6 +9,7 @@ inversion, the transpositions and all recombinations are per-chromosome
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -466,33 +467,49 @@ def apply_operators(population, config: GepConfig, rng: np.random.Generator) -> 
 def _evaluate_population(pop, X, y, prev_cache):
     """Fitness per chromosome, evaluating each distinct coding program once.
 
-    The cache is a pair of maps.  The first maps ``id(gene)`` to
-    ``(gene, program, (program.nodes, program.constants))``, so a gene is
-    compiled only when its object is new.  The second maps the tuple of a
-    chromosome's ``(nodes, constants)`` pairs to its report: equal tuples
-    compute the same function, so a chromosome whose genes differ from one
-    already scored only in non-coding symbols or unread pool constants
-    takes that report.  Plain tuples hash and compare in C, which the
-    ``GeneProgram`` dataclass does not.
+    Each gene's coding program, the pair ``(program.nodes,
+    program.constants)``, gets an int from a counter that runs for the
+    whole run; equal pairs get the same int.  A chromosome's key is the
+    tuple of its genes' ints, and the report of a chromosome whose genes
+    differ from one already scored only in non-coding symbols or unread
+    pool constants is that key's report.  Int tuples hash cheaply, while
+    the nested program pairs would be re-hashed on every lookup.
 
-    ``prev_cache`` is the pair returned for the previous generation
-    (``({}, {})`` for the first); the returned pair holds this generation's
-    entries only.  Returns the reports, the new pair and the number of
+    The cache holds the counter and three maps: ``id(gene) -> (gene,
+    program, int, pair)`` (checked with ``is``, so a gene is compiled only
+    when its object is new), ``pair -> int`` and ``key -> report``.  Each
+    map keeps the previous and the current generation only; a gene carried
+    over re-enters ``pair -> int``, so a new gene with an equal program
+    finds its int, and ints are never reused, so an int that left the maps
+    cannot name another program.
+    ``prev_cache`` is the value returned for the previous generation (None
+    for the first).  Returns the reports, the new cache and the number of
     chromosomes evaluated.
     """
-    prev_programs, prev_reports = prev_cache
-    programs, reports_by_key = {}, {}
+    if prev_cache is None:
+        prev_cache = (itertools.count(), {}, {}, {})
+    counter, prev_programs, prev_ints, prev_reports = prev_cache
+    programs, ints, reports_by_key = {}, {}, {}
     reports = []
     evaluations = 0
     for chrom in pop:
         keys = []
         for gene in chrom.genes:
             gid = id(gene)
-            entry = programs.get(gid) or prev_programs.get(gid)
-            if entry is None or entry[0] is not gene:
-                program = compile_gene(gene)
-                entry = (gene, program, (program.nodes, program.constants))
-            programs[gid] = entry
+            entry = programs.get(gid)
+            if entry is None:
+                entry = prev_programs.get(gid)
+                if entry is None or entry[0] is not gene:
+                    program = compile_gene(gene)
+                    pair = (program.nodes, program.constants)
+                    number = ints.get(pair)
+                    if number is None:
+                        number = prev_ints.get(pair)
+                        if number is None:
+                            number = next(counter)
+                    entry = (gene, program, number, pair)
+                ints[entry[3]] = entry[2]
+                programs[gid] = entry
             keys.append(entry[2])
         key = tuple(keys)
         report = reports_by_key.get(key)
@@ -504,7 +521,7 @@ def _evaluate_population(pop, X, y, prev_cache):
                 evaluations += 1
             reports_by_key[key] = report
         reports.append(report)
-    return reports, (programs, reports_by_key), evaluations
+    return reports, (counter, programs, ints, reports_by_key), evaluations
 
 
 def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunResult:
@@ -515,7 +532,7 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     pop = initialize(config, rng)
-    reports, cache, evaluations = _evaluate_population(pop, X, y, ({}, {}))
+    reports, cache, evaluations = _evaluate_population(pop, X, y, None)
     fits = [r.fitness for r in reports]
     best_i = int(np.argmax(fits))
     best_chrom, best_rep = pop[best_i], reports[best_i]

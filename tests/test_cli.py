@@ -91,6 +91,28 @@ class TestSplit:
         assert not set(info["train_ids"]) & set(info["test_ids"])
 
 
+# one row whose a_y and a_y/a_max have centred squares past the float range;
+# at 1e300/1e-300 the ratio itself overflows to inf
+OVERFLOW_ROWS = [("1e+200", "1e-10"), ("1e+300", "1e-300")]
+
+
+def overflow_cases(tmp_path, a_y, a_max):
+    rows = [case_row(f"R{i}", m_w=6.0 + 0.2 * i, a_max=0.1 + 0.05 * i, t_p=0.3 + 0.02 * i,
+                     a_y=0.02 + 0.01 * i, d=0.2 + 0.1 * i) for i in range(8)]
+    rows.append(("X", "7.0", a_max, "0.4", "0.6", a_y, "0.5", "0.5", "", ""))
+    return write_cases(tmp_path, rows)
+
+
+@pytest.mark.parametrize("command", ["split", "fit"])
+@pytest.mark.parametrize("a_y,a_max", OVERFLOW_ROWS)
+def test_overflowing_moments_exit_2_naming_columns(tmp_path, capsys, command, a_y, a_max):
+    path = overflow_cases(tmp_path, a_y, a_max)
+    assert run_cli(command, "--input", path, "--trials", 5, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "ay, ay_ratio" in err and "overflow" in err
+    assert "Traceback" not in err
+
+
 class TestFit:
     def test_fit_outputs(self, tmp_path):
         out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,25 @@ class TestLoad:
         assert path.read_bytes() == path2.read_bytes()
 
 
+class TestMatrix:
+    def test_equals_per_record_reference_bitwise(self, synth85):
+        records = synth85 + [
+            CaseHistory("big", 7.0, 1e-10, 0.4, 0.6, 1e200, 0.5),
+            CaseHistory("inf", 7.0, 1e-300, 1e-300, 1e300, 1e300, 0.5),
+            CaseHistory("tiny", 7.0, 3.0, 7.0, 1e-310, 1e-310, 0.0),
+        ]
+        reference = np.array(
+            [[r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.ay_ratio, r.period_ratio, r.d]
+             for r in records]
+        )
+        mat = data._matrix(records)
+        assert mat.shape == (len(records), len(data.PARAMETERS))
+        assert mat.tobytes() == reference.tobytes()
+
+    def test_empty(self):
+        assert data._matrix([]).shape == (0, len(data.PARAMETERS))
+
+
 class TestSummarize:
     def test_single_record_degenerate(self):
         rec = CaseHistory("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.5)
@@ -155,7 +175,26 @@ class TestSplit:
     def test_score_matches_direct_computation(self, synth85):
         split = split_matched(synth85, 0.75, trials=4, rng=np.random.default_rng(3))
         train, test = split_records(synth85, split)
-        assert match_score(train, test, synth85) == pytest.approx(split.score, rel=1e-12)
+        assert match_score(train, test, synth85) == split.score
+
+    def test_result_independent_of_chunk_size(self, synth85, monkeypatch):
+        def split(trials_per_chunk):
+            monkeypatch.setattr(data, "_SPLIT_CHUNK_BYTES", trials_per_chunk * 8 * len(synth85))
+            return split_matched(synth85, 0.75, trials=40, rng=np.random.default_rng(5))
+
+        whole = split(40)
+        assert split(2) == whole
+        assert split(3) == whole
+
+    def test_memory_bounded_at_20k_rows(self):
+        records = synthesize(EMBANKMENT_SUMMARY, 20_000, np.random.default_rng(11))
+        tracemalloc.start()
+        try:
+            split_matched(records, 0.75, trials=256, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_bad_fraction_and_small_n(self, synth85):
         with pytest.raises(DatasetError):
