@@ -94,8 +94,7 @@ def _load_records(args, outdir: Path, rng_pool: list) -> tuple[list[data.CaseHis
     if args.input is not None:
         path = Path(args.input)
         return data.load(path), [path], []
-    n = args.synth or SYNTH_DEFAULT_N
-    records = data.synthesize(data.EMBANKMENT_SUMMARY, n, synth_rng)
+    records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
     synth_path = outdir / "synthetic_input.csv"
     data.save(records, synth_path)
     return records, [], [synth_path]
@@ -230,11 +229,12 @@ def cmd_fit(args) -> int:
     karva.write_kexpr(result.best, outdir / "best.kexpr")
     _write_csv(
         outdir / "history.csv",
-        ("generation", "best_fitness", "mean_fitness"),
+        ("generation", "best_fitness", "mean_fitness", "evaluations", "zero_fitness"),
         [
-            (gen + 1, best, mean)
-            for gen, (best, mean) in enumerate(
-                zip(result.report.per_generation_best, result.mean_history)
+            (gen + 1, *row)
+            for gen, row in enumerate(
+                zip(result.report.per_generation_best, result.mean_history,
+                    result.evaluation_history, result.zero_fitness_history)
             )
         ],
     )
@@ -456,6 +456,13 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+def _pole_eps(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # NaN fails this too, and would turn pole checks off
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_data: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     sub.add_argument("--out", default=".", help="output directory (default .)")
@@ -499,14 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("predict", help="run one registered relationship over a dataset")
     _add_common(p)
     p.add_argument("--model", required=True, help=f"one of: {', '.join(displacement.MODEL_IDS)}")
-    p.add_argument("--pole-eps", type=float, default=displacement.DEFAULT_POLE_EPS)
+    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.add_argument("--ambraseys-cm", action="store_true",
                    help="treat the Ambraseys-Menu value as log10 of centimeters")
     p.set_defaults(func=cmd_predict)
 
     p = subs.add_parser("compare", help="relative errors per relationship, applied ranges only")
     _add_common(p)
-    p.add_argument("--pole-eps", type=float, default=displacement.DEFAULT_POLE_EPS)
+    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.add_argument("--ambraseys-cm", action="store_true")
     p.set_defaults(func=cmd_compare)
 
@@ -519,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
                    help="vary Mw at fixed levels of this parameter")
     p.add_argument("--levels", help="comma-separated family levels")
-    p.add_argument("--pole-eps", type=float, default=displacement.DEFAULT_POLE_EPS)
+    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.set_defaults(func=cmd_sensitivity)
 
     p = subs.add_parser("sweep", help="fitness surface over gene count and head size")

@@ -213,12 +213,26 @@ def save(records, path) -> None:
 # summaries
 
 
+def _centred_columns(mat: np.ndarray, context: str) -> np.ndarray:
+    """The columns of ``mat`` less their means.  Raises ``DatasetError``
+    naming every column whose centred squares (or their sum) overflow: such
+    a column has no usable mean, SD or correlation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = mat - mat.mean(axis=0)
+        overflow = ~np.isfinite(np.square(centred).sum(axis=0))
+    if overflow.any():
+        names = ", ".join(np.array(PARAMETERS)[overflow])
+        raise DatasetError(f"{context}: {names} too large to score (their centred squares overflow)")
+    return centred
+
+
 def summarize(records, matrix: np.ndarray | None = None) -> dict[str, ParamStats]:
     """Min/max/mean/sample-SD for the eight summary parameters; ``matrix``
     is the records' ``_matrix`` when the caller already has it."""
     if not records:
         raise DatasetError("empty dataset")
     mat = _matrix(records) if matrix is None else matrix
+    _centred_columns(mat, "summary")
     n = mat.shape[0]
     out = {}
     for j, name in enumerate(PARAMETERS):
@@ -291,20 +305,14 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     k = int(math.floor(fraction * n))
     k = min(max(k, 1), n - 1)
     mat = _matrix(records)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ranges = mat.max(axis=0) - mat.min(axis=0)
-        valid = ranges > 0
-        width = int(valid.sum())
-        sums = np.empty((n, 2 * width))  # centred columns, then their squares
-        np.subtract(mat[:, valid], mat.mean(axis=0)[valid], out=sums[:, :width])
-        np.square(sums[:, :width], out=sums[:, width:])
-        totals = sums.sum(axis=0)
-    overflow = ~np.isfinite(totals[width:])
-    if overflow.any():
-        names = ", ".join(np.array(PARAMETERS)[valid][overflow])
-        raise DatasetError(
-            f"matched split: {names} too large to score (their centred squares overflow)"
-        )
+    centred = _centred_columns(mat, "matched split")
+    ranges = mat.max(axis=0) - mat.min(axis=0)
+    valid = ranges > 0
+    width = int(valid.sum())
+    sums = np.empty((n, 2 * width))  # centred columns, then their squares
+    sums[:, :width] = centred[:, valid]
+    np.square(sums[:, :width], out=sums[:, width:])
+    totals = sums.sum(axis=0)
     use_sd = k >= 2 and n - k >= 2
     scale = ranges[valid]
 

@@ -1,6 +1,10 @@
 """GEP search loop: initialisation, fitness, roulette selection with elitism,
 the full genetic operator suite and the generation loop.
 
+The population is a ``Population`` of code and pool arrays; every operator
+writes those arrays, and the fitness cache keys each chromosome by the
+canonical bytes of its coding regions (``canonical_keys``).
+
 Rate conventions: the three mutation variants are per-site probabilities
 (symbol positions, or pool slots for constant mutation); permutation,
 inversion, the transpositions and all recombinations are per-chromosome
@@ -9,24 +13,22 @@ inversion, the transpositions and all recombinations are per-chromosome
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .karva import (
-    FUNCTION_TOKENS,
+    NUM_FUNCTIONS,
     POOL_SIZE,
     Chromosome,
-    Gene,
-    Symbol,
-    constant_symbol,
-    function_symbol,
-    input_symbol,
+    alphabet,
+    chromosome_from_codes,
+    code_dtype,
+    coding_lengths,
     tail_length,
 )
-from .kernels import compile_chromosome, compile_gene, evaluate_chromosome_batch
+from .kernels import compile_chromosome, compile_codes, evaluate_chromosome_batch
 
 
 class ConfigError(ValueError):
@@ -102,32 +104,42 @@ class FitnessReport:
 class RunResult:
     """Best-ever chromosome and its report, the per-generation mean fitness,
     and ``evaluations``, the number of chromosomes actually evaluated (a
-    chromosome whose coding programs were already scored is not)."""
+    chromosome whose canonical key was already scored is not).  The
+    per-generation counters hold, for each generation after the initial
+    population, the chromosomes evaluated and those of fitness 0."""
 
     best: Chromosome
     report: FitnessReport
     mean_history: tuple[float, ...]
     evaluations: int
+    evaluation_history: tuple[int, ...]
+    zero_fitness_history: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SymbolSpace:
-    """Sampling alphabets for a given input arity."""
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Chromosomes as arrays.
 
-    functions: tuple[Symbol, ...]
-    terminals: tuple[Symbol, ...]
+    ``codes[p, g, i]`` is the symbol code (see ``karva.alphabet``) at
+    position ``i`` of gene ``g`` of chromosome ``p``, and ``constants[p, g]``
+    is that gene's pool.  Indexing and iteration give ``Chromosome`` views.
+    """
 
-    @classmethod
-    def for_inputs(cls, num_inputs: int) -> "SymbolSpace":
-        functions = tuple(function_symbol(t) for t in FUNCTION_TOKENS)
-        terminals = tuple(input_symbol(i) for i in range(num_inputs)) + tuple(
-            constant_symbol(j) for j in range(POOL_SIZE)
-        )
-        return cls(functions, terminals)
+    codes: np.ndarray
+    constants: np.ndarray
+    num_inputs: int
 
-    @property
-    def head_symbols(self) -> tuple[Symbol, ...]:
-        return self.functions + self.terminals
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, p: int) -> Chromosome:
+        return chromosome_from_codes(self.codes[p], self.constants[p], self.num_inputs)
+
+    def __iter__(self):
+        return (self[p] for p in range(len(self)))
+
+    def take(self, rows) -> "Population":
+        return Population(self.codes[rows], self.constants[rows], self.num_inputs)
 
 
 def _as_dataset(X, y):
@@ -160,397 +172,303 @@ def fitness(chrom: Chromosome, X, y, programs=None) -> FitnessReport:
     return FitnessReport(1000.0 / (1.0 + rmse), rmse)
 
 
-def initialize(config: GepConfig, rng: np.random.Generator) -> list[Chromosome]:
-    """Random population: heads uniform over functions and terminals, tails
-    uniform over terminals, pool constants uniform in [-10, 10]."""
-    space = SymbolSpace.for_inputs(config.num_inputs)
-    head_n = len(space.head_symbols)
-    term_n = len(space.terminals)
-    tail_len = tail_length(config.head_size)
-    population = []
-    for _ in range(config.num_chromosomes):
-        genes = []
-        for _ in range(config.num_genes):
-            head_idx = rng.integers(0, head_n, size=config.head_size)
-            tail_idx = rng.integers(0, term_n, size=tail_len)
-            constants = rng.uniform(-10.0, 10.0, size=POOL_SIZE)
-            genes.append(
-                Gene(
-                    tuple(space.head_symbols[i] for i in head_idx),
-                    tuple(space.terminals[i] for i in tail_idx),
-                    tuple(constants),
-                )
-            )
-        population.append(Chromosome(tuple(genes)))
-    return population
+def initialize(config: GepConfig, rng: np.random.Generator) -> Population:
+    """Random population: heads uniform over the whole alphabet, tails
+    uniform over the terminals, pool constants uniform in [-10, 10]."""
+    shape = (config.num_chromosomes, config.num_genes)
+    n_symbols = len(alphabet(config.num_inputs))
+    heads = rng.integers(0, n_symbols, size=shape + (config.head_size,))
+    tails = rng.integers(NUM_FUNCTIONS, n_symbols, size=shape + (tail_length(config.head_size),))
+    codes = np.concatenate((heads, tails), axis=2).astype(code_dtype(config.num_inputs))
+    constants = rng.uniform(-10.0, 10.0, size=shape + (POOL_SIZE,))
+    return Population(codes, constants, config.num_inputs)
 
 
-def select(population, fitnesses, rng: np.random.Generator) -> list[Chromosome]:
-    """Roulette-wheel sampling proportional to fitness with the single best
-    chromosome copied unchanged to slot 0 (elitism).  All-zero fitness falls
-    back to uniform sampling."""
+def select(fitnesses, rng: np.random.Generator) -> np.ndarray:
+    """Indices of the next population: the single best chromosome in slot 0
+    (elitism), then roulette-wheel draws proportional to fitness.  All-zero
+    fitness falls back to uniform draws."""
     fits = np.asarray(fitnesses, dtype=np.float64)
-    if len(population) != fits.shape[0]:
-        raise ValueError("fitness list does not match population")
-    best = int(np.argmax(fits))
-    n = len(population)
+    n = fits.shape[0]
     total = float(fits.sum())
     if total > 0.0:
         idx = rng.choice(n, size=n - 1, p=fits / total)
     else:
         idx = rng.integers(0, n, size=n - 1)
-    return [population[best]] + [population[i] for i in idx]
+    return np.concatenate(([np.argmax(fits)], idx))
 
 
 # ---------------------------------------------------------------------------
-# operators
+# operators: each edits a code array and its pools in place
 
 
-def _replace_gene(chrom: Chromosome, gi: int, gene: Gene) -> Chromosome:
-    genes = list(chrom.genes)
-    genes[gi] = gene
-    return Chromosome(tuple(genes))
+def _sites(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Flat indices of ``n`` sites, each drawn with probability ``rate``."""
+    return rng.choice(n, size=rng.binomial(n, rate), replace=False)
 
 
-def _point_mutation(chrom, rate, rng, space, conservative=False):
-    """Resample random symbol positions; head draws from the full alphabet,
-    tail from terminals only.  Conservative mode stays within the symbol
-    class (function -> function, terminal -> terminal)."""
-    gene_len = chrom.genes[0].length
-    head_len = chrom.head_length
-    n_positions = len(chrom.genes) * gene_len
-    k = int(rng.binomial(n_positions, rate))
-    if k == 0:
-        return chrom
-    positions = np.sort(rng.choice(n_positions, size=k, replace=False))
-    touched: dict[int, list[Symbol]] = {}  # gene index -> its symbols, edited
-    for pos in positions:
-        gi, si = divmod(int(pos), gene_len)
-        symbols = touched.get(gi)
-        if symbols is None:
-            symbols = touched[gi] = list(chrom.genes[gi].symbols)
-        in_head = si < head_len
-        if conservative:
-            old = symbols[si]
-            pool = space.functions if not old.is_terminal else space.terminals
-        else:
-            pool = space.head_symbols if in_head else space.terminals
-        symbols[si] = pool[int(rng.integers(0, len(pool)))]
-    genes = list(chrom.genes)
-    for gi, symbols in touched.items():
-        genes[gi] = Gene(tuple(symbols[:head_len]), tuple(symbols[head_len:]), genes[gi].constants)
-    return Chromosome(tuple(genes))
+def _redraw(rng, in_first, first, second) -> np.ndarray:
+    """One uniform code per site: from ``range(*first)`` where ``in_first``
+    holds, from ``range(*second)`` elsewhere.  One draw ``v`` below the
+    product of the two range sizes serves either, because ``v`` modulo
+    either size is uniform."""
+    n_first, n_second = first[1] - first[0], second[1] - second[0]
+    v = rng.integers(0, n_first * n_second, size=in_first.shape)
+    return np.where(in_first, first[0] + v % n_first, second[0] + v % n_second)
 
 
-def _constant_mutation(chrom, rate, rng):
-    """Perturb random pool constants with unit-sigma Gaussian noise."""
-    n_slots = len(chrom.genes) * POOL_SIZE
-    k = int(rng.binomial(n_slots, rate))
-    if k == 0:
-        return chrom
-    slots = np.sort(rng.choice(n_slots, size=k, replace=False))
-    touched: dict[int, list[float]] = {}  # gene index -> its pool, edited
-    for slot in slots:
-        gi, ci = divmod(int(slot), POOL_SIZE)
-        pool = touched.get(gi)
-        if pool is None:
-            pool = touched[gi] = list(chrom.genes[gi].constants)
-        pool[ci] += float(rng.normal(0.0, 1.0))
-    genes = list(chrom.genes)
-    for gi, pool in touched.items():
-        genes[gi] = Gene(genes[gi].head, genes[gi].tail, tuple(pool))
-    return Chromosome(tuple(genes))
-
-
-def _permutation(chrom, rng):
+def _permutation(codes, pools, rng):
     """Swap two head positions of one gene."""
-    gi = int(rng.integers(0, len(chrom.genes)))
-    gene = chrom.genes[gi]
-    if gene.head_length < 2:
-        return chrom
-    i, j = (int(v) for v in rng.choice(gene.head_length, size=2, replace=False))
-    head = list(gene.head)
-    head[i], head[j] = head[j], head[i]
-    return _replace_gene(chrom, gi, Gene(tuple(head), gene.tail, gene.constants))
+    gene = codes[rng.integers(0, len(codes))]
+    head = len(gene) // 2
+    if head >= 2:
+        i, j = rng.choice(head, size=2, replace=False)
+        gene[[i, j]] = gene[[j, i]]
 
 
-def _inversion(chrom, rng):
+def _inversion(codes, pools, rng):
     """Reverse a random head segment of one gene."""
-    gi = int(rng.integers(0, len(chrom.genes)))
-    gene = chrom.genes[gi]
-    if gene.head_length < 2:
-        return chrom
-    start = int(rng.integers(0, gene.head_length - 1))
-    length = int(rng.integers(2, gene.head_length - start + 1))
-    head = list(gene.head)
-    head[start : start + length] = reversed(head[start : start + length])
-    return _replace_gene(chrom, gi, Gene(tuple(head), gene.tail, gene.constants))
+    gene = codes[rng.integers(0, len(codes))]
+    head = len(gene) // 2
+    if head >= 2:
+        start = rng.integers(0, head - 1)
+        stop = start + rng.integers(2, head - start + 1)
+        gene[start:stop] = gene[start:stop][::-1]
 
 
 _MAX_TRANSPOSON = 3
 
 
-def _is_transposition(chrom, rng):
+def _is_transposition(codes, pools, rng):
     """Copy a short segment (from anywhere in a source gene) into a non-root
     head position of a target gene; the head is truncated back to length."""
-    src = chrom.genes[int(rng.integers(0, len(chrom.genes)))]
-    gi = int(rng.integers(0, len(chrom.genes)))
-    gene = chrom.genes[gi]
-    if gene.head_length < 2:
-        return chrom
-    symbols = src.symbols
-    start = int(rng.integers(0, len(symbols)))
-    max_len = min(_MAX_TRANSPOSON, len(symbols) - start)
-    length = int(rng.integers(1, max_len + 1))
-    segment = symbols[start : start + length]
-    pos = int(rng.integers(1, gene.head_length))
-    head = (gene.head[:pos] + segment + gene.head[pos:])[: gene.head_length]
-    return _replace_gene(chrom, gi, Gene(head, gene.tail, gene.constants))
+    source = codes[rng.integers(0, len(codes))]
+    gene = codes[rng.integers(0, len(codes))]
+    length, head = len(gene), len(gene) // 2
+    if head >= 2:
+        start = rng.integers(0, length)
+        stop = start + rng.integers(1, min(_MAX_TRANSPOSON, length - start) + 1)
+        pos = rng.integers(1, head)
+        gene[pos:head] = np.concatenate((source[start:stop], gene[pos:head]))[: head - pos]
 
 
-def _ris_transposition(chrom, rng):
+def _ris_transposition(codes, pools, rng):
     """Copy a function-rooted segment of one gene to that gene's head root."""
-    gi = int(rng.integers(0, len(chrom.genes)))
-    gene = chrom.genes[gi]
-    scan = int(rng.integers(0, gene.head_length))
-    root = None
-    for i in range(scan, gene.head_length):
-        if not gene.head[i].is_terminal:
-            root = i
-            break
-    if root is None:
-        return chrom
-    symbols = gene.symbols
-    max_len = min(_MAX_TRANSPOSON, len(symbols) - root)
-    length = int(rng.integers(1, max_len + 1))
-    segment = symbols[root : root + length]
-    head = (segment + gene.head)[: gene.head_length]
-    return _replace_gene(chrom, gi, Gene(head, gene.tail, gene.constants))
+    gene = codes[rng.integers(0, len(codes))]
+    length, head = len(gene), len(gene) // 2
+    scan = rng.integers(0, head)
+    roots = np.flatnonzero(gene[scan:head] < NUM_FUNCTIONS)
+    if roots.size:
+        root = scan + roots[0]
+        stop = root + rng.integers(1, min(_MAX_TRANSPOSON, length - root) + 1)
+        gene[:head] = np.concatenate((gene[root:stop], gene[:head]))[:head]
 
 
-def _gene_transposition(chrom, rng):
-    """Move a whole gene to the front of the chromosome."""
-    if len(chrom.genes) < 2:
-        return chrom
-    gi = int(rng.integers(1, len(chrom.genes)))
-    genes = list(chrom.genes)
-    gene = genes.pop(gi)
-    return Chromosome(tuple([gene] + genes))
+def _gene_transposition(codes, pools, rng):
+    """Move a whole gene, pool included, to the front of the chromosome."""
+    if len(codes) >= 2:
+        moved = rng.integers(1, len(codes)) + 1
+        codes[:moved] = np.roll(codes[:moved], 1, axis=0)
+        pools[:moved] = np.roll(pools[:moved], 1, axis=0)
 
 
-def _flat_symbols(chrom):
-    return [s for g in chrom.genes for s in g.symbols]
+# Recombinations act on the pairs (first, first + 1): each draws, for all its
+# pairs at once, a mask over the flat symbol positions and a mask over the
+# pools, then exchanges the masked cells between the two chromosomes.
 
 
-def _rebuild(symbols, pools, parents, head_len, gene_len):
-    """Chromosome from a flat symbol list and one pool per gene.  A gene
-    whose segment and pool are a parent's own objects is that parent's
-    ``Gene``; the others are built anew."""
-    genes = []
-    for gi, pool in enumerate(pools):
-        seg = symbols[gi * gene_len : (gi + 1) * gene_len]
-        for parent in parents:
-            gene = parent.genes[gi]
-            if pool is gene.constants and all(a is b for a, b in zip(seg, gene.symbols)):
-                break
-        else:
-            gene = Gene(tuple(seg[:head_len]), tuple(seg[head_len:]), pool)
-        genes.append(gene)
-    return Chromosome(tuple(genes))
+def _swap_pairs(codes, pools, first, symbol_mask, pool_mask):
+    n, genes, length = len(first), codes.shape[1], codes.shape[2]
+    second = first + 1
+    for arr, mask in ((codes, symbol_mask.reshape(n, genes, length)),
+                      (pools, pool_mask.reshape(n, genes, -1))):
+        a, b = arr[first], arr[second]
+        arr[first], arr[second] = np.where(mask, b, a), np.where(mask, a, b)
 
 
-def _one_point_recombination(c1, c2, rng):
+def _one_point_recombination(codes, pools, first, rng):
     """Swap everything past a single cut point; a gene's pool follows the
     parent that supplies the gene's first symbol."""
-    gene_len = c1.genes[0].length
-    head_len = c1.head_length
-    s1, s2 = _flat_symbols(c1), _flat_symbols(c2)
-    total = len(s1)
-    cut = int(rng.integers(1, total))
-    n_genes = len(c1.genes)
-    pools1 = [(c1 if g * gene_len < cut else c2).genes[g].constants for g in range(n_genes)]
-    pools2 = [(c2 if g * gene_len < cut else c1).genes[g].constants for g in range(n_genes)]
-    return (
-        _rebuild(s1[:cut] + s2[cut:], pools1, (c1, c2), head_len, gene_len),
-        _rebuild(s2[:cut] + s1[cut:], pools2, (c1, c2), head_len, gene_len),
-    )
+    total, length = codes[0].size, codes.shape[2]
+    cut = rng.integers(1, total, size=(len(first), 1))
+    starts = np.arange(0, total, length)
+    _swap_pairs(codes, pools, first, np.arange(total) >= cut, starts >= cut)
 
 
-def _two_point_recombination(c1, c2, rng):
-    """Swap the segment between two cut points."""
-    gene_len = c1.genes[0].length
-    head_len = c1.head_length
-    s1, s2 = _flat_symbols(c1), _flat_symbols(c2)
-    total = len(s1)
-    a, b = (int(v) for v in np.sort(rng.choice(np.arange(1, total), size=2, replace=False)))
-    n_genes = len(c1.genes)
-
-    def pools(mine, other):
-        out = []
-        for g in range(n_genes):
-            start = g * gene_len
-            out.append((other if a <= start < b else mine).genes[g].constants)
-        return out
-
-    return (
-        _rebuild(s1[:a] + s2[a:b] + s1[b:], pools(c1, c2), (c1, c2), head_len, gene_len),
-        _rebuild(s2[:a] + s1[a:b] + s2[b:], pools(c2, c1), (c1, c2), head_len, gene_len),
-    )
+def _two_point_recombination(codes, pools, first, rng):
+    """Swap the segment between two distinct cut points."""
+    total, length = codes[0].size, codes.shape[2]
+    a = rng.integers(1, total, size=(len(first), 1))
+    b = rng.integers(1, total - 1, size=(len(first), 1))
+    b += b >= a  # uniform over the cuts other than a
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    positions = np.arange(total)
+    starts = positions[::length]
+    _swap_pairs(codes, pools, first, (positions >= lo) & (positions < hi),
+                (starts >= lo) & (starts < hi))
 
 
-def _uniform_recombination(c1, c2, rng):
+def _uniform_recombination(codes, pools, first, rng):
     """Independent coin flip per symbol position and per pool slot."""
-    gene_len = c1.genes[0].length
-    head_len = c1.head_length
-    s1, s2 = _flat_symbols(c1), _flat_symbols(c2)
-    swap_sym = rng.random(len(s1)) < 0.5
-    for i in np.flatnonzero(swap_sym):
-        s1[i], s2[i] = s2[i], s1[i]
-    n_genes = len(c1.genes)
-    p1 = [list(g.constants) for g in c1.genes]
-    p2 = [list(g.constants) for g in c2.genes]
-    swap_const = rng.random(n_genes * POOL_SIZE) < 0.5
-    for slot in np.flatnonzero(swap_const):
-        gi, ci = divmod(int(slot), POOL_SIZE)
-        p1[gi][ci], p2[gi][ci] = p2[gi][ci], p1[gi][ci]
-    return (
-        _rebuild(s1, [tuple(p) for p in p1], (c1, c2), head_len, gene_len),
-        _rebuild(s2, [tuple(p) for p in p2], (c1, c2), head_len, gene_len),
-    )
+    n = len(first)
+    _swap_pairs(codes, pools, first, rng.random((n, codes[0].size)) < 0.5,
+                rng.random((n, pools[0].size)) < 0.5)
 
 
-def _gene_recombination(c1, c2, rng):
+def _gene_recombination(codes, pools, first, rng):
     """Swap one whole gene (symbols and pool) between the parents."""
-    gi = int(rng.integers(0, len(c1.genes)))
-    g1, g2 = list(c1.genes), list(c2.genes)
-    g1[gi], g2[gi] = g2[gi], g1[gi]
-    return Chromosome(tuple(g1)), Chromosome(tuple(g2))
+    genes, length = codes.shape[1], codes.shape[2]
+    gene = rng.integers(0, genes, size=(len(first), 1))
+    _swap_pairs(codes, pools, first, np.arange(genes * length) // length == gene,
+                np.arange(genes) == gene)
 
 
-def apply_operators(population, config: GepConfig, rng: np.random.Generator) -> list[Chromosome]:
-    """One generation of variation, stage by stage in fixed order.
+def apply_operators(population: Population, config: GepConfig,
+                    rng: np.random.Generator) -> Population:
+    """One generation of variation, stage by stage in fixed order; returns
+    a new population.
 
-    Mutation stages are per-site; the structural stages fire per chromosome,
-    recombinations per adjacent pair.  Every output chromosome keeps the
-    input geometry and the tail-terminal rule by construction.
+    Each mutation stage draws one binomial count of sites over the whole
+    population and writes them at once.  The structural stages fire per
+    chromosome and the recombinations per adjacent pair; the triggers of
+    all structural stages are drawn in one call, those of all recombinations
+    in another.  Every output chromosome keeps the input geometry and the
+    tail-terminal rule by construction.
     """
-    space = SymbolSpace.for_inputs(config.num_inputs)
+    codes = population.codes.copy()
+    pools = population.constants.copy()
     rates = config.rates
-    pop = list(population)
+    n_symbols = len(alphabet(population.num_inputs))
+    length = codes.shape[2]
+    symbols = codes.reshape(-1)
 
-    pop = [_point_mutation(c, rates.mutation, rng, space) for c in pop]
-    pop = [_point_mutation(c, rates.conservative_mutation, rng, space, conservative=True) for c in pop]
-    pop = [_constant_mutation(c, rates.biased_mutation, rng) for c in pop]
+    functions, terminals = (0, NUM_FUNCTIONS), (NUM_FUNCTIONS, n_symbols)
+    # point mutation: a head position draws from the whole alphabet, a tail
+    # position from the terminals
+    sites = _sites(symbols.size, rates.mutation, rng)
+    symbols[sites] = _redraw(rng, sites % length < length // 2, (0, n_symbols), terminals)
+    # conservative mutation: a function stays a function, a terminal a terminal
+    sites = _sites(symbols.size, rates.conservative_mutation, rng)
+    symbols[sites] = _redraw(rng, symbols[sites] < NUM_FUNCTIONS, functions, terminals)
+    slots = _sites(pools.size, rates.biased_mutation, rng)
+    pools.reshape(-1)[slots] += rng.normal(0.0, 1.0, size=slots.size)
 
-    for op, rate in (
+    stages = (
         (_permutation, rates.permutation),
         (_inversion, rates.inversion),
         (_is_transposition, rates.is_transposition),
         (_ris_transposition, rates.ris_transposition),
         (_gene_transposition, rates.gene_transposition),
-    ):
-        pop = [op(c, rng) if rng.random() < rate else c for c in pop]
+    )
+    triggers = rng.random((len(stages), len(codes))) < np.array([r for _, r in stages])[:, None]
+    for stage, p in zip(*np.nonzero(triggers)):  # stage by stage, rows in order
+        stages[stage][0](codes[p], pools[p], rng)
 
-    for op, rate in (
+    stages = (
         (_one_point_recombination, rates.one_point_recombination),
         (_two_point_recombination, rates.two_point_recombination),
         (_uniform_recombination, rates.uniform_recombination),
         (_gene_recombination, rates.gene_recombination),
-    ):
-        for i in range(0, len(pop) - 1, 2):
-            if rng.random() < rate:
-                pop[i], pop[i + 1] = op(pop[i], pop[i + 1], rng)
+    )
+    first = np.arange(0, len(codes) - 1, 2)
+    triggers = rng.random((len(stages), len(first))) < np.array([r for _, r in stages])[:, None]
+    for stage in np.flatnonzero(triggers.any(axis=1)):
+        stages[stage][0](codes, pools, first[triggers[stage]], rng)
 
-    return pop
+    return Population(codes, pools, population.num_inputs)
+
+
+def canonical_keys(population: Population) -> np.ndarray:
+    """Canonical bytes of every gene, as a ``(P, G, width)`` uint8 array.
+
+    Two genes get equal rows exactly when they read the same symbols and
+    pool values in their coding regions: a row is the gene's codes with
+    every non-coding position set to the alphabet size, followed by the
+    bytes of its pool with every slot no coding position reads set to 0.
+    A chromosome's key is the bytes of its ``(G, width)`` block.
+    """
+    codes, pools = population.codes, population.constants
+    first_constant = NUM_FUNCTIONS + population.num_inputs
+    noncoding = np.arange(codes.shape[2]) >= coding_lengths(codes)[..., None]
+    masked = np.where(noncoding, first_constant + POOL_SIZE, codes).astype(codes.dtype)
+    p, g, i = np.nonzero(~noncoding & (codes >= first_constant))
+    read = np.zeros(pools.shape, dtype=bool)
+    read[p, g, codes[p, g, i] - first_constant] = True
+    kept = np.where(read, pools, 0.0)
+    return np.concatenate((masked.view(np.uint8), kept.view(np.uint8)), axis=2)
 
 
 def _evaluate_population(pop, X, y, prev_cache):
-    """Fitness per chromosome, evaluating each distinct coding program once.
+    """Fitness per chromosome, evaluating each canonical key once.
 
-    Each gene's coding program, the pair ``(program.nodes,
-    program.constants)``, gets an int from a counter that runs for the
-    whole run; equal pairs get the same int.  A chromosome's key is the
-    tuple of its genes' ints, and the report of a chromosome whose genes
-    differ from one already scored only in non-coding symbols or unread
-    pool constants is that key's report.  Int tuples hash cheaply, while
-    the nested program pairs would be re-hashed on every lookup.
-
-    The cache holds the counter and three maps: ``id(gene) -> (gene,
-    program, int, pair)`` (checked with ``is``, so a gene is compiled only
-    when its object is new), ``pair -> int`` and ``key -> report``.  Each
-    map keeps the previous and the current generation only; a gene carried
-    over re-enters ``pair -> int``, so a new gene with an equal program
-    finds its int, and ints are never reused, so an int that left the maps
-    cannot name another program.
-    ``prev_cache`` is the value returned for the previous generation (None
-    for the first).  Returns the reports, the new cache and the number of
-    chromosomes evaluated.
+    The cache holds two maps, chromosome key -> report and gene key ->
+    compiled program (see ``canonical_keys``), each for the previous and
+    the current generation only; ``prev_cache`` is the value returned for
+    the previous generation (None for the first).  A missed chromosome is
+    scored through its ``Chromosome`` view, with each gene compiled from its
+    code row unless its key already has a program.  Returns the reports,
+    the new cache and the number of chromosomes evaluated.
     """
-    if prev_cache is None:
-        prev_cache = (itertools.count(), {}, {}, {})
-    counter, prev_programs, prev_ints, prev_reports = prev_cache
-    programs, ints, reports_by_key = {}, {}, {}
+    prev_reports, prev_programs = prev_cache or ({}, {})
+    reports_by_key, programs_by_key = {}, {}
     reports = []
     evaluations = 0
-    for chrom in pop:
-        keys = []
-        for gene in chrom.genes:
-            gid = id(gene)
-            entry = programs.get(gid)
-            if entry is None:
-                entry = prev_programs.get(gid)
-                if entry is None or entry[0] is not gene:
-                    program = compile_gene(gene)
-                    pair = (program.nodes, program.constants)
-                    number = ints.get(pair)
-                    if number is None:
-                        number = prev_ints.get(pair)
-                        if number is None:
-                            number = next(counter)
-                    entry = (gene, program, number, pair)
-                ints[entry[3]] = entry[2]
-                programs[gid] = entry
-            keys.append(entry[2])
-        key = tuple(keys)
-        report = reports_by_key.get(key)
+    blocks = canonical_keys(pop)
+    genes, width = blocks.shape[1], blocks.shape[2]
+    raw = blocks.tobytes()
+    for p in range(len(pop)):
+        key = raw[p * genes * width : (p + 1) * genes * width]
+        report = reports_by_key.get(key) or prev_reports.get(key)
         if report is None:
-            report = prev_reports.get(key)
-            if report is None:
-                compiled = tuple(programs[id(gene)][1] for gene in chrom.genes)
-                report = fitness(chrom, X, y, compiled)
-                evaluations += 1
-            reports_by_key[key] = report
+            programs = []
+            for g in range(genes):
+                gene_key = key[g * width : (g + 1) * width]
+                program = programs_by_key.get(gene_key) or prev_programs.get(gene_key)
+                if program is None:
+                    program = compile_codes(pop.codes[p, g], pop.constants[p, g], pop.num_inputs)
+                programs_by_key[gene_key] = program
+                programs.append(program)
+            report = fitness(pop[p], X, y, tuple(programs))
+            evaluations += 1
+        reports_by_key[key] = report
         reports.append(report)
-    return reports, (counter, programs, ints, reports_by_key), evaluations
+    return reports, (reports_by_key, programs_by_key), evaluations
 
 
 def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunResult:
     """Evolve until max_generations or stagnation_limit generations without
     best-fitness improvement; returns the best-ever chromosome, its report
-    (with the per-generation best-fitness history) and the mean history."""
+    (with the per-generation best-fitness history) and the histories."""
     X, y = _as_dataset(X, y)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     pop = initialize(config, rng)
     reports, cache, evaluations = _evaluate_population(pop, X, y, None)
-    fits = [r.fitness for r in reports]
+    fits = np.array([r.fitness for r in reports])
     best_i = int(np.argmax(fits))
     best_chrom, best_rep = pop[best_i], reports[best_i]
 
     best_history: list[float] = []
     mean_history: list[float] = []
+    evaluation_history: list[int] = []
+    zero_history: list[int] = []
     stagnant = 0
     for _ in range(config.max_generations):
         if stagnant >= config.stagnation_limit:
             break
-        parents = select(pop, fits, rng)
-        pop = [parents[0]] + apply_operators(parents[1:], config, rng)
+        idx = select(fits, rng)
+        children = apply_operators(pop.take(idx[1:]), config, rng)
+        pop = Population(np.concatenate((pop.codes[idx[:1]], children.codes)),
+                         np.concatenate((pop.constants[idx[:1]], children.constants)),
+                         pop.num_inputs)
         reports, cache, count = _evaluate_population(pop, X, y, cache)
         evaluations += count
-        fits = [r.fitness for r in reports]
+        fits = np.array([r.fitness for r in reports])
         gen_i = int(np.argmax(fits))
         best_history.append(reports[gen_i].fitness)
         mean_history.append(float(np.mean(fits)))
+        evaluation_history.append(count)
+        zero_history.append(int(np.count_nonzero(fits == 0.0)))
         if reports[gen_i].fitness > best_rep.fitness:
             best_chrom, best_rep = pop[gen_i], reports[gen_i]
             stagnant = 0
@@ -558,7 +476,8 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
             stagnant += 1
 
     report = replace(best_rep, per_generation_best=tuple(best_history))
-    return RunResult(best_chrom, report, tuple(mean_history), evaluations)
+    return RunResult(best_chrom, report, tuple(mean_history), evaluations,
+                     tuple(evaluation_history), tuple(zero_history))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,24 @@ A chromosome is a tuple of genes combined by addition.
 Text serialisation: one gene per line, space-separated symbol tokens
 (``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
 constants.  See ``chromosome_to_text`` / ``chromosome_from_text``.
+
+Array form: the search loop holds genes as rows of integer symbol codes,
+a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
+then inputs, then pool constants), plus one row of pool constants each.
+``chromosome_from_codes`` / ``chromosome_codes`` convert between the two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 FUNCTION_TOKENS = ("+", "-", "*", "/")
 ADD, SUB, MUL, DIV = range(4)
+NUM_FUNCTIONS = len(FUNCTION_TOKENS)
 MAX_ARITY = 2
 POOL_SIZE = 10
 
@@ -198,22 +207,24 @@ class Node:
         return 1 + sum(child.size for child in self.children)
 
 
-def coding_children(symbols) -> list[tuple[int, int] | None]:
+def coding_children(functions) -> list[tuple[int, int] | None]:
     """Breadth-first (Karva) layout of a gene's coding region.
 
-    Entry ``i`` is the index pair of coding position ``i``'s children, or
-    ``None`` for a terminal: the open argument slots of each level are filled
-    left to right by the next unread symbols, so the list's length is the
-    number of symbols read and the rest of the gene is non-coding.
+    ``functions[i]`` says whether gene position ``i`` holds a function.
+    Entry ``i`` of the result is the index pair of coding position ``i``'s
+    children, or ``None`` for a terminal: the open argument slots of each
+    level are filled left to right by the next unread symbols, so the list's
+    length is the number of symbols read and the rest of the gene is
+    non-coding.
     """
     children: list[tuple[int, int] | None] = []
     next_free = 1
     i = 0
     while i < next_free:
-        if symbols[i].is_terminal:
+        if not functions[i]:
             children.append(None)
         else:
-            if next_free + MAX_ARITY > len(symbols):
+            if next_free + MAX_ARITY > len(functions):
                 raise ValueError("gene too short to decode; did it pass validate()?")
             children.append((next_free, next_free + 1))
             next_free += MAX_ARITY
@@ -221,16 +232,34 @@ def coding_children(symbols) -> list[tuple[int, int] | None]:
     return children
 
 
+def _functions(symbols) -> list[bool]:
+    return [not sym.is_terminal for sym in symbols]
+
+
 def consumed_length(gene: Gene) -> int:
     """Number of leading symbols the breadth-first decoding actually reads."""
-    return len(coding_children(gene.symbols))
+    return len(coding_children(_functions(gene.symbols)))
+
+
+def coding_lengths(codes: np.ndarray) -> np.ndarray:
+    """``consumed_length`` of every gene row of a code array ``(..., L)``.
+
+    Karva position ``i`` has its children at ``1 + 2 * F_i`` and
+    ``2 + 2 * F_i``, ``F_i`` being the number of functions before ``i``, so
+    the coding region ends at the first ``i`` with ``i >= 1 + 2 * F_i``;
+    one cumulative sum gives every ``F_i``.
+    """
+    length = codes.shape[-1]
+    before = np.zeros(codes.shape[:-1] + (length + 1,), dtype=np.intp)
+    np.cumsum(codes < NUM_FUNCTIONS, axis=-1, out=before[..., 1:])
+    return np.argmax(np.arange(length + 1) >= 1 + MAX_ARITY * before, axis=-1)
 
 
 def decode(gene: Gene) -> Node:
     """Decode a gene breadth-first into its expression tree (see
     ``coding_children``); unread symbols are the gene's non-coding region."""
     symbols = gene.symbols
-    children = coding_children(symbols)
+    children = coding_children(_functions(symbols))
 
     def build(idx: int) -> Node:
         pair = children[idx]
@@ -283,6 +312,48 @@ def evaluate_chromosome(chrom: Chromosome, inputs) -> float | None:
             return None
         total += value
     return total if math.isfinite(total) else None
+
+
+@functools.lru_cache(maxsize=8)
+def alphabet(num_inputs: int) -> tuple[Symbol, ...]:
+    """Every symbol of a genome over ``num_inputs`` inputs, in code order:
+    the functions, then the inputs, then the pool constants."""
+    return (
+        tuple(function_symbol(t) for t in FUNCTION_TOKENS)
+        + tuple(input_symbol(i) for i in range(num_inputs))
+        + tuple(constant_symbol(j) for j in range(POOL_SIZE))
+    )
+
+
+def code_dtype(num_inputs: int) -> np.dtype:
+    """Smallest integer dtype holding every code and the alphabet size,
+    which marks a position that holds no symbol."""
+    return np.min_scalar_type(NUM_FUNCTIONS + num_inputs + POOL_SIZE)
+
+
+def symbol_code(sym: Symbol, num_inputs: int) -> int:
+    if sym.kind == KIND_FUNC:
+        return sym.index
+    if sym.kind == KIND_INPUT:
+        return NUM_FUNCTIONS + sym.index
+    return NUM_FUNCTIONS + num_inputs + sym.index
+
+
+def chromosome_from_codes(codes: np.ndarray, constants: np.ndarray, num_inputs: int) -> Chromosome:
+    """Chromosome view of a ``(genes, L)`` code array and its ``(genes, 10)`` pools."""
+    symbol = alphabet(num_inputs).__getitem__
+    head = (codes.shape[1] - 1) // MAX_ARITY
+    return Chromosome(tuple(
+        Gene(tuple(map(symbol, row[:head])), tuple(map(symbol, row[head:])), pool)
+        for row, pool in zip(codes.tolist(), constants.tolist())
+    ))
+
+
+def chromosome_codes(chrom: Chromosome, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``chromosome_from_codes``: the code array and the pools."""
+    codes = [[symbol_code(sym, num_inputs) for sym in gene.symbols] for gene in chrom.genes]
+    return (np.array(codes, dtype=code_dtype(num_inputs)),
+            np.array([gene.constants for gene in chrom.genes], dtype=np.float64))
 
 
 def gene_to_text(gene: Gene) -> str:

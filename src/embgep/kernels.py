@@ -1,8 +1,9 @@
 """Batch evaluation of decoded genes over a data matrix.
 
-A gene is compiled once into a flat program of ``(code, arg1, arg2)``
-triples in breadth-first node order (children always after their parent,
-laid out by ``karva.coding_children``), then evaluated with numpy over every
+A gene, given as a row of symbol codes (``karva.alphabet``) and its pool,
+is compiled once into a flat program of ``(code, arg1, arg2)`` triples in
+breadth-first node order (children always after their parent, laid out by
+``karva.coding_children``), then evaluated with numpy over every
 data row at once: one vectorised pass per node, in reverse node order.
 
 Non-finite semantics: a division by zero, an overflow or any other
@@ -16,7 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .karva import ADD, KIND_INPUT, MUL, SUB, Chromosome, Gene, coding_children
+from .karva import (
+    ADD,
+    KIND_INPUT,
+    MUL,
+    NUM_FUNCTIONS,
+    SUB,
+    Chromosome,
+    Gene,
+    coding_children,
+    symbol_code,
+)
 
 CODE_INPUT = 4
 CODE_CONST = 5
@@ -42,18 +53,27 @@ class GeneProgram:
     constants: tuple[float, ...]
 
 
-def compile_gene(gene: Gene) -> GeneProgram:
-    symbols = gene.symbols
+def compile_codes(codes, pool, num_inputs: int) -> GeneProgram:
+    """Program of one gene given as its symbol codes and its pool."""
+    codes = [int(c) for c in codes]
+    first_constant = NUM_FUNCTIONS + num_inputs
     nodes = []
     slots: dict[int, int] = {}  # pool slot -> index into the program's constants
-    for sym, children in zip(symbols, coding_children(symbols)):
+    for code, children in zip(codes, coding_children([c < NUM_FUNCTIONS for c in codes])):
         if children is not None:
-            nodes.append((sym.index, children[0], children[1]))
-        elif sym.kind == KIND_INPUT:
-            nodes.append((CODE_INPUT, sym.index, 0))
+            nodes.append((code, children[0], children[1]))
+        elif code < first_constant:
+            nodes.append((CODE_INPUT, code - NUM_FUNCTIONS, 0))
         else:
-            nodes.append((CODE_CONST, slots.setdefault(sym.index, len(slots)), 0))
-    return GeneProgram(tuple(nodes), tuple(gene.constants[slot] for slot in slots))
+            nodes.append((CODE_CONST, slots.setdefault(code - first_constant, len(slots)), 0))
+    return GeneProgram(tuple(nodes), tuple(float(pool[slot]) for slot in slots))
+
+
+def compile_gene(gene: Gene) -> GeneProgram:
+    # any alphabet holding the gene's inputs gives the same program
+    num_inputs = 1 + max((s.index for s in gene.symbols if s.kind == KIND_INPUT), default=-1)
+    return compile_codes([symbol_code(s, num_inputs) for s in gene.symbols], gene.constants,
+                         num_inputs)
 
 
 def compile_chromosome(chrom: Chromosome) -> tuple[GeneProgram, ...]:

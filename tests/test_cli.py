@@ -78,6 +78,22 @@ class TestStats:
         code = run_cli("stats", "--input", tmp_path / "nope.csv", "--out", tmp_path / "o")
         assert code in (1, 2)
 
+    def test_overflowing_columns_exit_2_naming_them(self, tmp_path, capsys):
+        for i, (a_y, a_max) in enumerate(OVERFLOW_ROWS):
+            path = overflow_cases(tmp_path, a_y, a_max)
+            assert run_cli("stats", "--input", path, "--out", tmp_path / f"o{i}") == 2
+            err = capsys.readouterr().err
+            assert "ay, ay_ratio too large" in err and "overflow" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / f"o{i}" / "summary.csv").exists()
+
+    def test_synth_zero_is_zero_rows(self, tmp_path, capsys):
+        assert run_cli("stats", "--synth", 0, "--out", tmp_path / "o") == 2
+        assert "n must be >= 2, got 0" in capsys.readouterr().err
+        # a bare --synth still means the default size
+        assert run_cli("stats", "--synth", "--out", tmp_path / "d") == 0
+        assert len(data.load(tmp_path / "d" / "synthetic_input.csv")) == 85
+
 
 class TestSplit:
     def test_counts_and_files(self, tmp_path):
@@ -139,6 +155,20 @@ class TestFit:
         # a chromosome whose coding programs were scored already is not evaluated again
         assert 0 < info["evaluations"] <= evolution.GepConfig().num_chromosomes * (len(hist) + 1)
 
+    def test_history_counters_add_up_to_evaluations(self, tmp_path):
+        argv = ("fit", "--synth", 40, "--seed", 4, "--trials", 20)
+        assert run_cli(*argv, "--max-generations", 30, "--out", tmp_path / "run") == 0
+        assert run_cli(*argv, "--max-generations", 0, "--out", tmp_path / "initial") == 0
+        hist = read_rows(tmp_path / "run" / "history.csv")
+        assert list(hist[0]) == ["generation", "best_fitness", "mean_fitness", "evaluations",
+                                 "zero_fitness"]
+        total = json.loads((tmp_path / "run" / "metrics.json").read_text())["evaluations"]
+        initial = json.loads((tmp_path / "initial" / "metrics.json").read_text())["evaluations"]
+        assert 0 < initial <= evolution.GepConfig().num_chromosomes
+        assert total == initial + sum(int(r["evaluations"]) for r in hist)
+        assert all(0 <= int(r["zero_fitness"]) <= evolution.GepConfig().num_chromosomes
+                   for r in hist)
+
     def test_fit_zero_generations_reports_initial_best(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("fit", "--synth", 25, "--seed", 3, "--max-generations", 0,
@@ -185,6 +215,13 @@ class TestFit:
         assert run_cli("fit", "--synth", 20, "--config", cfg, "--out", tmp_path / "o") == 2
 
 
+def assert_bad_pole_eps_rejected(capsys, *argv):
+    # a NaN or negative distance never matches, which would turn pole checks off
+    for eps in ("nan", "-0.001", "-inf"):
+        assert run_cli(*argv, "--pole-eps", eps) == 2
+        assert "--pole-eps" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_pole_row_annotated_and_run_continues(self, tmp_path):
         pole = displacement.POLE_PERIOD_RATIO
@@ -226,6 +263,10 @@ class TestPredict:
 
     def test_unknown_model_exits_2(self, tmp_path):
         assert run_cli("predict", "--model", "bogus", "--synth", 5, "--out", tmp_path / "o") == 2
+
+    def test_bad_pole_eps_exits_2(self, tmp_path, capsys):
+        assert_bad_pole_eps_rejected(capsys, "predict", "--model", "gep", "--synth", 5,
+                                     "--out", tmp_path / "o")
 
 
 class TestCompare:
@@ -280,6 +321,9 @@ class TestCompare:
         assert gep_rows[0]["status"] == "pole"
         assert gep_rows[0]["relative_error_pct"] == ""
 
+    def test_bad_pole_eps_exits_2(self, tmp_path, capsys):
+        assert_bad_pole_eps_rejected(capsys, "compare", "--synth", 5, "--out", tmp_path / "o")
+
 
 class TestSensitivity:
     def test_magnitude_curve(self, tmp_path):
@@ -325,6 +369,11 @@ class TestSensitivity:
     def test_bad_param_exits_2(self, tmp_path):
         assert run_cli("sensitivity", "--param", "Tp", "--from", 1, "--to", 2,
                        "--steps", 3, "--out", tmp_path / "o") == 2
+
+    def test_bad_pole_eps_exits_2(self, tmp_path, capsys):
+        assert_bad_pole_eps_rejected(capsys, "sensitivity", "--param", "period_ratio",
+                                     "--from", 1.2, "--to", 1.4, "--steps", 5,
+                                     "--out", tmp_path / "o")
 
 
 class TestSweep:

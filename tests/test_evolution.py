@@ -9,10 +9,7 @@ from embgep.evolution import (
     ConfigError,
     GepConfig,
     OperatorRates,
-    SymbolSpace,
-    _constant_mutation,
     _one_point_recombination,
-    _point_mutation,
     apply_operators,
     config_from_text,
     config_to_text,
@@ -77,7 +74,8 @@ class TestInitialize:
         config = GepConfig(rng_seed=7)
         a = initialize(config, np.random.default_rng(7))
         b = initialize(config, np.random.default_rng(7))
-        assert a == b
+        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.constants, b.constants)
+        assert list(a) == list(b)
 
     def test_all_valid(self):
         config = GepConfig(num_inputs=3)
@@ -100,41 +98,33 @@ class TestInitialize:
 
 class TestSelect:
     def test_degenerate_roulette(self):
-        pop = [Chromosome((identity_gene(),)) for _ in range(5)]
         fits = [0.0, 0.0, 1000.0, 0.0, 0.0]
-        out = select(pop, fits, np.random.default_rng(0))
-        assert all(c is pop[2] for c in out)
+        idx = select(fits, np.random.default_rng(0))
+        assert idx.tolist() == [2] * 5
 
     def test_equal_fitness_is_uniform(self):
         # 1e5 draws over 8 slots: each within 3 sigma of n*p
         n_items, draws = 8, 100_000
-        pop = [Chromosome((identity_gene(),)) for _ in range(n_items)]
-        slot = {id(c): i for i, c in enumerate(pop)}
         rng = np.random.default_rng(42)
         counts = np.zeros(n_items)
-        per_call = len(pop) - 1
+        per_call = n_items - 1
         for _ in range(draws // per_call + 1):
-            out = select(pop, [100.0] * n_items, rng)
-            for c in out[1:]:
-                counts[slot[id(c)]] += 1
+            idx = select([100.0] * n_items, rng)
+            counts += np.bincount(idx[1:], minlength=n_items)
         total = counts.sum()
         p = 1.0 / n_items
         sigma = math.sqrt(total * p * (1 - p))
         assert np.all(np.abs(counts - total * p) < 3.0 * sigma)
 
     def test_all_zero_falls_back_to_uniform_with_elitism(self):
-        pop = [Chromosome((identity_gene(),)) for _ in range(6)]
-        out = select(pop, [0.0] * 6, np.random.default_rng(5))
-        assert len(out) == 6
-        assert out[0] is pop[0]  # argmax of all-zero is index 0
+        idx = select([0.0] * 6, np.random.default_rng(5))
+        assert len(idx) == 6
+        assert idx[0] == 0  # argmax of all-zero is index 0
 
 
-def count_diffs(a: Chromosome, b: Chromosome) -> int:
-    return sum(
-        sa != sb
-        for ga, gb in zip(a.genes, b.genes)
-        for sa, sb in zip(ga.symbols, gb.symbols)
-    )
+def only(rate_name, value):
+    """Operator rates with one stage at ``value`` and every other at 0."""
+    return OperatorRates(**{**{k: 0.0 for k in OperatorRates().as_dict()}, rate_name: value})
 
 
 class TestOperators:
@@ -142,11 +132,12 @@ class TestOperators:
         config = GepConfig(rates=OperatorRates(**{k: 0.0 for k in OperatorRates().as_dict()}))
         pop = initialize(config, rng)
         out = apply_operators(pop, config, rng)
-        assert all(a is b for a, b in zip(pop, out))
+        assert np.array_equal(pop.codes, out.codes) and np.array_equal(pop.constants, out.constants)
+        assert out.codes is not pop.codes and out.constants is not pop.constants
 
     def test_mutation_rate_one_resamples_every_position(self):
-        rates = OperatorRates(**{**{k: 0.0 for k in OperatorRates().as_dict()}, "mutation": 1.0})
-        config = GepConfig(num_chromosomes=2, num_genes=1, head_size=7, num_inputs=2, rates=rates)
+        config = GepConfig(num_chromosomes=2, num_genes=1, head_size=7, num_inputs=2,
+                           rates=only("mutation", 1.0))
         rng = np.random.default_rng(9)
         pop = initialize(config, rng)
         out = apply_operators(pop, config, rng)
@@ -167,68 +158,74 @@ class TestOperators:
                 assert karva.validate_chromosome(chrom, 3).ok
 
     def test_recombination_conserves_symbol_multiset(self, rng):
-        from embgep.evolution import _one_point_recombination, _two_point_recombination
-
-        config = GepConfig(num_chromosomes=2)
-        for op in (_one_point_recombination, _two_point_recombination):
-            a, b = initialize(config, rng)
-            c, d = op(a, b, rng)
-            before = sorted((s.kind, s.index) for ch in (a, b) for g in ch.genes for s in g.symbols)
-            after = sorted((s.kind, s.index) for ch in (c, d) for g in ch.genes for s in g.symbols)
+        for rate_name in ("one_point_recombination", "two_point_recombination",
+                          "uniform_recombination", "gene_recombination"):
+            config = GepConfig(num_chromosomes=2, rates=only(rate_name, 1.0))
+            pop = initialize(config, rng)
+            out = apply_operators(pop, config, rng)
+            for before, after in ((pop.codes, out.codes), (pop.constants, out.constants)):
+                # every exchange swaps cells between the pair at the same position
+                assert np.array_equal(np.sort(before, axis=0), np.sort(after, axis=0))
+            before = sorted((s.kind, s.index) for ch in pop for g in ch.genes for s in g.symbols)
+            after = sorted((s.kind, s.index) for ch in out for g in ch.genes for s in g.symbols)
             assert before == after
 
 
 class OneSite:
-    """Generator stand-in whose per-site draw always picks exactly one site."""
+    """Generator stand-in whose per-site draw picks exactly one site for a
+    positive rate and none otherwise."""
 
     def __init__(self, rng):
         self.rng = rng
 
     def binomial(self, n, p):
-        return 1
+        return int(p > 0)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
 class FixedCut:
-    """Generator stand-in for a one-point cut at a chosen position."""
+    """Generator stand-in for one-point cuts at a chosen position."""
 
     def __init__(self, at):
         self.at = at
 
-    def integers(self, low, high):
-        return self.at
+    def integers(self, low, high, size):
+        return np.full(size, self.at)
 
 
 class TestUntouchedGenesKept:
     def test_one_drawn_site_rebuilds_one_gene(self, rng):
-        space = SymbolSpace.for_inputs(3)
-        for _ in range(30):
-            parent = random_chromosome(rng)
-            for child in (
-                _point_mutation(parent, 0.5, OneSite(rng), space),
-                _point_mutation(parent, 0.5, OneSite(rng), space, conservative=True),
-                _constant_mutation(parent, 0.5, OneSite(rng)),
-            ):
-                kept = [a is b for a, b in zip(child.genes, parent.genes)]
-                assert kept.count(False) == 1
-                new, old = child.genes[kept.index(False)], parent.genes[kept.index(False)]
-                edits = sum(a != b for a, b in zip(new.symbols, old.symbols))
-                edits += sum(a != b for a, b in zip(new.constants, old.constants))
+        for rate_name in ("mutation", "conservative_mutation", "biased_mutation"):
+            config = GepConfig(num_chromosomes=6, rates=only(rate_name, 0.5))
+            for _ in range(30):
+                parents = initialize(config, rng)
+                children = apply_operators(parents, config, OneSite(rng))
+                edits = np.count_nonzero(children.codes != parents.codes)
+                edits += np.count_nonzero(children.constants != parents.constants)
                 assert edits <= 1
+                if rate_name == "biased_mutation":
+                    assert edits == 1
 
     def test_one_point_cut_reuses_whole_parent_genes(self, rng):
-        a, b = random_chromosome(rng), random_chromosome(rng)
-        gene_len = a.genes[0].length
-        c, d = _one_point_recombination(a, b, FixedCut(2 * gene_len))
-        assert all(x is y for x, y in zip(c.genes, a.genes[:2] + b.genes[2:]))
-        assert all(x is y for x, y in zip(d.genes, b.genes[:2] + a.genes[2:]))
-        # a cut inside gene 2 rebuilds that gene only
-        c, d = _one_point_recombination(a, b, FixedCut(2 * gene_len + 3))
-        assert [x is y for x, y in zip(c.genes, a.genes[:2] + b.genes[2:])] == [True, True, False, True]
-        assert c.genes[2].symbols == a.genes[2].symbols[:3] + b.genes[2].symbols[3:]
-        assert c.genes[2].constants == a.genes[2].constants
+        config = GepConfig(num_chromosomes=2)
+        gene_len = config.gene_length
+        first = np.array([0])
+        pop = initialize(config, rng)
+        (a, b), (pa, pb) = pop.codes, pop.constants
+
+        codes, pools = pop.codes.copy(), pop.constants.copy()
+        _one_point_recombination(codes, pools, first, FixedCut(2 * gene_len))
+        assert np.array_equal(codes, [np.concatenate((a[:2], b[2:])), np.concatenate((b[:2], a[2:]))])
+        assert np.array_equal(pools, [np.concatenate((pa[:2], pb[2:])),
+                                      np.concatenate((pb[:2], pa[2:]))])
+        # a cut inside gene 2 splits that gene only, which keeps its first parent's pool
+        codes, pools = pop.codes.copy(), pop.constants.copy()
+        _one_point_recombination(codes, pools, first, FixedCut(2 * gene_len + 3))
+        assert np.array_equal(codes[0, [0, 1, 3]], np.concatenate((a[:2], b[3:])))
+        assert np.array_equal(codes[0, 2], np.concatenate((a[2, :3], b[2, 3:])))
+        assert np.array_equal(pools[0], np.concatenate((pa[:3], pb[3:])))
 
 
 class TestRun:
