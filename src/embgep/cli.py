@@ -33,23 +33,37 @@ SYNTH_DEFAULT_N = 85
 
 
 def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        return "" if math.isnan(value) else repr(float(value))
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _cells(column) -> list[str]:
+    """The CSV cells of one column: floats as ``repr`` and empty where NaN
+    (undefined) or None, bools as true/false."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return data.float_cells(column)
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in column.tolist()]
+        return list(map(str, column.tolist()))
+    return [_cell(v) for v in column]
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """One CSV file from equal-length columns, each formatted whole."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(zip(*map(_cells, columns)))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -84,7 +98,7 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _load_records(args, outdir: Path, rng_pool: list) -> tuple[list[data.CaseHistory], list[Path], list[Path]]:
+def _load_records(args, outdir: Path, rng_pool: list) -> tuple[data.CaseTable, list[Path], list[Path]]:
     """Records from --input, or a synthetic database written to the out dir.
 
     Always consumes one reserved stream from ``rng_pool`` so later pops see
@@ -94,7 +108,8 @@ def _load_records(args, outdir: Path, rng_pool: list) -> tuple[list[data.CaseHis
     if args.input is not None:
         path = Path(args.input)
         return data.load(path), [path], []
-    records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
+    records = data.CaseTable.from_records(
+        data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng))
     synth_path = outdir / "synthetic_input.csv"
     data.save(records, synth_path)
     return records, [], [synth_path]
@@ -138,19 +153,18 @@ def cmd_stats(args) -> int:
 
     mat = data._matrix(records)
     summary = data.summarize(records, mat)
+    stats = list(summary.values())
     _write_csv(
         outdir / "summary.csv",
         ("parameter", "min", "max", "mean", "sd"),
-        [(name, s.minimum, s.maximum, s.mean, s.sd) for name, s in summary.items()],
+        [list(summary), [s.minimum for s in stats], [s.maximum for s in stats],
+         [s.mean for s in stats], [s.sd for s in stats]],
     )
 
     columns = {name: mat[:, j] for j, name in enumerate(data.PARAMETERS)}
     names, corr = metrics.correlation_matrix(columns)
-    rows = []
-    for i, name in enumerate(names):
-        cells = [None if math.isnan(r) else r for r in corr[i, : i + 1]]  # NaN: undefined
-        rows.append([name] + cells + [None] * (len(names) - i - 1))
-    _write_csv(outdir / "correlations.csv", ("parameter",) + names, rows)
+    lower = np.where(np.tri(len(names), dtype=bool), corr, np.nan)  # NaN cells are left blank
+    _write_csv(outdir / "correlations.csv", ("parameter",) + names, [names, *lower.T])
 
     outputs += [outdir / "summary.csv", outdir / "correlations.csv"]
     _write_manifest(outdir, "stats", args, inputs, outputs)
@@ -227,22 +241,18 @@ def cmd_fit(args) -> int:
     result = evolution.run(config, X, y, rngs.pop(0))
 
     karva.write_kexpr(result.best, outdir / "best.kexpr")
+    best = result.report.per_generation_best
     _write_csv(
         outdir / "history.csv",
         ("generation", "best_fitness", "mean_fitness", "evaluations", "zero_fitness"),
-        [
-            (gen + 1, *row)
-            for gen, row in enumerate(
-                zip(result.report.per_generation_best, result.mean_history,
-                    result.evaluation_history, result.zero_fitness_history)
-            )
-        ],
+        [range(1, len(best) + 1), best, result.mean_history, result.evaluation_history,
+         result.zero_fitness_history],
     )
 
     stage_rows = [_stage_metrics(stage, rows, result.best) for stage, rows in stages]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
               "mae_conventional", "rmse", "scatter_index", "bias")
-    _write_csv(outdir / "metrics.csv", header, [[row[k] for k in header] for row in stage_rows])
+    _write_csv(outdir / "metrics.csv", header, [[row[k] for row in stage_rows] for k in header])
 
     X_all, y_all = data.regression_arrays(records)
     preds_all = kernels.evaluate_chromosome_batch(result.best, X_all)
@@ -253,10 +263,7 @@ def cmd_fit(args) -> int:
         _write_csv(
             outdir / "residual_histogram.csv",
             ("bin_low", "bin_high", "count"),
-            [
-                (summary.bin_edges[i], summary.bin_edges[i + 1], int(summary.counts[i]))
-                for i in range(len(summary.counts))
-            ],
+            [summary.bin_edges[:-1], summary.bin_edges[1:], summary.counts],
         )
         residual_info = {
             "mean_abs": summary.mean_abs,
@@ -285,19 +292,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _predict_row(model_id: str, inp: displacement.ModelInput, pole_eps: float,
-                 ambraseys_cm: bool):
-    """One prediction and its status; the prediction is None unless ``ok``."""
-    try:
-        return displacement.predict(model_id, inp, pole_eps, ambraseys_cm), "ok"
-    except displacement.PoleError:
-        return None, "pole"
-    except displacement.MissingInputError:
-        return None, "missing_input"
-    except displacement.ModelDomainError:
-        return None, "domain_error"
-
-
 def cmd_predict(args) -> int:
     outdir = _outdir(args)
     if args.model not in displacement.MODEL_IDS:
@@ -308,22 +302,14 @@ def cmd_predict(args) -> int:
     records, inputs, outputs = _load_records(args, outdir, rngs)
     _require_nonempty(records)
 
-    rows = []
-    for record in records:
-        inp = record.as_model_input()
-        pred, status = _predict_row(args.model, inp, args.pole_eps, args.ambraseys_cm)
-        if pred is None:
-            in_range = displacement.check_applicability(args.model, inp).ok
-            rows.append((record.id, args.model, None, None, None, in_range, status))
-        else:
-            rows.append(
-                (record.id, args.model, pred.value, pred.scale, pred.d_meters,
-                 pred.in_range, status)
-            )
+    result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
+                                   args.ambraseys_cm)
+    ok = result.status == "ok"
     _write_csv(
         outdir / "predictions.csv",
         ("id", "model", "value", "scale", "D_m", "in_range", "status"),
-        rows,
+        [records.ids, [args.model] * len(records), result.value,
+         np.where(ok, result.scale, ""), result.d_m, result.in_range, result.status],
     )
     outputs.append(outdir / "predictions.csv")
     _write_manifest(outdir, "predict", args, inputs, outputs)
@@ -336,53 +322,43 @@ def cmd_compare(args) -> int:
     records, inputs, outputs = _load_records(args, outdir, rngs)
     _require_nonempty(records)
 
-    model_inputs = [record.as_model_input() for record in records]
+    columns = records.model_columns()
+    measured_cells = data.float_cells(records.d)  # the same cells in every model's table
     errors_by_model: dict[str, np.ndarray] = {}
     for model_id in displacement.MODEL_IDS:
-        rows = []
-        ok_errors = []
-        for record, inp in zip(records, model_inputs):
-            if not displacement.check_applicability(model_id, inp).ok:
-                continue  # comparison is restricted to each model's applied range
-            pred, status = _predict_row(model_id, inp, args.pole_eps, args.ambraseys_cm)
-            if status != "ok":
-                rows.append((record.id, record.d, None, None, status))
-                continue
-            if record.d == 0.0:
-                rows.append((record.id, record.d, pred.d_meters, None, "zero_measured"))
-                continue
-            err = metrics.relative_error(record.d, pred.d_meters)
-            ok_errors.append(err)
-            rows.append((record.id, record.d, pred.d_meters, err, "ok"))
+        result = displacement.evaluate(model_id, columns, args.pole_eps, args.ambraseys_cm)
+        keep = np.flatnonzero(result.in_range)  # each model is compared in its applied range
+        kept = keep.tolist()
+        measured, predicted = records.d[keep], result.d_m[keep]
+        status = result.status[keep]
+        ok = status == "ok"
+        zero = ok & (measured == 0.0)
+        scored = ok & ~zero
+        errors = np.full(len(keep), np.nan)
+        errors[scored] = metrics.relative_error(measured[scored], predicted[scored])
         path = outdir / f"relative_error_{model_id}.csv"
         _write_csv(
             path,
             ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
-            rows,
+            [[records.ids[i] for i in kept], [measured_cells[i] for i in kept], predicted,
+             errors, np.where(zero, "zero_measured", status)],
         )
         outputs.append(path)
-        if ok_errors:
-            errors_by_model[model_id] = np.asarray(ok_errors)
+        if scored.any():
+            errors_by_model[model_id] = errors[scored]
 
-    if errors_by_model:
-        pooled = np.concatenate(list(errors_by_model.values()))
-        grid = np.linspace(float(pooled.min()), float(pooled.max()), 101)
-        fractions = {
-            model_id: metrics.cumulative_frequency(errs, grid)
-            for model_id, errs in errors_by_model.items()
-        }
-        cum_rows = []
-        for i, threshold in enumerate(grid):
-            row = [threshold]
-            for model_id in displacement.MODEL_IDS:
-                row.append(fractions[model_id][i] if model_id in fractions else None)
-            cum_rows.append(row)
-    else:
-        cum_rows = []
+    pooled = np.concatenate([np.empty(0), *errors_by_model.values()])
+    pooled = pooled[np.isfinite(pooled)]  # an overflowing error has no place on the grid
+    grid = np.linspace(pooled.min(), pooled.max(), 101) if pooled.size else np.empty(0)
+    fractions = [
+        metrics.cumulative_frequency(errors_by_model[model_id], grid)
+        if model_id in errors_by_model else np.full(grid.size, np.nan)
+        for model_id in displacement.MODEL_IDS
+    ]
     _write_csv(
         outdir / "cumulative_frequency.csv",
         ("threshold_pct",) + displacement.MODEL_IDS,
-        cum_rows,
+        [grid, *fractions],
     )
     outputs.append(outdir / "cumulative_frequency.csv")
     _write_manifest(outdir, "compare", args, inputs, outputs)
@@ -408,7 +384,7 @@ def cmd_sensitivity(args) -> int:
         points = displacement.sensitivity_profile(args.param, grid, None, args.pole_eps)
         rows = [(args.param, p.value, p.ln_d, p.status) for p in points]
         header = ("parameter", "value", "ln_D_m", "status")
-    _write_csv(outdir / "sensitivity.csv", header, rows)
+    _write_csv(outdir / "sensitivity.csv", header, list(zip(*rows)))
     _write_manifest(outdir, "sensitivity", args, [], [outdir / "sensitivity.csv"])
     return 0
 
@@ -440,7 +416,7 @@ def cmd_sweep(args) -> int:
     _write_csv(
         outdir / "sweep.csv",
         ("genes", "head", "fitness"),
-        [(c.num_genes, c.head_size, c.fitness) for c in cells],
+        [[c.num_genes for c in cells], [c.head_size for c in cells], [c.fitness for c in cells]],
     )
     best = max(cells, key=lambda c: c.fitness)
     _write_json(
@@ -458,8 +434,8 @@ def cmd_sweep(args) -> int:
 
 def _pole_eps(text: str) -> float:
     value = float(text)
-    if not value >= 0.0:  # NaN fails this too, and would turn pole checks off
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    if not value > 0.0:  # 0 or NaN would turn the pole check off
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
     return value
 
 

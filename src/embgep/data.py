@@ -6,7 +6,9 @@ CSV schema (header required, UTF-8, '.' decimal separator)::
     id,Mw,amax_g,Tp_s,Td_s,ay_g,D_m,Tm_s,H_m,Vs_mps
 
 Optional cells (Td_s, Tm_s, H_m, Vs_mps) may be empty; a blank Td_s is
-derived as 4H/Vs when height and shear wave velocity are present.
+derived as 4H/Vs when height and shear wave velocity are present.  ``load``
+returns a ``CaseTable``, the records held by column, whose items are
+``CaseHistory`` views.
 
 The real 85-record database behind the built-in gep relationship is not
 publicly available; ``synthesize`` generates surrogate databases whose
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,11 @@ from .displacement import (
     DEFAULT_POLE_EPS,
     POLE_PERIOD_RATIO,
     EmbankmentGeometry,
-    ModelInput,
+    evaluate,
     fundamental_period,
-    gep_ln_displacement,
 )
+# re-exported: callers, and perfbench's per-layer tracer, bind data.gep_ln_displacement
+from .displacement import gep_ln_displacement  # noqa: F401
 
 CSV_HEADER = ("id", "Mw", "amax_g", "Tp_s", "Td_s", "ay_g", "D_m", "Tm_s", "H_m", "Vs_mps")
 
@@ -76,8 +80,93 @@ class CaseHistory:
     def period_ratio(self) -> float:
         return self.t_d / self.t_p
 
-    def as_model_input(self) -> ModelInput:
-        return ModelInput(self.m_w, self.a_max, self.t_p, self.t_d, self.a_y, self.t_m)
+
+# the float fields of CaseHistory, in CSV column order; the last three are optional
+_FIELDS = ("m_w", "a_max", "t_p", "t_d", "a_y", "d", "t_m", "h", "vs")
+
+
+@dataclass(frozen=True, eq=False)
+class CaseTable(Sequence):
+    """Case histories held by column: the ids and one contiguous float64
+    array per ``CaseHistory`` field, NaN where an optional value (T_m, H,
+    Vs) is absent.  Indexing gives a ``CaseHistory`` view, slicing a
+    sub-table; a table equals any sequence of equal records."""
+
+    ids: tuple[str, ...]
+    m_w: np.ndarray
+    a_max: np.ndarray
+    t_p: np.ndarray
+    t_d: np.ndarray
+    a_y: np.ndarray
+    d: np.ndarray
+    t_m: np.ndarray
+    h: np.ndarray
+    vs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name in _FIELDS:
+            object.__setattr__(self, name,
+                               np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+
+    @classmethod
+    def from_records(cls, records) -> CaseTable:
+        """A table of ``CaseHistory`` records; a table is returned as is."""
+        if isinstance(records, CaseTable):
+            return records
+        records = list(records)
+        values = np.array(
+            [(r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.d, _or_nan(r.t_m), _or_nan(r.h),
+              _or_nan(r.vs)) for r in records],
+            dtype=np.float64,
+        ).reshape(-1, len(_FIELDS))
+        return cls(tuple(r.id for r in records), *values.T)
+
+    @classmethod
+    def concat(cls, tables) -> CaseTable:
+        tables = list(tables) or [cls.from_records([])]
+        return cls(tuple(i for t in tables for i in t.ids),
+                   *(np.concatenate([getattr(t, name) for t in tables]) for name in _FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        rec_id = self.ids[index]
+        values = [float(getattr(self, name)[index]) for name in _FIELDS]
+        optional = [None if math.isnan(v) else v for v in values[6:]]
+        return CaseHistory(rec_id, *values[:6], *optional)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def take(self, index) -> CaseTable:
+        index = np.asarray(index, dtype=np.intp)
+        return CaseTable(tuple(self.ids[i] for i in index.tolist()),
+                         *(getattr(self, name)[index] for name in _FIELDS))
+
+    @property
+    def ay_ratio(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.a_y / self.a_max
+
+    @property
+    def period_ratio(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.t_d / self.t_p
+
+    def model_columns(self) -> dict[str, np.ndarray]:
+        """The input columns of ``displacement.evaluate``."""
+        return {"m_w": self.m_w, "a_max": self.a_max, "a_y": self.a_y,
+                "ay_ratio": self.ay_ratio, "period_ratio": self.period_ratio, "t_m": self.t_m}
+
+
+def _or_nan(value: float | None) -> float:
+    return math.nan if value is None else value
 
 
 @dataclass(frozen=True)
@@ -106,15 +195,20 @@ def _matrix(records) -> np.ndarray:
     """(n, 8) float64 matrix of PARAMETERS, one row per record.  The two
     ratios are numpy divisions, IEEE-identical to the ``CaseHistory``
     properties."""
-    stored = np.array([(r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.d) for r in records],
-                      dtype=np.float64).reshape(-1, 6)
-    m_w, a_max, t_p, t_d, a_y, d = stored.T
-    with np.errstate(over="ignore"):
-        return np.column_stack((m_w, a_max, t_p, t_d, a_y, a_y / a_max, t_d / t_p, d))
+    t = CaseTable.from_records(records)
+    return np.column_stack((t.m_w, t.a_max, t.t_p, t.t_d, t.a_y, t.ay_ratio, t.period_ratio, t.d))
 
 
 # ---------------------------------------------------------------------------
 # CSV I/O
+
+# rows per block of load: a block's cells are the only per-row Python objects
+# alive at once, so memory does not grow with a list of every row
+_BLOCK_ROWS = 4096
+
+# (column, required) of the numeric cells, in file order after the id
+_NUMERIC = (("Mw", True), ("amax_g", True), ("Tp_s", True), ("Td_s", False), ("ay_g", True),
+            ("D_m", True), ("Tm_s", False), ("H_m", False), ("Vs_mps", False))
 
 
 def _parse_float(value: str, column: str, line: int, required: bool):
@@ -132,14 +226,109 @@ def _parse_float(value: str, column: str, line: int, required: bool):
     return out
 
 
-def load(path) -> list[CaseHistory]:
-    """Parse a case-history CSV; empty and header-only files give []."""
+def _parse_row(row: list[str], line: int, duplicate: bool) -> CaseHistory:
+    """One CSV row, checked cell by cell in column order; raises the
+    ``DatasetError`` of its first bad cell.  This is the reference that
+    ``load``'s block masks follow, and it words every load error."""
+    if len(row) != len(CSV_HEADER):
+        raise DatasetError(f"line {line}: expected {len(CSV_HEADER)} columns, got {len(row)}")
+    rec_id = row[0].strip()
+    if not rec_id:
+        raise DatasetError(f"line {line}: empty id")
+    if duplicate:
+        raise DatasetError(f"line {line}: duplicate id {rec_id!r}")
+    m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs = (
+        _parse_float(cell, column, line, required)
+        for cell, (column, required) in zip(row[1:], _NUMERIC)
+    )
+    for name, value in (("Tm_s", t_m), ("H_m", h), ("Vs_mps", vs)):
+        if value is not None and not value > 0:
+            raise DatasetError(f"line {line}: column {name} must be positive, got {value}")
+    if t_d is None:
+        if h is None or vs is None:
+            raise DatasetError(
+                f"line {line}: Td_s is empty and cannot be derived (needs H_m and Vs_mps)"
+            )
+        t_d = fundamental_period(EmbankmentGeometry(h, vs))
+    try:
+        return CaseHistory(rec_id, m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs)
+    except DatasetError as exc:
+        raise DatasetError(f"line {line}: {exc}") from None
+
+
+def _parse_column(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column of a block: its float64 values (NaN where empty), its
+    empty cells and its cells that are not numbers.  numpy converts a str
+    with Python's ``float``, which also ignores surrounding whitespace."""
+    try:
+        values = np.array(cells, dtype=np.float64)
+        none = np.zeros(len(cells), dtype=bool)
+        return values, none, none
+    except ValueError:  # an empty cell or one that is not a number
+        pass
+    values = np.full(len(cells), np.nan)
+    empty = np.zeros(len(cells), dtype=bool)
+    unparsed = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        if not cell:
+            empty[i] = True
+            continue
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            unparsed[i] = True
+    return values, empty, unparsed
+
+
+def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> CaseTable:
+    """Rows of one block as a table.  Array masks mark every row that
+    ``_parse_row`` rejects; the first marked row is re-read by it, which
+    raises with that row's message.  ``seen`` gains the block's ids."""
+    width = len(CSV_HEADER)
+    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    cells = list(zip(*rows[:k])) or [()] * width
+    ids = [cell.strip() for cell in cells[0]]
+    duplicate = np.zeros(k, dtype=bool)
+    for i, rec_id in enumerate(ids):
+        if rec_id in seen:
+            duplicate[i] = True
+        seen.add(rec_id)
+    bad = duplicate | np.array([not rec_id for rec_id in ids], dtype=bool)
+    values, empty = {}, {}
+    for (column, required), column_cells in zip(_NUMERIC, cells[1:]):
+        col, blank, unparsed = _parse_column(column_cells)
+        bad |= unparsed | ~(np.isfinite(col) | blank)
+        if required:
+            bad |= blank
+        values[column], empty[column] = col, blank
+    for column in ("Tm_s", "H_m", "Vs_mps"):
+        bad |= ~empty[column] & ~(values[column] > 0)
+    bad |= empty["Td_s"] & (empty["H_m"] | empty["Vs_mps"])
+    # CaseHistory's invariants; a T_d derived from positive H and Vs is never negative
+    bad |= (~(values["amax_g"] > 0) | ~(values["Tp_s"] > 0) | (values["Td_s"] < 0)
+            | (values["ay_g"] < 0) | (values["D_m"] < 0))
+    for i in np.flatnonzero(bad).tolist() + ([k] if k < len(rows) else []):
+        _parse_row(rows[i], lines[i], i < k and bool(duplicate[i]))
+    t_d = values["Td_s"]
+    derive = np.flatnonzero(empty["Td_s"])
+    t_d[derive] = [
+        fundamental_period(EmbankmentGeometry(h, vs))
+        for h, vs in zip(values["H_m"][derive].tolist(), values["Vs_mps"][derive].tolist())
+    ]
+    return CaseTable(tuple(ids), *(values[column] for column, _ in _NUMERIC))
+
+
+def load(path) -> CaseTable:
+    """Parse a case-history CSV in blocks of ``_BLOCK_ROWS`` rows; empty and
+    header-only files give an empty table.  An error names the line and the
+    column of the first bad cell."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            return []
+            return CaseTable.from_records([])
         header = tuple(h.strip() for h in header)
         if header != CSV_HEADER:
             missing = [c for c in CSV_HEADER if c not in header]
@@ -152,61 +341,43 @@ def load(path) -> list[CaseHistory]:
             if not parts:
                 parts.append("columns are out of order")
             raise DatasetError(f"bad header ({'; '.join(parts)}); expected {','.join(CSV_HEADER)}")
-        records = []
-        seen_ids = set()
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise DatasetError(f"line {line}: expected {len(CSV_HEADER)} columns, got {len(row)}")
-            rec_id = row[0].strip()
-            if not rec_id:
-                raise DatasetError(f"line {line}: empty id")
-            if rec_id in seen_ids:
-                raise DatasetError(f"line {line}: duplicate id {rec_id!r}")
-            seen_ids.add(rec_id)
-            m_w = _parse_float(row[1], "Mw", line, required=True)
-            a_max = _parse_float(row[2], "amax_g", line, required=True)
-            t_p = _parse_float(row[3], "Tp_s", line, required=True)
-            t_d = _parse_float(row[4], "Td_s", line, required=False)
-            a_y = _parse_float(row[5], "ay_g", line, required=True)
-            d = _parse_float(row[6], "D_m", line, required=True)
-            t_m = _parse_float(row[7], "Tm_s", line, required=False)
-            h = _parse_float(row[8], "H_m", line, required=False)
-            vs = _parse_float(row[9], "Vs_mps", line, required=False)
-            for name, value, positive in (
-                ("Tm_s", t_m, True), ("H_m", h, True), ("Vs_mps", vs, True),
-            ):
-                if value is not None and positive and not value > 0:
-                    raise DatasetError(f"line {line}: column {name} must be positive, got {value}")
-            if t_d is None:
-                if h is None or vs is None:
-                    raise DatasetError(
-                        f"line {line}: Td_s is empty and cannot be derived (needs H_m and Vs_mps)"
-                    )
-                t_d = fundamental_period(EmbankmentGeometry(h, vs))
-            try:
-                records.append(CaseHistory(rec_id, m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs))
-            except DatasetError as exc:
-                raise DatasetError(f"line {line}: {exc}") from None
-    return records
+        blocks = []
+        rows, lines = [], []
+        seen: set[str] = set()
+        try:
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    blocks.append(_parse_block(rows, lines, seen))
+                    rows, lines = [], []
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            if rows:
+                _parse_block(rows, lines, seen)  # a bad cell on an earlier line comes first
+            raise DatasetError(f"line {reader.line_num}: {exc}") from None
+        if rows:
+            blocks.append(_parse_block(rows, lines, seen))
+    return CaseTable.concat(blocks)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def float_cells(values: np.ndarray) -> list[str]:
+    """CSV cells of a float column: ``repr`` of each value, empty for NaN."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def save(records, path) -> None:
     """Write records in the canonical schema; load(save(x)) round-trips exactly."""
+    table = CaseTable.from_records(records)
+    columns = [table.ids] + [float_cells(getattr(table, name)) for name in _FIELDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.id, _fmt(r.m_w), _fmt(r.a_max), _fmt(r.t_p), _fmt(r.t_d),
-                 _fmt(r.a_y), _fmt(r.d), _fmt(r.t_m), _fmt(r.h), _fmt(r.vs)]
-            )
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +443,10 @@ def _gap_score(train: np.ndarray, test: np.ndarray, ranges: np.ndarray) -> float
 
 def match_score(train_records, test_records, full_records=None) -> float:
     """Sum over parameters of (|mean gap| + |SD gap|) / parameter range."""
-    reference = list(full_records) if full_records is not None else list(train_records) + list(
-        test_records
-    )
-    full = _matrix(reference)
+    train, test = _matrix(train_records), _matrix(test_records)
+    full = np.vstack((train, test)) if full_records is None else _matrix(full_records)
     ranges = full.max(axis=0) - full.min(axis=0)
-    return _gap_score(_matrix(train_records), _matrix(test_records), ranges)
+    return _gap_score(train, test, ranges)
 
 
 def split_matched(records, fraction: float = 0.75, trials: int = 1,
@@ -292,8 +461,8 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     ``match_score``'s formula on its rows in sorted order, so ``score``
     equals ``match_score`` of the split's records exactly.
     """
-    records = list(records)
-    n = len(records)
+    table = CaseTable.from_records(records)
+    n = len(table)
     if n < 4:
         raise DatasetError(f"need at least 4 records to split, got {n}")
     if not 0.0 < fraction < 1.0:
@@ -304,7 +473,7 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
         rng = np.random.default_rng(0)
     k = int(math.floor(fraction * n))
     k = min(max(k, 1), n - 1)
-    mat = _matrix(records)
+    mat = _matrix(table)
     centred = _centred_columns(mat, "matched split")
     ranges = mat.max(axis=0) - mat.min(axis=0)
     valid = ranges > 0
@@ -346,15 +515,17 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     train_idx = np.sort(best_perm[:k])
     test_idx = np.sort(best_perm[k:])
     return Split(
-        tuple(records[i].id for i in train_idx),
-        tuple(records[i].id for i in test_idx),
+        tuple(table.ids[i] for i in train_idx.tolist()),
+        tuple(table.ids[i] for i in test_idx.tolist()),
         _gap_score(mat[train_idx], mat[test_idx], ranges),
     )
 
 
-def split_records(records, split: Split) -> tuple[list[CaseHistory], list[CaseHistory]]:
-    by_id = {r.id: r for r in records}
-    return [by_id[i] for i in split.train_ids], [by_id[i] for i in split.test_ids]
+def split_records(records, split: Split) -> tuple[CaseTable, CaseTable]:
+    table = CaseTable.from_records(records)
+    row = {rec_id: i for i, rec_id in enumerate(table.ids)}
+    return (table.take([row[i] for i in split.train_ids]),
+            table.take([row[i] for i in split.test_ids]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +644,12 @@ def synthesize(targets: dict[str, ParamStats], n: int,
     t_d = np.where(near, (POLE_PERIOD_RATIO + shift) * t_p, t_d)
     pr_eff = t_d / t_p
 
-    ratio_eff = a_y / a_max
-    ln_d = np.array(
-        [gep_ln_displacement(float(m), float(x), float(r))
-         for m, x, r in zip(m_w, ratio_eff, pr_eff)]
-    )
-    ln_d = ln_d + noise_sd * z[:, 5]
+    gep = evaluate("gep", {"m_w": m_w, "ay_ratio": a_y / a_max, "period_ratio": pr_eff})
+    bad = np.flatnonzero(gep.status != "ok")
+    if bad.size:
+        raise DatasetError(f"synthetic row {bad[0] + 1}: the gep relationship gives "
+                           f"{gep.status[bad[0]]}; check the Mw and period-ratio targets")
+    ln_d = gep.value + noise_sd * z[:, 5]
     t_D = targets["D"]
     with np.errstate(over="ignore"):
         d = np.clip(np.exp(ln_d), t_D.minimum, t_D.maximum)
@@ -503,11 +674,11 @@ def synthesize(targets: dict[str, ParamStats], n: int,
 
 def regression_arrays(records) -> tuple[np.ndarray, np.ndarray]:
     """(Mw, ay/amax, Td/Tp) feature matrix and ln D target vector."""
-    if not records:
+    table = CaseTable.from_records(records)
+    if not table:
         raise DatasetError("empty dataset")
-    for r in records:
-        if not r.d > 0:
-            raise DatasetError(f"record {r.id!r}: D must be positive to fit in ln space")
-    X = np.array([[r.m_w, r.ay_ratio, r.period_ratio] for r in records], dtype=np.float64)
-    y = np.log(np.array([r.d for r in records], dtype=np.float64))
-    return X, y
+    bad = np.flatnonzero(~(table.d > 0))
+    if bad.size:
+        raise DatasetError(f"record {table.ids[bad[0]]!r}: D must be positive to fit in ln space")
+    X = np.column_stack((table.m_w, table.ay_ratio, table.period_ratio))
+    return X, np.log(table.d)

@@ -13,9 +13,16 @@ published and carrying its published applicability range:
   madiai          Madiai (2009)                     log10 D, cm
   tsai_chien      Tsai & Chien (2016)               ln D, cm
 
+All seven live in one model table, ``MODELS``: per relationship its scale
+tag, the inputs its formula reads, its applicability range, its domain
+rules and its formula.  ``evaluate`` runs one relationship over input
+columns and labels every row ``ok``, ``pole``, ``domain_error`` or
+``missing_input``; the scalar functions below are one-row calls of it that
+raise the matching error instead of returning a label.
+
 The ``gep`` relationship has a pole where its period-ratio denominator
 5.55*(T_d/T_p) - 7.052 vanishes (T_d/T_p ~ 1.2706).  Inputs within
-``pole_eps`` of that ratio raise ``PoleError`` so that no non-finite value
+``pole_eps`` of that ratio are labelled ``pole`` so that no non-finite value
 can leak into downstream aggregates.
 """
 
@@ -23,6 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 POLE_PERIOD_RATIO = 7.052 / 5.55
 DEFAULT_POLE_EPS = 1e-3
@@ -96,23 +106,25 @@ class ModelInput:
         return self.t_d / self.t_p
 
 
-SCALE_TAGS = ("ln_D_m", "log10_D_cm", "log10_D_m", "ln_D_cm")
+# meters from a tagged displacement measure, on one Python float
+_TO_METERS: dict[str, Callable[[float], float]] = {
+    "ln_D_m": math.exp,
+    "ln_D_cm": lambda v: math.exp(v) / 100.0,
+    "log10_D_m": lambda v: 10.0 ** v,
+    "log10_D_cm": lambda v: 10.0 ** v / 100.0,
+}
 
 
 def to_meters(value: float, scale: str) -> float:
     """Convert a tagged displacement measure to meters."""
     try:
-        if scale == "ln_D_m":
-            return math.exp(value)
-        if scale == "ln_D_cm":
-            return math.exp(value) / 100.0
-        if scale == "log10_D_m":
-            return 10.0 ** value
-        if scale == "log10_D_cm":
-            return 10.0 ** value / 100.0
+        convert = _TO_METERS[scale]
+    except KeyError:
+        raise ValueError(f"unknown scale tag {scale!r}") from None
+    try:
+        return convert(value)
     except OverflowError:
         return math.inf
-    raise ValueError(f"unknown scale tag {scale!r}")
 
 
 @dataclass(frozen=True)
@@ -126,12 +138,10 @@ class Prediction:
     d_meters: float
 
 
-def _prediction(value: float, scale: str, in_range: bool) -> Prediction:
-    return Prediction(value, scale, in_range, to_meters(value, scale))
-
-
 # ---------------------------------------------------------------------------
 # applicability ranges, as published
+
+_QUANTITY_LABELS = {"m_w": "Mw", "a_max": "a_max", "a_y": "a_y", "ay_ratio": "ay/amax"}
 
 
 @dataclass(frozen=True)
@@ -144,25 +154,38 @@ class ApplicabilityRange:
     ay_ratio: tuple[float | None, float | None] = (None, None)
 
     def __post_init__(self):
-        for name in ("m_w", "a_max", "a_y", "ay_ratio"):
+        for name in _QUANTITY_LABELS:
             lo, hi = getattr(self, name)
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"{name} range has lower > upper")
 
+    def violations(self, values: dict[str, float | None]) -> tuple[str, ...]:
+        """Every bound one input violates; a quantity that is None is not checked."""
+        out = []
+        for name, label in _QUANTITY_LABELS.items():
+            value = values.get(name)
+            if value is None:
+                continue
+            lo, hi = getattr(self, name)
+            if lo is not None and value < lo:
+                out.append(f"{label}={value:g} below {lo:g}")
+            if hi is not None and value > hi:
+                out.append(f"{label}={value:g} above {hi:g}")
+        return tuple(out)
 
-APPLICABILITY: dict[str, ApplicabilityRange] = {
-    "gep": ApplicabilityRange(),
-    "hynes_griffin": ApplicabilityRange(m_w=(None, 8.0), ay_ratio=(0.01, 0.6)),
-    "ambraseys_menu": ApplicabilityRange(m_w=(6.6, 7.2), ay_ratio=(0.05, 0.95)),
-    "jibson": ApplicabilityRange(m_w=(5.3, 7.6), a_y=(0.05, 0.4), ay_ratio=(None, 1.0)),
-    "saygili_rathje": ApplicabilityRange(
-        m_w=(4.5, 7.9), a_max=(None, 1.0), a_y=(0.05, 0.3), ay_ratio=(0.05, 1.0)
-    ),
-    "madiai": ApplicabilityRange(ay_ratio=(0.1, 0.9)),
-    "tsai_chien": ApplicabilityRange(m_w=(5.9, 7.6), a_max=(None, 0.3)),
-}
-
-_QUANTITY_LABELS = {"m_w": "Mw", "a_max": "a_max", "a_y": "a_y", "ay_ratio": "ay/amax"}
+    def mask(self, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
+        """Rows inside every bound, over the quantities among ``columns``; a
+        NaN violates no bound, as a missing value is not checked."""
+        inside = np.ones(n, dtype=bool)
+        for name in _QUANTITY_LABELS:
+            if name not in columns:
+                continue
+            lo, hi = getattr(self, name)
+            if lo is not None:
+                inside &= ~(columns[name] < lo)
+            if hi is not None:
+                inside &= ~(columns[name] > hi)
+        return inside
 
 
 @dataclass(frozen=True)
@@ -171,34 +194,214 @@ class Applicability:
     violations: tuple[str, ...] = ()
 
 
-def _bounds_verdict(model_id: str, values: dict[str, float | None]) -> Applicability:
+# ---------------------------------------------------------------------------
+# the model table
+#
+# Each formula is the published expression on Python floats.  numpy's SIMD
+# exp, log, log10 and power differ from libm in the last bit on some inputs,
+# so ``evaluate`` runs formulas and meter conversions row by row and uses
+# numpy only for comparisons, which are exact.
+
+
+def _gep(m_w: float, x: float, r: float) -> float:
+    term1 = 6.524 * m_w / (m_w * x**4 + 7.864)
+    term2 = (x * r - r**2) / (5.55 * r - 7.052)
+    term3 = 3.647 / m_w**2
+    term4 = x * r - x - r - 5.098
+    return term1 + term2 + term3 + term4
+
+
+def _hynes_griffin(x: float) -> float:
+    return -0.287 - 2.854 * x - 1.733 * x**2 - 0.702 * x**3 - 0.116 * x**4
+
+
+def _ambraseys_menu(x: float) -> float:
+    return 0.9 + math.log10((1.0 - x) ** 2.53 * x**-1.09)
+
+
+def _jibson(x: float) -> float:
+    return -0.215 + math.log10((1.0 - x) ** 2.341 * x**-1.438)
+
+
+def _saygili_rathje(a_max: float, x: float) -> float:
+    return 5.52 + 0.72 * math.log(a_max) - 4.43 * x - 20.93 * x**2 + 42.61 * x**3 - 28.74 * x**4
+
+
+def _madiai(x: float) -> float:
+    return -0.418 - 0.857 * math.log10(x) + 2.26 * math.log10(1.0 - x)
+
+
+def _tsai_chien(a_max: float, x: float, t_m: float) -> float:
+    return (6.4 - 8.374 * x - 0.419 * x**2 + 6.366 * x**3 - 7.031 * x**4
+            + 0.767 * math.log(a_max) + 1.757 * math.log(t_m))
+
+
+# a domain rule: the status it gives and the rows it marks, from the input
+# columns and pole_eps; NaN comparisons are false, so a rule written as
+# ``~(x > 0)`` marks a NaN too
+Rule = tuple[str, Callable[[dict[str, np.ndarray], float], np.ndarray]]
+
+_GEP_RULES: tuple[Rule, ...] = (
+    ("domain_error", lambda c, eps: ~(np.isfinite(c["m_w"]) & np.isfinite(c["ay_ratio"])
+                                      & np.isfinite(c["period_ratio"]))),
+    ("domain_error", lambda c, eps: c["m_w"] == 0.0),
+    ("pole", lambda c, eps: np.abs(c["period_ratio"] - POLE_PERIOD_RATIO) < eps),
+)
+_OPEN_UNIT_RATIO: Rule = (
+    "domain_error", lambda c, eps: ~((0.0 < c["ay_ratio"]) & (c["ay_ratio"] < 1.0)))
+_POSITIVE_AMAX: Rule = ("domain_error", lambda c, eps: ~(c["a_max"] > 0.0))
+_TSAI_CHIEN_RULES: tuple[Rule, ...] = (
+    ("missing_input", lambda c, eps: np.isnan(c["t_m"])),
+    _POSITIVE_AMAX,
+    ("domain_error", lambda c, eps: ~(c["t_m"] > 0.0)),
+)
+
+
+@dataclass(frozen=True)
+class Model:
+    """One relationship: its scale tag, the input columns its formula reads
+    (in argument order), its applicability range, its domain rules (in the
+    order they apply; the first that marks a row sets its status) and its
+    formula."""
+
+    scale: str
+    inputs: tuple[str, ...]
+    applicability: ApplicabilityRange
+    rules: tuple[Rule, ...]
+    formula: Callable[..., float]
+
+
+MODELS: dict[str, Model] = {
+    "gep": Model("ln_D_m", ("m_w", "ay_ratio", "period_ratio"), ApplicabilityRange(),
+                 _GEP_RULES, _gep),
+    "hynes_griffin": Model("log10_D_cm", ("ay_ratio",),
+                           ApplicabilityRange(m_w=(None, 8.0), ay_ratio=(0.01, 0.6)),
+                           (), _hynes_griffin),
+    "ambraseys_menu": Model("log10_D_m", ("ay_ratio",),
+                            ApplicabilityRange(m_w=(6.6, 7.2), ay_ratio=(0.05, 0.95)),
+                            (_OPEN_UNIT_RATIO,), _ambraseys_menu),
+    "jibson": Model("log10_D_cm", ("ay_ratio",),
+                    ApplicabilityRange(m_w=(5.3, 7.6), a_y=(0.05, 0.4), ay_ratio=(None, 1.0)),
+                    (_OPEN_UNIT_RATIO,), _jibson),
+    "saygili_rathje": Model("ln_D_cm", ("a_max", "ay_ratio"),
+                            ApplicabilityRange(m_w=(4.5, 7.9), a_max=(None, 1.0),
+                                               a_y=(0.05, 0.3), ay_ratio=(0.05, 1.0)),
+                            (_POSITIVE_AMAX,), _saygili_rathje),
+    "madiai": Model("log10_D_cm", ("ay_ratio",), ApplicabilityRange(ay_ratio=(0.1, 0.9)),
+                    (_OPEN_UNIT_RATIO,), _madiai),
+    "tsai_chien": Model("ln_D_cm", ("a_max", "ay_ratio", "t_m"),
+                        ApplicabilityRange(m_w=(5.9, 7.6), a_max=(None, 0.3)),
+                        _TSAI_CHIEN_RULES, _tsai_chien),
+}
+
+MODEL_IDS = tuple(MODELS)
+
+STATUSES = ("ok", "pole", "domain_error", "missing_input")
+_DOMAIN_ERROR = STATUSES.index("domain_error")
+
+
+def _model(model_id: str) -> Model:
     try:
-        bounds = APPLICABILITY[model_id]
+        return MODELS[model_id]
     except KeyError:
-        raise ValueError(f"unknown model id {model_id!r}") from None
-    violations = []
-    for name, label in _QUANTITY_LABELS.items():
-        value = values.get(name)
-        if value is None:
-            continue
-        lo, hi = getattr(bounds, name)
-        if lo is not None and value < lo:
-            violations.append(f"{label}={value:g} below {lo:g}")
-        if hi is not None and value > hi:
-            violations.append(f"{label}={value:g} above {hi:g}")
-    return Applicability(not violations, tuple(violations))
+        raise ValueError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}") from None
+
+
+def _each(fn: Callable[..., float], args: list[list[float]]) -> list[float]:
+    """``fn`` over the rows of ``args`` (equal-length lists of Python
+    floats); NaN for a row where it overflows or divides by zero."""
+    try:
+        return list(map(fn, *args))
+    except (OverflowError, ZeroDivisionError):
+        return [_guarded(fn, row) for row in zip(*args)]
+
+
+def _guarded(fn: Callable[..., float], row) -> float:
+    try:
+        return fn(*row)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One relationship over n rows.  ``value`` (on the ``scale``) and
+    ``d_m`` (meters) are NaN unless the row's ``status`` is ``ok``;
+    ``in_range`` is the applicability verdict whatever the status."""
+
+    scale: str
+    value: np.ndarray
+    d_m: np.ndarray
+    in_range: np.ndarray
+    status: np.ndarray
+
+
+def evaluate(model_id: str, columns: dict, pole_eps: float = DEFAULT_POLE_EPS,
+             ambraseys_cm: bool = False) -> Evaluation:
+    """Run one relationship of ``MODELS`` over input columns.
+
+    ``columns`` maps input names (``m_w``, ``a_max``, ``a_y``, ``ay_ratio``,
+    ``period_ratio``, ``t_m``) to equal-length float columns and must hold
+    every input the formula reads; NaN marks a missing ``t_m``.  Bounds of
+    quantities absent from ``columns`` are not checked.  A row is ``ok``
+    only when no domain rule marks it and both its value and its meter
+    conversion are finite; a formula that overflows or divides by zero
+    gives ``domain_error``.  ``ambraseys_cm`` reads the Ambraseys-Menu value
+    as log10 of centimeters.
+    """
+    model = _model(model_id)
+    if not pole_eps > 0.0:  # 0 or NaN would turn the pole check off
+        raise ValueError(f"pole_eps must be a number > 0, got {pole_eps!r}")
+    cols = {name: np.asarray(col, dtype=np.float64) for name, col in columns.items()}
+    n = len(cols[model.inputs[0]])
+    code = np.zeros(n, dtype=np.int8)  # index into STATUSES
+    for status, rule in model.rules:
+        code[(code == 0) & rule(cols, pole_eps)] = STATUSES.index(status)
+    in_range = model.applicability.mask(cols, n)
+    scale = "log10_D_cm" if ambraseys_cm and model_id == "ambraseys_menu" else model.scale
+    todo = np.flatnonzero(code == 0)
+    value = np.full(n, np.nan)
+    value[todo] = _each(model.formula, [cols[name][todo].tolist() for name in model.inputs])
+    d_m = np.full(n, np.nan)
+    d_m[todo] = _each(_TO_METERS[scale], [value[todo].tolist()])
+    code[todo[~(np.isfinite(value[todo]) & np.isfinite(d_m[todo]))]] = _DOMAIN_ERROR
+    rejected = code != 0
+    value[rejected] = np.nan
+    d_m[rejected] = np.nan
+    return Evaluation(scale, value, d_m, in_range, np.array(STATUSES)[code])
+
+
+# ---------------------------------------------------------------------------
+# scalar wrappers: one row through evaluate
+
+
+_STATUS_ERRORS = {"pole": PoleError, "domain_error": ModelDomainError,
+                  "missing_input": MissingInputError}
+
+
+def _one(model_id: str, pole_eps: float = DEFAULT_POLE_EPS, ambraseys_cm: bool = False,
+         **inputs: float | None) -> Prediction:
+    """One row through ``evaluate`` (None marks a missing input); a status
+    other than ``ok`` raises its error."""
+    row = {name: math.nan if v is None else v for name, v in inputs.items()}
+    result = evaluate(model_id, {name: [v] for name, v in row.items()}, pole_eps, ambraseys_cm)
+    status = str(result.status[0])
+    if status != "ok":
+        given = ", ".join(f"{name}={v:g}" for name, v in row.items())
+        raise _STATUS_ERRORS[status](f"{model_id}: {status} at {given}")
+    return Prediction(float(result.value[0]), result.scale, bool(result.in_range[0]),
+                      float(result.d_m[0]))
+
+
+def _input_row(inp: ModelInput) -> dict[str, float | None]:
+    return {"m_w": inp.m_w, "a_max": inp.a_max, "a_y": inp.a_y, "ay_ratio": inp.ay_ratio,
+            "period_ratio": inp.period_ratio, "t_m": inp.t_m}
 
 
 def check_applicability(model_id: str, inp: ModelInput) -> Applicability:
     """Verdict listing every published bound the input violates."""
-    return _bounds_verdict(
-        model_id,
-        {"m_w": inp.m_w, "a_max": inp.a_max, "a_y": inp.a_y, "ay_ratio": inp.ay_ratio},
-    )
-
-
-# ---------------------------------------------------------------------------
-# the gep relationship
+    violations = _model(model_id).applicability.violations(_input_row(inp))
+    return Applicability(not violations, violations)
 
 
 def gep_ln_displacement(
@@ -211,47 +414,14 @@ def gep_ln_displacement(
 
     Raises PoleError within ``pole_eps`` of the period-ratio pole and
     ModelDomainError for Mw = 0, non-finite inputs or any input combination
-    whose value overflows; never returns a non-finite number.
+    whose value or displacement overflows; never returns a non-finite number.
     """
-    for name, v in (("Mw", m_w), ("ay_ratio", ay_ratio), ("period_ratio", period_ratio)):
-        if not math.isfinite(v):
-            raise ModelDomainError(f"{name} must be finite, got {v}")
-    if m_w == 0.0:
-        raise ModelDomainError("Mw = 0 is outside the model domain")
-    if abs(period_ratio - POLE_PERIOD_RATIO) < pole_eps:
-        raise PoleError(
-            f"period ratio {period_ratio:.6f} within {pole_eps:g} of the pole "
-            f"{POLE_PERIOD_RATIO:.6f}"
-        )
-    try:
-        term1 = 6.524 * m_w / (m_w * ay_ratio**4 + 7.864)
-        term2 = (ay_ratio * period_ratio - period_ratio**2) / (5.55 * period_ratio - 7.052)
-        term3 = 3.647 / m_w**2
-        term4 = ay_ratio * period_ratio - ay_ratio - period_ratio - 5.098
-        value = term1 + term2 + term3 + term4
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ModelDomainError(
-            f"inputs (Mw={m_w:g}, ay_ratio={ay_ratio:g}, period_ratio={period_ratio:g}) "
-            f"hit a singular denominator: {exc}"
-        ) from None
-    if not math.isfinite(value):
-        raise ModelDomainError(
-            f"inputs (Mw={m_w:g}, ay_ratio={ay_ratio:g}, period_ratio={period_ratio:g}) "
-            "produce a non-finite value"
-        )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# published comparison relationships
+    return _one("gep", pole_eps, m_w=m_w, ay_ratio=ay_ratio, period_ratio=period_ratio).value
 
 
 def hynes_griffin(ay_ratio: float, m_w: float | None = None) -> Prediction:
     """Hynes-Griffin & Franklin (1984): log10 D (cm) from a_y/a_max."""
-    x = float(ay_ratio)
-    value = -0.287 - 2.854 * x - 1.733 * x**2 - 0.702 * x**3 - 0.116 * x**4
-    verdict = _bounds_verdict("hynes_griffin", {"m_w": m_w, "ay_ratio": x})
-    return _prediction(value, "log10_D_cm", verdict.ok)
+    return _one("hynes_griffin", ay_ratio=ay_ratio, m_w=m_w)
 
 
 def ambraseys_menu(ay_ratio: float, m_w: float | None = None, cm_units: bool = False) -> Prediction:
@@ -260,22 +430,12 @@ def ambraseys_menu(ay_ratio: float, m_w: float | None = None, cm_units: bool = F
     Tabulated with D in meters; the original publication used centimeters.
     ``cm_units=True`` selects the original reading (same value, cm scale tag).
     """
-    x = float(ay_ratio)
-    if not 0.0 < x < 1.0:
-        raise ModelDomainError(f"ay/amax must be in (0, 1), got {x:g}")
-    value = 0.9 + math.log10((1.0 - x) ** 2.53 * x**-1.09)
-    verdict = _bounds_verdict("ambraseys_menu", {"m_w": m_w, "ay_ratio": x})
-    return _prediction(value, "log10_D_cm" if cm_units else "log10_D_m", verdict.ok)
+    return _one("ambraseys_menu", ambraseys_cm=cm_units, ay_ratio=ay_ratio, m_w=m_w)
 
 
 def jibson(ay_ratio: float, m_w: float | None = None, a_y: float | None = None) -> Prediction:
     """Jibson (2007): log10 D (cm) from a_y/a_max."""
-    x = float(ay_ratio)
-    if not 0.0 < x < 1.0:
-        raise ModelDomainError(f"ay/amax must be in (0, 1), got {x:g}")
-    value = -0.215 + math.log10((1.0 - x) ** 2.341 * x**-1.438)
-    verdict = _bounds_verdict("jibson", {"m_w": m_w, "a_y": a_y, "ay_ratio": x})
-    return _prediction(value, "log10_D_cm", verdict.ok)
+    return _one("jibson", ay_ratio=ay_ratio, m_w=m_w, a_y=a_y)
 
 
 def saygili_rathje(
@@ -285,31 +445,12 @@ def saygili_rathje(
     a_y: float | None = None,
 ) -> Prediction:
     """Saygili & Rathje (2008): ln D (cm) from a_max and a_y/a_max."""
-    if not a_max > 0:
-        raise ModelDomainError(f"a_max must be positive, got {a_max:g}")
-    x = float(ay_ratio)
-    value = (
-        5.52
-        + 0.72 * math.log(a_max)
-        - 4.43 * x
-        - 20.93 * x**2
-        + 42.61 * x**3
-        - 28.74 * x**4
-    )
-    verdict = _bounds_verdict(
-        "saygili_rathje", {"m_w": m_w, "a_max": a_max, "a_y": a_y, "ay_ratio": x}
-    )
-    return _prediction(value, "ln_D_cm", verdict.ok)
+    return _one("saygili_rathje", a_max=a_max, ay_ratio=ay_ratio, m_w=m_w, a_y=a_y)
 
 
 def madiai(ay_ratio: float) -> Prediction:
     """Madiai (2009): log10 D (cm) from a_y/a_max."""
-    x = float(ay_ratio)
-    if not 0.0 < x < 1.0:
-        raise ModelDomainError(f"ay/amax must be in (0, 1), got {x:g}")
-    value = -0.418 - 0.857 * math.log10(x) + 2.26 * math.log10(1.0 - x)
-    verdict = _bounds_verdict("madiai", {"ay_ratio": x})
-    return _prediction(value, "log10_D_cm", verdict.ok)
+    return _one("madiai", ay_ratio=ay_ratio)
 
 
 def tsai_chien(
@@ -319,37 +460,7 @@ def tsai_chien(
     m_w: float | None = None,
 ) -> Prediction:
     """Tsai & Chien (2016): ln D (cm) from a_max, a_y/a_max and mean period."""
-    if not a_max > 0:
-        raise ModelDomainError(f"a_max must be positive, got {a_max:g}")
-    if not t_m > 0:
-        raise ModelDomainError(f"T_m must be positive, got {t_m:g}")
-    x = float(ay_ratio)
-    value = (
-        6.4
-        - 8.374 * x
-        - 0.419 * x**2
-        + 6.366 * x**3
-        - 7.031 * x**4
-        + 0.767 * math.log(a_max)
-        + 1.757 * math.log(t_m)
-    )
-    verdict = _bounds_verdict("tsai_chien", {"m_w": m_w, "a_max": a_max, "ay_ratio": x})
-    return _prediction(value, "ln_D_cm", verdict.ok)
-
-
-# ---------------------------------------------------------------------------
-# string-id registry used by the CLI
-
-
-MODEL_IDS = (
-    "gep",
-    "hynes_griffin",
-    "ambraseys_menu",
-    "jibson",
-    "saygili_rathje",
-    "madiai",
-    "tsai_chien",
-)
+    return _one("tsai_chien", a_max=a_max, ay_ratio=ay_ratio, t_m=t_m, m_w=m_w)
 
 
 def predict(
@@ -359,24 +470,7 @@ def predict(
     ambraseys_cm: bool = False,
 ) -> Prediction:
     """Run one registered relationship on a full input record."""
-    if model_id == "gep":
-        value = gep_ln_displacement(inp.m_w, inp.ay_ratio, inp.period_ratio, pole_eps)
-        return _prediction(value, "ln_D_m", True)
-    if model_id == "hynes_griffin":
-        return hynes_griffin(inp.ay_ratio, inp.m_w)
-    if model_id == "ambraseys_menu":
-        return ambraseys_menu(inp.ay_ratio, inp.m_w, cm_units=ambraseys_cm)
-    if model_id == "jibson":
-        return jibson(inp.ay_ratio, inp.m_w, inp.a_y)
-    if model_id == "saygili_rathje":
-        return saygili_rathje(inp.a_max, inp.ay_ratio, inp.m_w, inp.a_y)
-    if model_id == "madiai":
-        return madiai(inp.ay_ratio)
-    if model_id == "tsai_chien":
-        if inp.t_m is None:
-            raise MissingInputError("tsai_chien needs the mean period T_m (column Tm_s)")
-        return tsai_chien(inp.a_max, inp.ay_ratio, inp.t_m, inp.m_w)
-    raise ValueError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}")
+    return _one(model_id, pole_eps, ambraseys_cm, **_input_row(inp))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +513,13 @@ def sensitivity_profile(
             if key not in base:
                 raise ValueError(f"unknown anchor {key!r}")
         base.update(anchors)
-    points = []
-    for v in grid:
-        args = dict(base)
-        args[varied] = float(v)
-        try:
-            ln_d = gep_ln_displacement(
-                args["Mw"], args["ay_ratio"], args["period_ratio"], pole_eps
-            )
-            points.append(SensitivityPoint(float(v), ln_d, "ok"))
-        except PoleError:
-            points.append(SensitivityPoint(float(v), None, "pole"))
-        except ModelDomainError:
-            points.append(SensitivityPoint(float(v), None, "domain_error"))
-    return points
+    values = np.asarray(grid, dtype=np.float64).reshape(-1)
+    columns = {name: np.full(len(values), base[name], dtype=np.float64) for name in base}
+    columns[varied] = values
+    result = evaluate("gep", {"m_w": columns["Mw"], "ay_ratio": columns["ay_ratio"],
+                              "period_ratio": columns["period_ratio"]}, pole_eps)
+    return [
+        SensitivityPoint(v, ln_d if status == "ok" else None, status)
+        for v, ln_d, status in zip(values.tolist(), result.value.tolist(),
+                                   result.status.tolist())
+    ]

@@ -1,14 +1,22 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from embgep import data, displacement, evolution, karva, metrics
 from embgep.cli import main
+from references import reference_load
 
 HEADER = "id,Mw,amax_g,Tp_s,Td_s,ay_g,D_m,Tm_s,H_m,Vs_mps"
 
@@ -222,6 +230,22 @@ def assert_bad_pole_eps_rejected(capsys, *argv):
         assert "--pole-eps" in capsys.readouterr().err
 
 
+POLE_EPS_COMMANDS = [
+    ("predict", "--model", "gep", "--synth", 5),
+    ("compare", "--synth", 5),
+    ("sensitivity", "--param", "period_ratio", "--from", 1.2, "--to", 1.4, "--steps", 5),
+]
+
+
+@pytest.mark.parametrize("argv", POLE_EPS_COMMANDS, ids=lambda argv: argv[0])
+def test_zero_pole_eps_exits_2(tmp_path, capsys, argv):
+    # a zero distance turns pole checks off too: a row at Td/Tp = 1.2707
+    # would be written ok with ln D = -1536 and D_m = 0.0
+    assert run_cli(*argv, "--out", tmp_path / "o", "--pole-eps", "0") == 2
+    err = capsys.readouterr().err
+    assert "--pole-eps" in err and "> 0" in err
+
+
 class TestPredict:
     def test_pole_row_annotated_and_run_continues(self, tmp_path):
         pole = displacement.POLE_PERIOD_RATIO
@@ -267,6 +291,18 @@ class TestPredict:
     def test_bad_pole_eps_exits_2(self, tmp_path, capsys):
         assert_bad_pole_eps_rejected(capsys, "predict", "--model", "gep", "--synth", 5,
                                      "--out", tmp_path / "o")
+
+    @pytest.mark.parametrize("model", ["hynes_griffin", "saygili_rathje", "tsai_chien"])
+    def test_overflowing_row_is_domain_error(self, tmp_path, capsys, model):
+        # ay/amax = 9e197 overflows x**4; the row is labelled, the run goes on
+        path = write_cases(tmp_path, [case_row("T", a_max=1e-200), case_row("Q")])
+        out = tmp_path / "o"
+        assert run_cli("predict", "--model", model, "--input", path, "--out", out) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_rows(out / "predictions.csv")
+        assert [(r["status"], r["value"], r["scale"], r["D_m"]) for r in rows[:1]] == [
+            ("domain_error", "", "", "")]
+        assert rows[1]["status"] == "ok"
 
 
 class TestCompare:
@@ -323,6 +359,30 @@ class TestCompare:
 
     def test_bad_pole_eps_exits_2(self, tmp_path, capsys):
         assert_bad_pole_eps_rejected(capsys, "compare", "--synth", 5, "--out", tmp_path / "o")
+
+    def test_overflowing_row_is_domain_error(self, tmp_path, capsys):
+        path = write_cases(tmp_path, [case_row("T", a_max=1e-200), case_row("Q")])
+        out = tmp_path / "o"
+        assert run_cli("compare", "--input", path, "--out", out) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_rows(out / "relative_error_tsai_chien.csv")  # T is in its applied range
+        assert [(r["id"], r["status"], r["D_predicted_m"]) for r in rows] == [
+            ("T", "domain_error", ""), ("Q", "ok", rows[1]["D_predicted_m"])]
+
+    def test_nonfinite_prediction_is_domain_error(self, tmp_path):
+        # T_m = 1e300 gives a finite ln D (cm) of 1218, but D in meters overflows
+        path = write_cases(tmp_path, [case_row("T", t_m="1e300"), case_row("Q")])
+        out = tmp_path / "o"
+        assert run_cli("compare", "--input", path, "--out", out) == 0
+        rows = read_rows(out / "relative_error_tsai_chien.csv")
+        assert [(r["status"], r["D_predicted_m"], r["relative_error_pct"]) for r in rows[:1]] == [
+            ("domain_error", "", "")]
+        cum = read_rows(out / "cumulative_frequency.csv")
+        assert len(cum) == 101
+        for row in cum:
+            for cell in row.values():
+                assert cell == "" or math.isfinite(float(cell))
+        assert float(cum[-1]["tsai_chien"]) == 1.0  # Q alone is scored
 
 
 class TestSensitivity:
@@ -410,3 +470,57 @@ class TestDeterminism:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["outputs"] == mb["outputs"]
+
+
+# valid in every numeric column: the edges of the float range and padding
+EDGE_CELLS = ["5e-324", "1e-308", "1e-300", "1e300", "1e308", " 0.3 ", "1.0", "0.999"]
+# any cell, valid or not in a given column
+FUZZ_CELLS = ["", " ", "nan", "inf", "-inf", "0", "-0.0", "-2", "x", "R0", "5e-324", "1e-308",
+              "1e308", "-1e308", " 0.3 "]
+ORDINARY = ("7.0", "0.3", "0.4", "0.6", "0.09", "0.5", "0.5", "", "")
+
+
+@st.composite
+def fuzzed_csv(draw) -> str:
+    """Rows of ordinary cells and float-range edges; up to two cells are
+    replaced by any of FUZZ_CELLS, and now and then a row is cut short."""
+    n = draw(st.integers(1, 6))
+    rows = [[f"R{i}"] + [draw(st.sampled_from([cell] * 4 + EDGE_CELLS)) for cell in ORDINARY]
+            for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 9))] = draw(
+            st.sampled_from(FUZZ_CELLS))
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))].pop()
+    return "\n".join([HEADER] + [",".join(row) for row in rows]) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(fuzzed_csv(), st.sampled_from([2, 3, 4096]),
+       st.sampled_from(displacement.MODEL_IDS), st.booleans())
+def test_fuzzed_cells_exit_0_or_2(text, block_rows, model, ambraseys_cm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected, message = reference_load(path), None
+        except data.DatasetError as exc:
+            expected, message = None, str(exc)
+        with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+            if message is None:
+                assert data.load(path) == expected
+            else:  # the first bad cell is named, with today's wording
+                with pytest.raises(data.DatasetError) as info:
+                    data.load(path)
+                assert str(info.value) == message
+        predict = ["predict", "--model", model] + (["--ambraseys-cm"] if ambraseys_cm else [])
+        for argv in (["stats"], predict, ["compare"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--input", str(path), "--out", str(Path(tmp) / argv[0])])
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+            if message is not None:
+                assert code == 2 and message in err.getvalue()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from embgep import data
+from references import reference_load
+
 from embgep.data import (
     EMBANKMENT_SUMMARY,
     GENERATION_TOLERANCE,
@@ -76,6 +78,15 @@ class TestLoad:
         with pytest.raises(DatasetError, match="duplicate"):
             load(path)
 
+    def test_unreadable_row_names_its_line(self, tmp_path):
+        huge = "1" * 200_000  # past csv.field_size_limit()
+        path = write_csv(tmp_path, HEADER + f"\nA,7.0,0.3,0.4,0.6,0.1,0.5,,,\nB,{huge},0.3,,,,,,,\n")
+        with pytest.raises(DatasetError, match="line 3: field larger than field limit"):
+            load(path)
+        path = write_csv(tmp_path, HEADER + f"\nA,x,0.3,0.4,0.6,0.1,0.5,,,\nB,{huge},0.3,,,,,,,\n")
+        with pytest.raises(DatasetError, match="line 2: column Mw is not a number"):
+            load(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = write_csv(tmp_path, HEADER + "\nA,7.0,0.3\n")
         with pytest.raises(DatasetError, match="line 2"):
@@ -96,6 +107,40 @@ class TestLoad:
         path2 = tmp_path / "resave.csv"
         save(again, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+OK_ROW = "7.0,0.3,0.4,0.6,0.1,0.5,,,"
+
+# each body puts its first bad cell after other rows, so that a block
+# boundary or a mask in the wrong order would name another line
+BLOCK_BODIES = {
+    "valid": f"A,{OK_ROW}\nB,7.0,0.3,0.4,,0.1,0.5,0.7,25,200\n\nC, 6.5 ,1e-300,0.4,0.6,0,0,,,\n",
+    "duplicate_id": f"A,{OK_ROW}\nB,{OK_ROW}\nC,{OK_ROW}\nA,{OK_ROW}\n",
+    "empty_id": f"A,{OK_ROW}\nB,{OK_ROW}\n  ,{OK_ROW}\n",
+    "underivable_td": f"A,{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,,0.1,0.5,,25,\nD,x,0.3,0.4,0.6,0.1,0.5,,,\n",
+    "bad_cell_before_short_row": f"A,{OK_ROW}\nB,7.0,0.3,0.4,0.6,0.1,-1,,,\nC,7.0\n",
+    "short_row_before_bad_cell": f"A,{OK_ROW}\nB,7.0\nC,7.0,0.3,0.4,0.6,0.1,-1,,,\n",
+    "two_bad_cells_in_a_row": f"A,{OK_ROW}\nB,7.0,0,0.4,0.6,0.1,0.5,0,,\n",
+    "later_column_on_an_earlier_line": f"A,{OK_ROW}\nB,7.0,0.3,0.4,0.6,0.1,0.5,,,-2\nC,nan,0.3,0.4,0.6,0.1,0.5,,,\n",
+    "non_finite_optional": f"A,{OK_ROW}\nB,7.0,0.3,0.4,inf,0.1,0.5,,,\n",
+    "zero_tp": f"A,{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0,0.6,0.1,0.5,,,\n",
+    "quoted_multiline_id": f'"A\nA",{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,0.6,,0.5,,,\n',
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+@pytest.mark.parametrize("body", BLOCK_BODIES.values(), ids=BLOCK_BODIES)
+def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+    path = write_csv(tmp_path, HEADER + "\n" + body)
+    try:
+        expected = reference_load(path)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as info:
+            load(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert load(path) == expected
 
 
 class TestMatrix:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from embgep import displacement
@@ -19,6 +21,7 @@ from embgep.displacement import (
     PoleError,
     ambraseys_menu,
     check_applicability,
+    evaluate,
     fundamental_period,
     gep_ln_displacement,
     hynes_griffin,
@@ -30,6 +33,7 @@ from embgep.displacement import (
     to_meters,
     tsai_chien,
 )
+from references import reference_row
 
 
 def sample_input(**overrides):
@@ -308,3 +312,113 @@ class TestModelInput:
             sample_input(a_y=-0.01)
         with pytest.raises(ValueError):
             sample_input(t_d=-0.5)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def model_inputs(draw):
+    """One ModelInput with weight on the domain edges: Mw at 0 and 1e+-300,
+    ay/amax at 0 and 1, the period ratio at the pole and pole +- eps, and a
+    missing or overflowing T_m."""
+    eps = DEFAULT_POLE_EPS
+    m_w = draw(st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300, 1e-10, 7.0, 8.3])
+               | st.floats(-10.0, 10.0))
+    a_max = draw(st.sampled_from([1e-300, 1e-200, 0.3, 1.0, 1e300]) | st.floats(1e-3, 2.0))
+    ratio = draw(st.sampled_from([0.0, 1.0, 0.01, 0.05, 0.6, 0.95, 1e-300, 1e300])
+                 | st.floats(0.0, 4.0))
+    a_y = ratio * a_max if math.isfinite(ratio * a_max) else 1e300
+    t_p = draw(st.sampled_from([1e-300, 0.4, 1.0, 1e300]) | st.floats(0.05, 2.0))
+    pole = POLE_PERIOD_RATIO
+    period = draw(st.sampled_from([pole, pole + eps, pole - eps, pole + 0.999 * eps,
+                                   pole - 1.001 * eps, 0.0, 1e300]) | st.floats(0.0, 5.0))
+    t_d = period * t_p if math.isfinite(period * t_p) else 1e300
+    t_m = draw(st.none() | st.sampled_from([1e300, 1e-300, 0.0, -1.0]) | st.floats(0.01, 2.0))
+    return ModelInput(m_w=m_w, a_max=a_max, t_p=t_p, t_d=t_d, a_y=a_y, t_m=t_m)
+
+
+def input_row(inp: ModelInput) -> dict:
+    return {"m_w": inp.m_w, "a_max": inp.a_max, "a_y": inp.a_y, "ay_ratio": inp.ay_ratio,
+            "period_ratio": inp.period_ratio, "t_m": inp.t_m}
+
+
+def input_columns(inputs) -> dict:
+    """evaluate's columns of ModelInputs; NaN marks a missing T_m."""
+    rows = [input_row(inp) for inp in inputs]
+    return {name: [math.nan if r[name] is None else r[name] for r in rows] for name in rows[0]}
+
+
+# the public scalar function of each model, on one input
+SCALAR = {
+    "gep": lambda i, eps, cm: gep_ln_displacement(i.m_w, i.ay_ratio, i.period_ratio, eps),
+    "hynes_griffin": lambda i, eps, cm: hynes_griffin(i.ay_ratio, i.m_w),
+    "ambraseys_menu": lambda i, eps, cm: ambraseys_menu(i.ay_ratio, i.m_w, cm),
+    "jibson": lambda i, eps, cm: jibson(i.ay_ratio, i.m_w, i.a_y),
+    "saygili_rathje": lambda i, eps, cm: saygili_rathje(i.a_max, i.ay_ratio, i.m_w, i.a_y),
+    "madiai": lambda i, eps, cm: madiai(i.ay_ratio),
+    "tsai_chien": lambda i, eps, cm: tsai_chien(i.a_max, i.ay_ratio, i.t_m, i.m_w),
+}
+
+ERRORS = {PoleError: "pole", ModelDomainError: "domain_error", MissingInputError: "missing_input"}
+
+
+def scalar_status(call):
+    try:
+        return call(), "ok"
+    except tuple(ERRORS) as exc:
+        return None, ERRORS[type(exc)]
+
+
+class TestModelTable:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(model_inputs(), min_size=1, max_size=8),
+           st.sampled_from(displacement.MODEL_IDS), st.booleans(),
+           st.sampled_from([DEFAULT_POLE_EPS, 1e-9, 0.5]))
+    def test_evaluate_equals_scalar_paths_bitwise(self, inputs, model_id, cm, eps):
+        result = evaluate(model_id, input_columns(inputs), eps, cm)
+        for i, inp in enumerate(inputs):
+            got = (result.value[i], result.d_m[i], result.in_range[i], result.status[i])
+            value, d_m, in_range, status = reference_row(model_id, input_row(inp), eps, cm)
+            assert (bits(got[0]), bits(got[1]), got[2], got[3]) == (
+                bits(value), bits(d_m), in_range, status)
+            assert check_applicability(model_id, inp).ok == in_range
+            pred, pred_status = scalar_status(lambda: predict(model_id, inp, eps, cm))
+            assert pred_status == status
+            if model_id == "tsai_chien" and inp.t_m is None:
+                continue  # the scalar tsai_chien takes T_m as a number
+            own, own_status = scalar_status(lambda: SCALAR[model_id](inp, eps, cm))
+            assert own_status == status
+            if status == "ok":
+                assert (bits(pred.value), bits(pred.d_meters), pred.in_range) == (
+                    bits(value), bits(d_m), in_range)
+                assert bits(own if model_id == "gep" else own.value) == bits(value)
+
+    def test_overflowing_formula_is_domain_error(self):
+        # ay/amax = 9e197: x**2 overflows in the polynomial models
+        for model_id in ("hynes_griffin", "saygili_rathje", "tsai_chien"):
+            inp = sample_input(a_max=1e-200)
+            with pytest.raises(ModelDomainError):
+                predict(model_id, inp)
+            result = evaluate(model_id, input_columns([inp]))
+            assert result.status.tolist() == ["domain_error"]
+            assert math.isnan(result.value[0]) and math.isnan(result.d_m[0])
+
+    def test_nonfinite_meters_is_domain_error(self):
+        # ln D (cm) = 1218 is finite, but D in meters overflows
+        with pytest.raises(ModelDomainError):
+            tsai_chien(0.25, 0.3, 1e300)
+        assert evaluate("tsai_chien", {"a_max": [0.25], "ay_ratio": [0.3], "t_m": [1e300]}
+                        ).status.tolist() == ["domain_error"]
+
+    def test_pole_eps_must_be_positive(self):
+        # 0 or NaN would turn the pole check off: a row at Td/Tp = 1.2707
+        # would give ln D = -1536 and D = 0.0 with status ok
+        columns = {"m_w": [7.0], "ay_ratio": [0.5], "period_ratio": [1.2707]}
+        assert evaluate("gep", columns).status.tolist() == ["pole"]
+        for eps in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="pole_eps"):
+                evaluate("gep", columns, pole_eps=eps)
+            with pytest.raises(ValueError, match="pole_eps"):
+                gep_ln_displacement(7.0, 0.5, 1.2707, pole_eps=eps)
