@@ -198,9 +198,13 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _stage_metrics(stage: str, records, chrom) -> dict:
+def _stage_predictions(records, chrom) -> tuple[np.ndarray, np.ndarray]:
+    """ln D targets of ``records`` and the chromosome's predictions of them."""
     X, y = data.regression_arrays(records)
-    preds = kernels.evaluate_chromosome_batch(chrom, X)
+    return y, kernels.evaluate_chromosome_batch(chrom, X)
+
+
+def _stage_metrics(stage: str, y, preds) -> dict:
     finite = np.isfinite(preds)
     used = int(finite.sum())
     if used < 2:
@@ -208,7 +212,7 @@ def _stage_metrics(stage: str, records, chrom) -> dict:
     report = metrics.metrics_report(metrics.PredictionSet(y[finite], preds[finite]))
     return {
         "stage": stage,
-        "n": len(records),
+        "n": len(y),
         "n_used": used,
         "space": "ln_D_m",
         "r_squared": report.r_squared,
@@ -249,13 +253,13 @@ def cmd_fit(args) -> int:
          result.zero_fitness_history],
     )
 
-    stage_rows = [_stage_metrics(stage, rows, result.best) for stage, rows in stages]
+    predicted = [_stage_predictions(rows, result.best) for _, rows in stages]
+    stage_rows = [_stage_metrics(stage, *pair) for (stage, _), pair in zip(stages, predicted)]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
               "mae_conventional", "rmse", "scatter_index", "bias")
     _write_csv(outdir / "metrics.csv", header, [[row[k] for row in stage_rows] for k in header])
 
-    X_all, y_all = data.regression_arrays(records)
-    preds_all = kernels.evaluate_chromosome_batch(result.best, X_all)
+    y_all, preds_all = predicted[-1]  # the "All data" stage
     finite = np.isfinite(preds_all)
     residual_info = None
     if int(finite.sum()) >= 2:
@@ -335,20 +339,23 @@ def cmd_compare(args) -> int:
         zero = ok & (measured == 0.0)
         scored = ok & ~zero
         errors = np.full(len(keep), np.nan)
-        errors[scored] = metrics.relative_error(measured[scored], predicted[scored])
+        with np.errstate(over="ignore"):  # a subnormal measured D overflows the ratio
+            errors[scored] = metrics.relative_error(measured[scored], predicted[scored])
+        overflow = scored & ~np.isfinite(errors)
+        errors[overflow] = np.nan
+        scored &= ~overflow
         path = outdir / f"relative_error_{model_id}.csv"
         _write_csv(
             path,
             ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
             [[records.ids[i] for i in kept], [measured_cells[i] for i in kept], predicted,
-             errors, np.where(zero, "zero_measured", status)],
+             errors, np.select([zero, overflow], ["zero_measured", "error_overflow"], status)],
         )
         outputs.append(path)
         if scored.any():
             errors_by_model[model_id] = errors[scored]
 
     pooled = np.concatenate([np.empty(0), *errors_by_model.values()])
-    pooled = pooled[np.isfinite(pooled)]  # an overflowing error has no place on the grid
     grid = np.linspace(pooled.min(), pooled.max(), 101) if pooled.size else np.empty(0)
     fractions = [
         metrics.cumulative_frequency(errors_by_model[model_id], grid)

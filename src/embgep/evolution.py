@@ -28,7 +28,10 @@ from .karva import (
     coding_lengths,
     tail_length,
 )
-from .kernels import compile_chromosome, compile_codes, evaluate_chromosome_batch
+from .kernels import evaluate_chromosome_batch, evaluate_codes
+
+# re-exported: perfbench's per-layer tracer binds evolution.compile_chromosome
+from .kernels import compile_chromosome  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -154,15 +157,7 @@ def _as_dataset(X, y):
     return X, y
 
 
-def fitness(chrom: Chromosome, X, y, programs=None) -> FitnessReport:
-    """RMSE-based fitness; any non-finite prediction forces fitness 0.
-
-    ``programs`` are the chromosome's compiled genes, compiled here if not
-    given."""
-    X, y = _as_dataset(X, y)
-    if programs is None:
-        programs = compile_chromosome(chrom)
-    preds = evaluate_chromosome_batch(chrom, X, programs)
+def _report(preds, y) -> FitnessReport:
     if not np.isfinite(preds).all():
         return FitnessReport(0.0, math.inf)
     with np.errstate(over="ignore"):
@@ -170,6 +165,12 @@ def fitness(chrom: Chromosome, X, y, programs=None) -> FitnessReport:
     if not math.isfinite(rmse):
         return FitnessReport(0.0, math.inf)
     return FitnessReport(1000.0 / (1.0 + rmse), rmse)
+
+
+def fitness(chrom: Chromosome, X, y) -> FitnessReport:
+    """RMSE-based fitness; any non-finite prediction forces fitness 0."""
+    X, y = _as_dataset(X, y)
+    return _report(evaluate_chromosome_batch(chrom, X), y)
 
 
 def initialize(config: GepConfig, rng: np.random.Generator) -> Population:
@@ -401,38 +402,28 @@ def canonical_keys(population: Population) -> np.ndarray:
 def _evaluate_population(pop, X, y, prev_cache):
     """Fitness per chromosome, evaluating each canonical key once.
 
-    The cache holds two maps, chromosome key -> report and gene key ->
-    compiled program (see ``canonical_keys``), each for the previous and
-    the current generation only; ``prev_cache`` is the value returned for
-    the previous generation (None for the first).  A missed chromosome is
-    scored through its ``Chromosome`` view, with each gene compiled from its
-    code row unless its key already has a program.  Returns the reports,
-    the new cache and the number of chromosomes evaluated.
+    The cache maps chromosome key (see ``canonical_keys``) -> report for
+    the previous and the current generation only; ``prev_cache`` is the
+    map returned for the previous generation (None for the first).  A
+    missed chromosome is evaluated straight from its code rows.  Returns
+    the reports, the new map and the number of chromosomes evaluated.
     """
-    prev_reports, prev_programs = prev_cache or ({}, {})
-    reports_by_key, programs_by_key = {}, {}
+    prev_reports = prev_cache or {}
+    reports_by_key = {}
     reports = []
     evaluations = 0
     blocks = canonical_keys(pop)
-    genes, width = blocks.shape[1], blocks.shape[2]
+    size = blocks[0].size
     raw = blocks.tobytes()
     for p in range(len(pop)):
-        key = raw[p * genes * width : (p + 1) * genes * width]
+        key = raw[p * size : (p + 1) * size]
         report = reports_by_key.get(key) or prev_reports.get(key)
         if report is None:
-            programs = []
-            for g in range(genes):
-                gene_key = key[g * width : (g + 1) * width]
-                program = programs_by_key.get(gene_key) or prev_programs.get(gene_key)
-                if program is None:
-                    program = compile_codes(pop.codes[p, g], pop.constants[p, g], pop.num_inputs)
-                programs_by_key[gene_key] = program
-                programs.append(program)
-            report = fitness(pop[p], X, y, tuple(programs))
+            report = _report(evaluate_codes(pop.codes[p], pop.constants[p], X, pop.num_inputs), y)
             evaluations += 1
         reports_by_key[key] = report
         reports.append(report)
-    return reports, (reports_by_key, programs_by_key), evaluations
+    return reports, reports_by_key, evaluations
 
 
 def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunResult:

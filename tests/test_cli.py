@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -383,6 +384,22 @@ class TestCompare:
             for cell in row.values():
                 assert cell == "" or math.isfinite(float(cell))
         assert float(cum[-1]["tsai_chien"]) == 1.0  # Q alone is scored
+
+    def test_overflowing_error_is_labelled(self, tmp_path, capsys):
+        # (D_p - D_m) / D_m overflows for a subnormal measured D
+        path = write_cases(tmp_path, [case_row("S", d=5e-324), case_row("Q")])
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("compare", "--input", path, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        for model_id in displacement.MODEL_IDS:
+            rows = read_rows(out / f"relative_error_{model_id}.csv")
+            assert [(r["id"], r["status"], r["relative_error_pct"]) for r in rows] == [
+                ("S", "error_overflow", ""), ("Q", "ok", rows[1]["relative_error_pct"])]
+            assert math.isfinite(float(rows[1]["relative_error_pct"]))
+        cum = read_rows(out / "cumulative_frequency.csv")
+        assert all(float(cum[-1][model_id]) == 1.0 for model_id in displacement.MODEL_IDS)
 
 
 class TestSensitivity:

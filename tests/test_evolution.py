@@ -296,6 +296,31 @@ class TestRun:
         assert plain.evaluations == 20 * (len(plain.report.per_generation_best) + 1)
         assert 0 < cached.evaluations < plain.evaluations
 
+    def test_views_only_for_the_best_ever(self, monkeypatch):
+        # the loop scores code rows; a Chromosome view is built for the
+        # initial best and for each best-ever improvement only
+        X = np.linspace(0.5, 2.0, 25).reshape(-1, 1)
+        y = X[:, 0] ** 2 + 1.0
+        config = GepConfig(num_chromosomes=20, num_inputs=1, max_generations=60,
+                           stagnation_limit=60, rng_seed=4)
+        pop = initialize(config, np.random.default_rng(4))
+        best = max(fitness(c, X, y).fitness for c in pop)
+        improvements = 0
+        for fit in run(config, X, y).report.per_generation_best:
+            improvements += fit > best
+            best = max(best, fit)
+        assert improvements > 0
+
+        views = []
+
+        def counted(*args):
+            views.append(args)
+            return karva.chromosome_from_codes(*args)
+
+        monkeypatch.setattr(evolution, "chromosome_from_codes", counted)
+        result = run(config, X, y)
+        assert len(views) == 1 + improvements < result.evaluations
+
     def test_copies_of_scored_chromosomes_are_not_evaluated(self):
         # no operator fires, so every later generation holds copies of
         # chromosomes scored in the generation before it

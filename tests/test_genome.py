@@ -86,6 +86,17 @@ def gene_pairs(draw):
     return Population(np.stack([codes, edited]), np.stack([pools, edited_pools]), num_inputs)
 
 
+def valued_tree(gene):
+    """The gene's ``karva.decode`` tree with each constant leaf replaced by
+    its pool value."""
+    def walk(node):
+        if node.symbol.kind == karva.KIND_CONST:
+            return gene.constants[node.symbol.index]
+        return node.symbol, tuple(walk(child) for child in node.children)
+
+    return walk(karva.decode(gene))
+
+
 @settings(max_examples=500, deadline=None)
 @given(gene_pairs())
 def test_equal_keys_exactly_when_programs_are_equal(pop):
@@ -93,9 +104,11 @@ def test_equal_keys_exactly_when_programs_are_equal(pop):
     assert keys.shape[:2] == (2, 1)
     same_key = keys[0].tobytes() == keys[1].tobytes()
     first, second = (chrom.genes[0] for chrom in pop)
-    assert same_key == (kernels.compile_gene(first) == kernels.compile_gene(second))
-    program = kernels.compile_codes(pop.codes[1, 0], pop.constants[1, 0], pop.num_inputs)
-    assert program == kernels.compile_gene(second)
+    assert same_key == (valued_tree(first) == valued_tree(second))
+    # the code rows and their view evaluate alike
+    X = np.linspace(-2.0, 2.0, 3 * pop.num_inputs).reshape(3, pop.num_inputs)
+    values = kernels.evaluate_codes(pop.codes[1], pop.constants[1], X, pop.num_inputs)
+    assert values.tobytes() == kernels.evaluate_chromosome_batch(pop[1], X).tobytes()
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_chromosome
 from embgep import karva, kernels
+from embgep.evolution import Population, canonical_keys
 from embgep.karva import Chromosome, Gene, parse_symbol
 
 POOL = tuple(float(i) for i in range(10))
@@ -62,9 +63,8 @@ def test_nonfinite_intermediate_flags_even_if_final_finite():
     # d0 / (c0 / d1) at d1 = 0: inner division is inf, outer would be 0.0
     gene = gene_from_tokens("/ d0 / c0 d1 d0 d0".split(), head_len=3, constants=(2.0,) + (0.0,) * 9)
     assert karva.evaluate_tree(karva.decode(gene), [1.0, 0.0], gene.constants) is None
-    prog = kernels.compile_gene(gene)
     X = np.array([[1.0, 0.0], [1.0, 2.0]])
-    out = kernels.evaluate_gene_batch(prog, X)
+    out = kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
     assert math.isnan(out[0])
     assert out[1] == 1.0  # 1 / (2/2)
 
@@ -73,8 +73,8 @@ def test_chromosome_batch_is_gene_sum(rng):
     chrom = random_chromosome(rng)
     X = rng.uniform(0.5, 2.0, size=(20, 3))
     total = np.zeros(20)
-    for prog in kernels.compile_chromosome(chrom):
-        total = total + kernels.evaluate_gene_batch(prog, X)
+    for gene in chrom.genes:
+        total = total + kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
     got = kernels.evaluate_chromosome_batch(chrom, X)
     finite = np.isfinite(total)
     assert np.array_equal(got[finite], total[finite])
@@ -95,19 +95,28 @@ def test_rejects_bad_shape():
         kernels.evaluate_chromosome_batch(Chromosome((gene,)), np.zeros(3))
 
 
+def test_missing_input_column_is_named():
+    gene = gene_from_tokens("+ d3 d0".split(), head_len=1)
+    with pytest.raises(ValueError, match="d3"):
+        kernels.evaluate_chromosome_batch(Chromosome((gene,)), np.zeros((2, 3)))
+    # a non-coding read of the missing column is never evaluated
+    gene = gene_from_tokens("d0 d3 d3".split(), head_len=1)
+    assert kernels.evaluate_chromosome_batch(Chromosome((gene,)), np.ones((2, 3))).tolist() == [1.0, 1.0]
+
+
+def codes_of(*genes):
+    """Population holding one one-gene chromosome per gene."""
+    arrays = [karva.chromosome_codes(Chromosome((g,)), NUM_INPUTS) for g in genes]
+    return Population(np.stack([codes for codes, _ in arrays]),
+                      np.stack([pools for _, pools in arrays]), NUM_INPUTS)
+
+
 @settings(max_examples=300, deadline=None)
 @given(genes())
 def test_layout_agrees_across_consumers(gene):
     n = karva.consumed_length(gene)
-    prog = kernels.compile_gene(gene)
-    assert n == karva.decode(gene).size == len(prog.nodes)
+    assert n == karva.decode(gene).size == karva.coding_lengths(codes_of(gene).codes)[0, 0]
     assert n <= gene.length
-    # the program keeps one constant per distinct pool slot the coding region reads
-    coding = gene.symbols[:n]
-    assert len(prog.constants) == len({s.index for s in coding if s.kind == karva.KIND_CONST})
-    for sym, (code, arg1, _) in zip(coding, prog.nodes):
-        if code == kernels.CODE_CONST:
-            assert prog.constants[arg1] == gene.constants[sym.index]
 
 
 def read_slots(gene):
@@ -128,10 +137,10 @@ def test_noncoding_edits_keep_the_program(gene, data, X):
             for j, c in enumerate(gene.constants)]
     h = gene.head_length
     edited = Gene(tuple(edited_symbols[:h]), tuple(edited_symbols[h:]), tuple(pool))
-    prog = kernels.compile_gene(gene)
-    assert kernels.compile_gene(edited) == prog
-    before = kernels.evaluate_gene_batch(prog, X)
-    after = kernels.evaluate_gene_batch(kernels.compile_gene(edited), X)
+    keys = canonical_keys(codes_of(gene, edited))
+    assert keys[0].tobytes() == keys[1].tobytes()
+    before = kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
+    after = kernels.evaluate_chromosome_batch(Chromosome((edited,)), X)
     assert before.tobytes() == after.tobytes()
 
 
@@ -144,7 +153,8 @@ def test_read_constant_edit_changes_the_program(gene, data):
     pool = list(gene.constants)
     pool[slot] = data.draw(values.filter(lambda v: v != gene.constants[slot]))
     edited = Gene(gene.head, gene.tail, tuple(pool))
-    assert kernels.compile_gene(edited) != kernels.compile_gene(gene)
+    keys = canonical_keys(codes_of(gene, edited))
+    assert keys[0].tobytes() != keys[1].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
