@@ -1,81 +1,8 @@
 """embgep: a gene-expression-programming engine plus closed-form predictors
-of earthquake-induced slope displacement of earth embankments."""
+of earthquake-induced slope displacement of earth embankments.
 
-from .data import (
-    EMBANKMENT_SUMMARY,
-    CaseHistory,
-    CaseTable,
-    DatasetError,
-    ParamStats,
-    Split,
-    load,
-    save,
-    split_matched,
-    summarize,
-    synthesize,
-)
-from .displacement import (
-    DEFAULT_POLE_EPS,
-    MODEL_IDS,
-    MODELS,
-    POLE_PERIOD_RATIO,
-    EmbankmentGeometry,
-    MissingInputError,
-    ModelDomainError,
-    ModelInput,
-    PoleError,
-    Prediction,
-    check_applicability,
-    evaluate,
-    fundamental_period,
-    gep_ln_displacement,
-    predict,
-    sensitivity_profile,
-)
-from .evolution import (
-    ConfigError,
-    FitnessReport,
-    GepConfig,
-    OperatorRates,
-    RunResult,
-    apply_operators,
-    fitness,
-    initialize,
-    run,
-    select,
-    sweep,
-)
-from .karva import (
-    Chromosome,
-    Gene,
-    KExprError,
-    Node,
-    Symbol,
-    Validity,
-    chromosome_from_text,
-    chromosome_to_text,
-    decode,
-    evaluate_chromosome,
-    evaluate_tree,
-    tail_length,
-    validate,
-)
-from .metrics import (
-    MetricsError,
-    MetricsReport,
-    PredictionSet,
-    ResidualSummary,
-    bias,
-    cumulative_frequency,
-    mae_conventional,
-    mae_paper,
-    metrics_report,
-    pearson_r,
-    r_squared,
-    relative_error,
-    residual_summary,
-    rmse,
-    scatter_index,
-)
+Names are imported from their modules (``from embgep import data`` or
+``from embgep.data import synthesize``); importing the package loads none
+of them."""
 
 __version__ = "0.1.0"

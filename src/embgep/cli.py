@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, displacement, evolution, karva, kernels, metrics
+# the GEP engine (evolution, karva, kernels) is imported only by the
+# commands that evolve, so the closed-form commands never load it
+from . import data, displacement, metrics
 
 SYNTH_DEFAULT_N = 85
 
@@ -107,9 +109,11 @@ def _load_records(args, outdir: Path, rng_pool: list) -> tuple[data.CaseTable, l
     synth_rng = rng_pool.pop(0)
     if args.input is not None:
         path = Path(args.input)
-        return data.load(path), [path], []
-    records = data.CaseTable.from_records(
-        data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng))
+        records = data.load(path)
+        if not records:
+            raise data.DatasetError("empty dataset")
+        return records, [path], []
+    records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
     synth_path = outdir / "synthetic_input.csv"
     data.save(records, synth_path)
     return records, [], [synth_path]
@@ -125,17 +129,18 @@ def _outdir(args) -> Path:
     return out
 
 
-def _require_nonempty(records) -> None:
-    if not records:
-        raise data.DatasetError("empty dataset")
+def _load_config(args):
+    from . import evolution
 
-
-def _load_config(args) -> evolution.GepConfig:
     if getattr(args, "config", None):
         config = evolution.read_config_file(args.config)
     else:
         config = evolution.GepConfig()
-    config = dataclasses.replace(config, rng_seed=args.seed, num_inputs=3)
+    if config.num_inputs != 3:
+        raise evolution.ConfigError(
+            f"number_of_inputs = {config.num_inputs}: the CLI fits 3 features (Mw, ay/amax, Td/Tp)"
+        )
+    config = dataclasses.replace(config, rng_seed=args.seed)
     if getattr(args, "max_generations", None) is not None:
         config = dataclasses.replace(config, max_generations=args.max_generations)
     return config
@@ -149,10 +154,8 @@ def cmd_stats(args) -> int:
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
 
-    mat = data._matrix(records)
-    summary = data.summarize(records, mat)
+    summary = data.summarize(records)
     stats = list(summary.values())
     _write_csv(
         outdir / "summary.csv",
@@ -161,6 +164,7 @@ def cmd_stats(args) -> int:
          [s.mean for s in stats], [s.sd for s in stats]],
     )
 
+    mat = data._matrix(records)
     columns = {name: mat[:, j] for j, name in enumerate(data.PARAMETERS)}
     names, corr = metrics.correlation_matrix(columns)
     lower = np.where(np.tri(len(names), dtype=bool), corr, np.nan)  # NaN cells are left blank
@@ -175,7 +179,6 @@ def cmd_split(args) -> int:
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 2)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
 
     split = data.split_matched(records, args.fraction, args.trials, rngs.pop(0))
     train, test = data.split_records(records, split)
@@ -200,6 +203,8 @@ def cmd_split(args) -> int:
 
 def _stage_predictions(records, chrom) -> tuple[np.ndarray, np.ndarray]:
     """ln D targets of ``records`` and the chromosome's predictions of them."""
+    from . import kernels
+
     X, y = data.regression_arrays(records)
     return y, kernels.evaluate_chromosome_batch(chrom, X)
 
@@ -225,10 +230,11 @@ def _stage_metrics(stage: str, y, preds) -> dict:
 
 
 def cmd_fit(args) -> int:
+    from . import evolution, karva
+
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 3)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
     if args.config:
         inputs.append(Path(args.config))
     config = _load_config(args)
@@ -304,7 +310,6 @@ def cmd_predict(args) -> int:
         )
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
 
     result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
                                    args.ambraseys_cm)
@@ -324,7 +329,6 @@ def cmd_compare(args) -> int:
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
 
     columns = records.model_columns()
     measured_cells = data.float_cells(records.d)  # the same cells in every model's table
@@ -408,10 +412,11 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    from . import evolution
+
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
-    _require_nonempty(records)
     if args.config:
         inputs.append(Path(args.config))
     config = _load_config(args)

@@ -7,8 +7,8 @@ CSV schema (header required, UTF-8, '.' decimal separator)::
 
 Optional cells (Td_s, Tm_s, H_m, Vs_mps) may be empty; a blank Td_s is
 derived as 4H/Vs when height and shear wave velocity are present.  ``load``
-returns a ``CaseTable``, the records held by column, whose items are
-``CaseHistory`` views.
+and ``synthesize`` return a ``CaseTable``, the records held by column, whose
+items are ``CaseHistory`` views.
 
 The real 85-record database behind the built-in gep relationship is not
 publicly available; ``synthesize`` generates surrogate databases whose
@@ -397,12 +397,11 @@ def _centred_columns(mat: np.ndarray, context: str) -> np.ndarray:
     return centred
 
 
-def summarize(records, matrix: np.ndarray | None = None) -> dict[str, ParamStats]:
-    """Min/max/mean/sample-SD for the eight summary parameters; ``matrix``
-    is the records' ``_matrix`` when the caller already has it."""
+def summarize(records) -> dict[str, ParamStats]:
+    """Min/max/mean/sample-SD for the eight summary parameters."""
     if not records:
         raise DatasetError("empty dataset")
-    mat = _matrix(records) if matrix is None else matrix
+    mat = _matrix(records)
     _centred_columns(mat, "summary")
     n = mat.shape[0]
     out = {}
@@ -583,11 +582,21 @@ GENERATION_TOLERANCE = {
 DEFAULT_NOISE_SD = 0.8
 
 
+# CaseHistory's row invariants as bounds on the target minima: every drawn
+# value is clipped into [min, max], and the pole shift multiplies a positive T_p
+_POSITIVE_MINIMUM = ("amax", "Tp")
+_NONNEGATIVE_MINIMUM = ("Td", "ay", "D")
+
+
 def _validate_targets(targets: dict[str, ParamStats]) -> None:
     for name in PARAMETERS:
         if name not in targets:
             raise DatasetError(f"targets missing parameter {name!r}")
         t = targets[name]
+        if name in _POSITIVE_MINIMUM and not t.minimum > 0:
+            raise DatasetError(f"{name}: min must be > 0, got {t.minimum}")
+        if name in _NONNEGATIVE_MINIMUM and not t.minimum >= 0:
+            raise DatasetError(f"{name}: min must be >= 0, got {t.minimum}")
         if t.sd < 0:
             raise DatasetError(f"{name}: SD must be >= 0")
         if t.minimum > t.maximum:
@@ -600,8 +609,8 @@ def _validate_targets(targets: dict[str, ParamStats]) -> None:
 
 def synthesize(targets: dict[str, ParamStats], n: int,
                rng: np.random.Generator | None = None,
-               noise_sd: float = DEFAULT_NOISE_SD) -> list[CaseHistory]:
-    """Generate ``n`` surrogate case histories.
+               noise_sd: float = DEFAULT_NOISE_SD) -> CaseTable:
+    """A table of ``n`` surrogate case histories, without H or Vs.
 
     Mw, a_max, T_p, a_y/a_max and T_d/T_p are clipped normals whose location
     is solved so the realised means match the targets; a_y and T_d follow as
@@ -657,19 +666,9 @@ def synthesize(targets: dict[str, ParamStats], n: int,
     t_m = t_p * rng.uniform(0.8, 1.6, size=n)
 
     width = len(str(n))
-    return [
-        CaseHistory(
-            id=f"synth-{i + 1:0{width}d}",
-            m_w=float(m_w[i]),
-            a_max=float(a_max[i]),
-            t_p=float(t_p[i]),
-            t_d=float(t_d[i]),
-            a_y=float(a_y[i]),
-            d=float(d[i]),
-            t_m=float(t_m[i]),
-        )
-        for i in range(n)
-    ]
+    ids = tuple(f"synth-{i:0{width}d}" for i in range(1, n + 1))
+    absent = np.full(n, np.nan)
+    return CaseTable(ids, m_w, a_max, t_p, t_d, a_y, d, t_m, absent, absent)
 
 
 def regression_arrays(records) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -222,6 +225,21 @@ class TestFit:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("population_size = 12\n", encoding="utf-8")
         assert run_cli("fit", "--synth", 20, "--config", cfg, "--out", tmp_path / "o") == 2
+
+    def test_number_of_inputs_other_than_3_exits_2(self, tmp_path, capsys):
+        assert_other_input_count_rejected(tmp_path, capsys, "fit", "--synth", 20, "--trials", 5)
+
+
+def assert_other_input_count_rejected(tmp_path, capsys, *argv):
+    # the CLI always fits Mw, ay/amax and Td/Tp, so a config asking for a
+    # different input count cannot be honoured and must not be overwritten
+    cfg = tmp_path / "inputs.cfg"
+    cfg.write_text("number_of_inputs = 5\nmax_generations = 1\n", encoding="utf-8")
+    out = tmp_path / "inputs5"
+    assert run_cli(*argv, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "number_of_inputs = 5" in err and "3 features (Mw, ay/amax, Td/Tp)" in err
+    assert not (out / "manifest.json").exists()
 
 
 def assert_bad_pole_eps_rejected(capsys, *argv):
@@ -468,6 +486,36 @@ class TestSweep:
         assert argmax["fitness"] == float(best["fitness"])
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    def test_number_of_inputs_other_than_3_exits_2(self, tmp_path, capsys):
+        assert_other_input_count_rejected(tmp_path, capsys, "sweep", "--synth", 15,
+                                          "--genes", "1", "--heads", "4")
+
+
+ENGINE_MODULES = {"embgep.evolution", "embgep.karva", "embgep.kernels"}
+
+
+def modules_after(code: str) -> set[str]:
+    """The embgep modules loaded after running ``code`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('embgep')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return set(proc.stdout.split())
+
+
+def test_closed_form_commands_load_no_engine(tmp_path):
+    loaded = modules_after(
+        "from embgep.cli import main\n"
+        f"assert main(['stats', '--synth', '20', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "assert main(['sensitivity', '--from', '5', '--to', '8', '--steps', '4',"
+        f" '--out', {str(tmp_path / 'v')!r}]) == 0"
+    )
+    assert "embgep.cli" in loaded and not loaded & ENGINE_MODULES
+    loaded = modules_after("import embgep.data")
+    assert "embgep.data" in loaded and not loaded & (ENGINE_MODULES | {"embgep.metrics"})
+
 
 class TestDeterminism:
     @staticmethod
@@ -498,11 +546,13 @@ ORDINARY = ("7.0", "0.3", "0.4", "0.6", "0.09", "0.5", "0.5", "", "")
 
 
 @st.composite
-def fuzzed_csv(draw) -> str:
-    """Rows of ordinary cells and float-range edges; up to two cells are
+def fuzzed_csv(draw, ordinary_weight=4) -> str:
+    """Rows of ordinary cells and float-range edges, each ordinary cell drawn
+    ``ordinary_weight`` times as often as one edge; up to two cells are
     replaced by any of FUZZ_CELLS, and now and then a row is cut short."""
     n = draw(st.integers(1, 6))
-    rows = [[f"R{i}"] + [draw(st.sampled_from([cell] * 4 + EDGE_CELLS)) for cell in ORDINARY]
+    rows = [[f"R{i}"] + [draw(st.sampled_from([cell] * ordinary_weight + EDGE_CELLS))
+                         for cell in ORDINARY]
             for i in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 9))] = draw(
@@ -531,13 +581,43 @@ def test_fuzzed_cells_exit_0_or_2(text, block_rows, model, ambraseys_cm):
                     data.load(path)
                 assert str(info.value) == message
         predict = ["predict", "--model", model] + (["--ambraseys-cm"] if ambraseys_cm else [])
-        for argv in (["stats"], predict, ["compare"]):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([*argv, "--input", str(path), "--out", str(Path(tmp) / argv[0])])
-            assert code in (0, 2), err.getvalue()
-            assert "Traceback" not in err.getvalue()
-            if code == 2:
-                assert err.getvalue().startswith("error: ")
-            if message is not None:
-                assert code == 2 and message in err.getvalue()
+        assert_exit_0_or_2(Path(tmp), message, ["stats"], predict, ["compare"],
+                           *evolving_commands(Path(tmp)))
+
+
+def evolving_commands(tmp: Path) -> list[list[str]]:
+    """split and fit argv with few trials and a 4-chromosome, 1-generation run."""
+    cfg = tmp / "gep.cfg"
+    cfg.write_text("number_of_chromosomes = 4\nmax_generations = 1\n", encoding="utf-8")
+    return [["split", "--trials", "5"], ["fit", "--trials", "5", "--config", str(cfg)]]
+
+
+def assert_exit_0_or_2(tmp: Path, message, *argvs):
+    """Each command on ``tmp/cases.csv`` exits 0 or 2 without a traceback; a
+    load error ``message`` is the error of every command."""
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", str(tmp / "cases.csv"), "--out", str(tmp / argv[0])])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        if message is not None:
+            assert code == 2 and message in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_csv(ordinary_weight=40))
+def test_fuzzed_mostly_ordinary_tables_split_and_fit_exit_0_or_2(text):
+    # with few edge cells some tables load and pass the split's overflow
+    # check, so split writes files and fit reaches the evolution
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            reference_load(path)
+            message = None
+        except data.DatasetError as exc:
+            message = str(exc)
+        assert_exit_0_or_2(Path(tmp), message, *evolving_commands(Path(tmp)))

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embgep import data
 from references import reference_load
@@ -145,7 +148,7 @@ def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
 
 class TestMatrix:
     def test_equals_per_record_reference_bitwise(self, synth85):
-        records = synth85 + [
+        records = list(synth85) + [
             CaseHistory("big", 7.0, 1e-10, 0.4, 0.6, 1e200, 0.5),
             CaseHistory("inf", 7.0, 1e-300, 1e-300, 1e300, 1e300, 0.5),
             CaseHistory("tiny", 7.0, 3.0, 7.0, 1e-310, 1e-310, 0.0),
@@ -291,6 +294,26 @@ class TestSynthesize:
     def test_small_n_rejected(self):
         with pytest.raises(DatasetError):
             synthesize(EMBANKMENT_SUMMARY, 1, np.random.default_rng(0))
+
+    def test_returns_table_without_geometry(self):
+        table = synthesize(EMBANKMENT_SUMMARY, 12, np.random.default_rng(3))
+        assert isinstance(table, data.CaseTable)
+        assert table.ids[0] == "synth-01" and table.ids[-1] == "synth-12"
+        assert np.isnan(table.h).all() and np.isnan(table.vs).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("amax", 0.0), ("amax", math.nan), ("Tp", 0.0), ("Tp", math.nan),
+                            ("Td", -0.01), ("Td", math.nan), ("ay", -1e-12), ("ay", math.nan),
+                            ("D", -0.5), ("D", math.nan)]),
+           st.integers(2, 20_000), st.integers(0, 9))
+    def test_target_minimum_breaking_a_row_invariant_named(self, bad, n, seed):
+        # a row drawn at such a minimum would break a CaseHistory invariant
+        # (a_max, T_p > 0; T_d, a_y, D >= 0), whether or not a row lands on it
+        name, minimum = bad
+        targets = dict(EMBANKMENT_SUMMARY)
+        targets[name] = dataclasses.replace(targets[name], minimum=minimum)
+        with pytest.raises(DatasetError, match=f"^{name}: min must be"):
+            synthesize(targets, n, np.random.default_rng(seed))
 
 
 class TestRegressionArrays:
