@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -34,30 +33,19 @@ SYNTH_DEFAULT_N = 85
 # small IO helpers
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return "" if math.isnan(value) else repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def _cells(column) -> list[str]:
-    """The CSV cells of one column: floats as ``repr`` and empty where NaN
-    (undefined) or None, bools as true/false."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return data.float_cells(column)
-        if column.dtype.kind == "b":
-            return ["true" if v else "false" for v in column.tolist()]
-        return list(map(str, column.tolist()))
-    return [_cell(v) for v in column]
+    """The CSV cells of one column, formatted by its numpy dtype: floats as
+    ``repr`` and empty where NaN (undefined), bools as true/false, anything
+    else as ``str``.  A list or tuple of strings is written as it is, without
+    a fixed-width string array as wide as its longest item."""
+    if isinstance(column, (list, tuple)) and column and isinstance(column[0], str):
+        return list(column)
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return data.float_cells(column)
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    return list(map(str, column.tolist()))
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -201,12 +189,24 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _stage_predictions(records, chrom) -> tuple[np.ndarray, np.ndarray]:
-    """ln D targets of ``records`` and the chromosome's predictions of them."""
-    from . import kernels
-
-    X, y = data.regression_arrays(records)
-    return y, kernels.evaluate_chromosome_batch(chrom, X)
+def _stage_arrays(stage: str, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, ln D) arrays of one fit stage, checked before any evolution:
+    the stage needs at least 2 rows, a positive D in each, and ln D values
+    that vary and do not sum to zero, or its R^2 and normalised metrics are
+    undefined."""
+    if len(rows) < 2:
+        raise data.DatasetError(
+            f"{stage}: the set has {len(rows)} row(s), at least 2 are needed to score it"
+        )
+    try:
+        X, y = data.regression_arrays(rows)
+    except data.DatasetError as exc:
+        raise data.DatasetError(f"{stage}: {exc}") from None
+    if (y == y[0]).all():
+        raise data.DatasetError(f"{stage}: ln D is constant, so R^2 is undefined")
+    if y.sum() == 0.0:
+        raise data.DatasetError(f"{stage}: ln D sums to zero, so the normalised MAE is undefined")
+    return X, y
 
 
 def _stage_metrics(stage: str, y, preds) -> dict:
@@ -230,7 +230,7 @@ def _stage_metrics(stage: str, y, preds) -> dict:
 
 
 def cmd_fit(args) -> int:
-    from . import evolution, karva
+    from . import evolution, karva, kernels
 
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 3)
@@ -241,14 +241,9 @@ def cmd_fit(args) -> int:
 
     split = data.split_matched(records, 0.75, args.trials, rngs.pop(0))
     train, test = data.split_records(records, split)
-    stages = (("Training", train), ("Validation", test), ("All data", records))
-    for stage, rows in stages:
-        if len(rows) < 2:
-            raise data.DatasetError(
-                f"{stage}: the set has {len(rows)} row(s), at least 2 are needed to score it"
-            )
-    X, y = data.regression_arrays(train)
-    result = evolution.run(config, X, y, rngs.pop(0))
+    stages = {stage: _stage_arrays(stage, rows)
+              for stage, rows in (("Training", train), ("Validation", test), ("All data", records))}
+    result = evolution.run(config, *stages["Training"], rngs.pop(0))
 
     karva.write_kexpr(result.best, outdir / "best.kexpr")
     best = result.report.per_generation_best
@@ -259,13 +254,14 @@ def cmd_fit(args) -> int:
          result.zero_fitness_history],
     )
 
-    predicted = [_stage_predictions(rows, result.best) for _, rows in stages]
-    stage_rows = [_stage_metrics(stage, *pair) for (stage, _), pair in zip(stages, predicted)]
+    predicted = {stage: kernels.evaluate_chromosome_batch(result.best, X)
+                 for stage, (X, _) in stages.items()}
+    stage_rows = [_stage_metrics(stage, y, predicted[stage]) for stage, (_, y) in stages.items()]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
               "mae_conventional", "rmse", "scatter_index", "bias")
     _write_csv(outdir / "metrics.csv", header, [[row[k] for row in stage_rows] for k in header])
 
-    y_all, preds_all = predicted[-1]  # the "All data" stage
+    y_all, preds_all = stages["All data"][1], predicted["All data"]
     finite = np.isfinite(preds_all)
     residual_info = None
     if int(finite.sum()) >= 2:
@@ -383,19 +379,19 @@ def cmd_sensitivity(args) -> int:
         levels = [float(v) for v in args.levels.split(",")] if args.levels else []
         if not levels:
             raise ValueError("family mode needs --levels, e.g. --levels 0.2,0.5,1.0")
-        rows = []
-        for level in levels:
-            points = displacement.sensitivity_profile(
-                "Mw", grid, {args.family: level}, args.pole_eps
-            )
-            for p in points:
-                rows.append((args.family, level, p.value, p.ln_d, p.status))
+        points = [(level, p) for level in levels for p in displacement.sensitivity_profile(
+            "Mw", grid, {args.family: level}, args.pole_eps)]
         header = ("family_parameter", "level", "Mw", "ln_D_m", "status")
+        leading = [[args.family] * len(points), [level for level, _ in points]]
     else:
-        points = displacement.sensitivity_profile(args.param, grid, None, args.pole_eps)
-        rows = [(args.param, p.value, p.ln_d, p.status) for p in points]
+        points = [(None, p) for p in displacement.sensitivity_profile(
+            args.param, grid, None, args.pole_eps)]
         header = ("parameter", "value", "ln_D_m", "status")
-    _write_csv(outdir / "sensitivity.csv", header, list(zip(*rows)))
+        leading = [[args.param] * len(points)]
+    # ln_D_m is a float column, NaN (a blank cell) where the status is not ok
+    ln_d = np.array([p.ln_d for _, p in points], dtype=np.float64)
+    _write_csv(outdir / "sensitivity.csv", header,
+               [*leading, [p.value for _, p in points], ln_d, [p.status for _, p in points]])
     _write_manifest(outdir, "sensitivity", args, [], [outdir / "sensitivity.csv"])
     return 0
 

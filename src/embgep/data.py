@@ -21,28 +21,30 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import (
-    DEFAULT_POLE_EPS,
-    POLE_PERIOD_RATIO,
-    EmbankmentGeometry,
-    evaluate,
-    fundamental_period,
-)
+from .displacement import DEFAULT_POLE_EPS, POLE_PERIOD_RATIO, evaluate
+from .displacement import INVARIANTS as INPUT_INVARIANTS
 # re-exported: callers, and perfbench's per-layer tracer, bind data.gep_ln_displacement
 from .displacement import gep_ln_displacement  # noqa: F401
 
 CSV_HEADER = ("id", "Mw", "amax_g", "Tp_s", "Td_s", "ay_g", "D_m", "Tm_s", "H_m", "Vs_mps")
 
 PARAMETERS = ("Mw", "amax", "Tp", "Td", "ay", "ay_ratio", "period_ratio", "D")
+# the CaseHistory field (or ratio property) of each summary parameter
+_PARAMETER_FIELDS = dict(zip(PARAMETERS, ("m_w", "a_max", "t_p", "t_d", "a_y", "ay_ratio",
+                                          "period_ratio", "d")))
 
 
 class DatasetError(ValueError):
     """Malformed dataset file, record or generation target."""
+
+
+# the row invariants of a case history: those of a model input, then D >= 0
+INVARIANTS = INPUT_INVARIANTS + (("d", "D must be >= 0", lambda v: np.logical_not(v >= 0)),)
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,9 @@ class CaseHistory:
     vs: float | None = None
 
     def __post_init__(self):
-        if not self.a_max > 0:
-            raise DatasetError(f"a_max must be positive, got {self.a_max}")
-        if not self.t_p > 0:
-            raise DatasetError(f"T_p must be positive, got {self.t_p}")
-        if self.t_d < 0:
-            raise DatasetError(f"T_d must be >= 0, got {self.t_d}")
-        if self.a_y < 0:
-            raise DatasetError(f"a_y must be >= 0, got {self.a_y}")
-        if self.d < 0:
-            raise DatasetError(f"D must be >= 0, got {self.d}")
+        for field, message, rejects in INVARIANTS:
+            if rejects(getattr(self, field)):
+                raise DatasetError(f"{message}, got {getattr(self, field)}")
 
     @property
     def ay_ratio(self) -> float:
@@ -196,7 +191,7 @@ def _matrix(records) -> np.ndarray:
     ratios are numpy divisions, IEEE-identical to the ``CaseHistory``
     properties."""
     t = CaseTable.from_records(records)
-    return np.column_stack((t.m_w, t.a_max, t.t_p, t.t_d, t.a_y, t.ay_ratio, t.period_ratio, t.d))
+    return np.column_stack([getattr(t, field) for field in _PARAMETER_FIELDS.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -209,51 +204,6 @@ _BLOCK_ROWS = 4096
 # (column, required) of the numeric cells, in file order after the id
 _NUMERIC = (("Mw", True), ("amax_g", True), ("Tp_s", True), ("Td_s", False), ("ay_g", True),
             ("D_m", True), ("Tm_s", False), ("H_m", False), ("Vs_mps", False))
-
-
-def _parse_float(value: str, column: str, line: int, required: bool):
-    value = value.strip()
-    if value == "":
-        if required:
-            raise DatasetError(f"line {line}: column {column} must not be empty")
-        return None
-    try:
-        out = float(value)
-    except ValueError:
-        raise DatasetError(f"line {line}: column {column} is not a number: {value!r}") from None
-    if not math.isfinite(out):
-        raise DatasetError(f"line {line}: column {column} must be finite, got {value!r}")
-    return out
-
-
-def _parse_row(row: list[str], line: int, duplicate: bool) -> CaseHistory:
-    """One CSV row, checked cell by cell in column order; raises the
-    ``DatasetError`` of its first bad cell.  This is the reference that
-    ``load``'s block masks follow, and it words every load error."""
-    if len(row) != len(CSV_HEADER):
-        raise DatasetError(f"line {line}: expected {len(CSV_HEADER)} columns, got {len(row)}")
-    rec_id = row[0].strip()
-    if not rec_id:
-        raise DatasetError(f"line {line}: empty id")
-    if duplicate:
-        raise DatasetError(f"line {line}: duplicate id {rec_id!r}")
-    m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs = (
-        _parse_float(cell, column, line, required)
-        for cell, (column, required) in zip(row[1:], _NUMERIC)
-    )
-    for name, value in (("Tm_s", t_m), ("H_m", h), ("Vs_mps", vs)):
-        if value is not None and not value > 0:
-            raise DatasetError(f"line {line}: column {name} must be positive, got {value}")
-    if t_d is None:
-        if h is None or vs is None:
-            raise DatasetError(
-                f"line {line}: Td_s is empty and cannot be derived (needs H_m and Vs_mps)"
-            )
-        t_d = fundamental_period(EmbankmentGeometry(h, vs))
-    try:
-        return CaseHistory(rec_id, m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs)
-    except DatasetError as exc:
-        raise DatasetError(f"line {line}: {exc}") from None
 
 
 def _parse_column(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,42 +231,66 @@ def _parse_column(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, empty, unparsed
 
 
+def _check(rejected: np.ndarray, message: str, cells=None) -> tuple[np.ndarray, Callable]:
+    """A (rejected rows, message of row i) check of ``_parse_block``; the
+    message is formatted with row i's cell of ``cells``, a str stripped and
+    a number as a Python float."""
+    def word(i: int) -> str:
+        if cells is None:
+            return message
+        cell = cells[i]
+        return message.format(cell.strip() if isinstance(cell, str) else float(cell))
+    return rejected, word
+
+
 def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> CaseTable:
-    """Rows of one block as a table.  Array masks mark every row that
-    ``_parse_row`` rejects; the first marked row is re-read by it, which
-    raises with that row's message.  ``seen`` gains the block's ids."""
+    """Rows of one block as a table.  Each check marks the rows it rejects,
+    and the checks are listed in the order a row is read: its id, its
+    numeric cells in column order, the positive optional columns, the
+    derivable T_d and then the row invariants.  The first marked row raises
+    the message of its first check; a short row raises only when no earlier
+    row is marked.  ``seen`` gains the block's ids."""
     width = len(CSV_HEADER)
     k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     cells = list(zip(*rows[:k])) or [()] * width
     ids = [cell.strip() for cell in cells[0]]
     duplicate = np.zeros(k, dtype=bool)
     for i, rec_id in enumerate(ids):
-        if rec_id in seen:
-            duplicate[i] = True
+        duplicate[i] = rec_id in seen
         seen.add(rec_id)
-    bad = duplicate | np.array([not rec_id for rec_id in ids], dtype=bool)
+    checks = [_check(np.array([not rec_id for rec_id in ids], dtype=bool), "empty id"),
+              _check(duplicate, "duplicate id {!r}", ids)]
     values, empty = {}, {}
     for (column, required), column_cells in zip(_NUMERIC, cells[1:]):
         col, blank, unparsed = _parse_column(column_cells)
-        bad |= unparsed | ~(np.isfinite(col) | blank)
-        if required:
-            bad |= blank
         values[column], empty[column] = col, blank
-    for column in ("Tm_s", "H_m", "Vs_mps"):
-        bad |= ~empty[column] & ~(values[column] > 0)
-    bad |= empty["Td_s"] & (empty["H_m"] | empty["Vs_mps"])
-    # CaseHistory's invariants; a T_d derived from positive H and Vs is never negative
-    bad |= (~(values["amax_g"] > 0) | ~(values["Tp_s"] > 0) | (values["Td_s"] < 0)
-            | (values["ay_g"] < 0) | (values["D_m"] < 0))
-    for i in np.flatnonzero(bad).tolist() + ([k] if k < len(rows) else []):
-        _parse_row(rows[i], lines[i], i < k and bool(duplicate[i]))
-    t_d = values["Td_s"]
-    derive = np.flatnonzero(empty["Td_s"])
-    t_d[derive] = [
-        fundamental_period(EmbankmentGeometry(h, vs))
-        for h, vs in zip(values["H_m"][derive].tolist(), values["Vs_mps"][derive].tolist())
-    ]
-    return CaseTable(tuple(ids), *(values[column] for column, _ in _NUMERIC))
+        checks += [
+            _check(blank & required, f"column {column} must not be empty"),
+            _check(unparsed, f"column {column} is not a number: {{!r}}", column_cells),
+            _check(~(np.isfinite(col) | blank | unparsed),
+                   f"column {column} must be finite, got {{!r}}", column_cells),
+        ]
+    checks += [_check(~empty[column] & ~(values[column] > 0),
+                      f"column {column} must be positive, got {{}}", values[column])
+               for column in ("Tm_s", "H_m", "Vs_mps")]
+    checks.append(_check(empty["Td_s"] & (empty["H_m"] | empty["Vs_mps"]),
+                         "Td_s is empty and cannot be derived (needs H_m and Vs_mps)"))
+    # T_d = 4H/Vs on the rows whose H and Vs passed their checks; a quotient
+    # too large for a float is inf, as in Python arithmetic, without a warning
+    derive = empty["Td_s"] & ~np.logical_or.reduce([rejected for rejected, _ in checks])
+    with np.errstate(over="ignore"):
+        values["Td_s"][derive] = 4.0 * values["H_m"][derive] / values["Vs_mps"][derive]
+    table = CaseTable(tuple(ids), *(values[column] for column, _ in _NUMERIC))
+    checks += [_check(rejects(getattr(table, field)), message + ", got {}", getattr(table, field))
+               for field, message, rejects in INVARIANTS]
+    marked = np.logical_or.reduce([rejected for rejected, _ in checks])
+    if marked.any():
+        i = int(np.argmax(marked))
+        word = next(word for rejected, word in checks if rejected[i])
+        raise DatasetError(f"line {lines[i]}: {word(i)}")
+    if k < len(rows):
+        raise DatasetError(f"line {lines[k]}: expected {width} columns, got {len(rows[k])}")
+    return table
 
 
 def load(path) -> CaseTable:
@@ -582,21 +556,18 @@ GENERATION_TOLERANCE = {
 DEFAULT_NOISE_SD = 0.8
 
 
-# CaseHistory's row invariants as bounds on the target minima: every drawn
-# value is clipped into [min, max], and the pole shift multiplies a positive T_p
-_POSITIVE_MINIMUM = ("amax", "Tp")
-_NONNEGATIVE_MINIMUM = ("Td", "ay", "D")
-
-
 def _validate_targets(targets: dict[str, ParamStats]) -> None:
+    """The targets are feasible, and no row drawn inside them breaks a row
+    invariant: every drawn value is clipped into [min, max], so a target
+    minimum must pass the invariant on its field."""
     for name in PARAMETERS:
         if name not in targets:
             raise DatasetError(f"targets missing parameter {name!r}")
         t = targets[name]
-        if name in _POSITIVE_MINIMUM and not t.minimum > 0:
-            raise DatasetError(f"{name}: min must be > 0, got {t.minimum}")
-        if name in _NONNEGATIVE_MINIMUM and not t.minimum >= 0:
-            raise DatasetError(f"{name}: min must be >= 0, got {t.minimum}")
+        for field, message, rejects in INVARIANTS:
+            if field == _PARAMETER_FIELDS[name] and rejects(t.minimum):
+                # "a_max must be positive" -> "amax: min must be positive"
+                raise DatasetError(f"{name}: min {message.partition(' ')[2]}, got {t.minimum}")
         if t.sd < 0:
             raise DatasetError(f"{name}: SD must be >= 0")
         if t.minimum > t.maximum:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,6 +76,19 @@ def fundamental_period(geom: EmbankmentGeometry) -> float:
     return 4.0 * geom.height_m / geom.vs_mps
 
 
+# the row invariants of a case, in the order they are checked: the field, the
+# message when it fails and the values it rejects, on a float or on a column
+# (NaN compares false, so a NaN breaks each of them)
+Invariant = tuple[str, str, Callable[[float | np.ndarray], bool | np.ndarray]]
+
+INVARIANTS: tuple[Invariant, ...] = (
+    ("a_max", "a_max must be positive", lambda v: np.logical_not(v > 0)),
+    ("t_p", "T_p must be positive", lambda v: np.logical_not(v > 0)),
+    ("t_d", "T_d must be >= 0", lambda v: np.logical_not(v >= 0)),
+    ("a_y", "a_y must be >= 0", lambda v: np.logical_not(v >= 0)),
+)
+
+
 @dataclass(frozen=True)
 class ModelInput:
     """Predictor bundle for one case: ratios are always derived, never stored."""
@@ -88,14 +101,9 @@ class ModelInput:
     t_m: float | None = None
 
     def __post_init__(self):
-        if not self.a_max > 0:
-            raise ValueError(f"a_max must be positive, got {self.a_max}")
-        if not self.t_p > 0:
-            raise ValueError(f"T_p must be positive, got {self.t_p}")
-        if self.t_d < 0:
-            raise ValueError(f"T_d must be >= 0, got {self.t_d}")
-        if self.a_y < 0:
-            raise ValueError(f"a_y must be >= 0, got {self.a_y}")
+        for field, message, rejects in INVARIANTS:
+            if rejects(getattr(self, field)):
+                raise ValueError(f"{message}, got {getattr(self, field)}")
 
     @property
     def ay_ratio(self) -> float:
@@ -159,33 +167,18 @@ class ApplicabilityRange:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"{name} range has lower > upper")
 
-    def violations(self, values: dict[str, float | None]) -> tuple[str, ...]:
-        """Every bound one input violates; a quantity that is None is not checked."""
-        out = []
-        for name, label in _QUANTITY_LABELS.items():
-            value = values.get(name)
-            if value is None:
-                continue
-            lo, hi = getattr(self, name)
-            if lo is not None and value < lo:
-                out.append(f"{label}={value:g} below {lo:g}")
-            if hi is not None and value > hi:
-                out.append(f"{label}={value:g} above {hi:g}")
-        return tuple(out)
-
-    def mask(self, columns: dict[str, np.ndarray], n: int) -> np.ndarray:
-        """Rows inside every bound, over the quantities among ``columns``; a
-        NaN violates no bound, as a missing value is not checked."""
-        inside = np.ones(n, dtype=bool)
+    def breaches(self, values: dict) -> Iterator[tuple[str, str, float, bool | np.ndarray]]:
+        """(quantity, "below" or "above", bound, rows beyond it) for every set
+        bound of a quantity among ``values``, floats or columns alike; a NaN
+        breaks no bound, as a missing value is not checked."""
         for name in _QUANTITY_LABELS:
-            if name not in columns:
+            if name not in values:
                 continue
             lo, hi = getattr(self, name)
             if lo is not None:
-                inside &= ~(columns[name] < lo)
+                yield name, "below", lo, values[name] < lo
             if hi is not None:
-                inside &= ~(columns[name] > hi)
-        return inside
+                yield name, "above", hi, values[name] > hi
 
 
 @dataclass(frozen=True)
@@ -357,7 +350,9 @@ def evaluate(model_id: str, columns: dict, pole_eps: float = DEFAULT_POLE_EPS,
     code = np.zeros(n, dtype=np.int8)  # index into STATUSES
     for status, rule in model.rules:
         code[(code == 0) & rule(cols, pole_eps)] = STATUSES.index(status)
-    in_range = model.applicability.mask(cols, n)
+    in_range = np.ones(n, dtype=bool)
+    for *_, beyond in model.applicability.breaches(cols):
+        in_range &= ~beyond
     scale = "log10_D_cm" if ambraseys_cm and model_id == "ambraseys_menu" else model.scale
     todo = np.flatnonzero(code == 0)
     value = np.full(n, np.nan)
@@ -400,7 +395,10 @@ def _input_row(inp: ModelInput) -> dict[str, float | None]:
 
 def check_applicability(model_id: str, inp: ModelInput) -> Applicability:
     """Verdict listing every published bound the input violates."""
-    violations = _model(model_id).applicability.violations(_input_row(inp))
+    row = _input_row(inp)
+    violations = tuple(f"{_QUANTITY_LABELS[name]}={row[name]:g} {side} {bound:g}"
+                       for name, side, bound, beyond in _model(model_id).applicability.breaches(row)
+                       if beyond)
     return Applicability(not violations, violations)
 
 

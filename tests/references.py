@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 
-from embgep.data import CSV_HEADER, CaseHistory, DatasetError, _parse_float
+from embgep.data import CSV_HEADER, CaseHistory, DatasetError
 
 
 class Pole(Exception):
@@ -140,6 +140,23 @@ def reference_row(model_id: str, row: dict, eps: float, cm: bool = False):
     return value, d_m, in_range(model_id, row), status
 
 
+def parse_float(value: str, column: str, line: int, required: bool):
+    """One numeric cell, or None for an empty optional one; the first bad
+    cell of a row raises in the loader's words."""
+    value = value.strip()
+    if value == "":
+        if required:
+            raise DatasetError(f"line {line}: column {column} must not be empty")
+        return None
+    try:
+        out = float(value)
+    except ValueError:
+        raise DatasetError(f"line {line}: column {column} is not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise DatasetError(f"line {line}: column {column} must be finite, got {value!r}")
+    return out
+
+
 def reference_load(path) -> list[CaseHistory]:
     """The case-history CSV parsed one row at a time, each cell checked in
     column order; the reference for ``data.load``'s records and messages."""
@@ -160,15 +177,15 @@ def reference_load(path) -> list[CaseHistory]:
             if rec_id in seen_ids:
                 raise DatasetError(f"line {line}: duplicate id {rec_id!r}")
             seen_ids.add(rec_id)
-            m_w = _parse_float(row[1], "Mw", line, required=True)
-            a_max = _parse_float(row[2], "amax_g", line, required=True)
-            t_p = _parse_float(row[3], "Tp_s", line, required=True)
-            t_d = _parse_float(row[4], "Td_s", line, required=False)
-            a_y = _parse_float(row[5], "ay_g", line, required=True)
-            d = _parse_float(row[6], "D_m", line, required=True)
-            t_m = _parse_float(row[7], "Tm_s", line, required=False)
-            h = _parse_float(row[8], "H_m", line, required=False)
-            vs = _parse_float(row[9], "Vs_mps", line, required=False)
+            m_w = parse_float(row[1], "Mw", line, required=True)
+            a_max = parse_float(row[2], "amax_g", line, required=True)
+            t_p = parse_float(row[3], "Tp_s", line, required=True)
+            t_d = parse_float(row[4], "Td_s", line, required=False)
+            a_y = parse_float(row[5], "ay_g", line, required=True)
+            d = parse_float(row[6], "D_m", line, required=True)
+            t_m = parse_float(row[7], "Tm_s", line, required=False)
+            h = parse_float(row[8], "H_m", line, required=False)
+            vs = parse_float(row[9], "Vs_mps", line, required=False)
             for name, value in (("Tm_s", t_m), ("H_m", h), ("Vs_mps", vs)):
                 if value is not None and not value > 0:
                     raise DatasetError(f"line {line}: column {name} must be positive, got {value}")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from embgep import data, displacement, evolution, karva, metrics
+from embgep import cli, data, displacement, evolution, karva, metrics
 from embgep.cli import main
 from references import reference_load
 
@@ -220,6 +221,42 @@ class TestFit:
         err = capsys.readouterr().err
         assert "Validation" in err and "1 row" in err
         assert "non-finite" not in err
+
+    def test_constant_displacement_rejected_before_evolving(self, tmp_path, capsys):
+        # R^2 of a constant ln D is undefined, which is known before the evolution
+        path = write_cases(tmp_path, [case_row(f"R{i}", m_w=6.0 + 0.1 * i) for i in range(12)])
+        out = tmp_path / "o"
+        assert run_cli("fit", "--input", path, "--max-generations", 5, "--trials", 5,
+                       "--out", out) == 2
+        assert "Training: ln D is constant" in capsys.readouterr().err
+        assert not (out / "best.kexpr").exists()
+
+    def test_zero_displacement_in_validation_rejected_before_evolving(self, tmp_path, capsys):
+        # put D = 0 on a row that the fit's matched split sends to the validation set
+        table = data.synthesize(data.EMBANKMENT_SUMMARY, 40, np.random.default_rng(1))
+        seed, trials = 22, 5
+        for i in range(len(table)):
+            zeroed = dataclasses.replace(table, d=np.where(np.arange(len(table)) == i, 0.0,
+                                                           table.d))
+            split_rng = cli._spawn_rngs(seed, 3)[1]  # the stream cmd_fit splits with
+            if table.ids[i] in data.split_matched(zeroed, 0.75, trials, split_rng).test_ids:
+                break
+        else:
+            pytest.fail("no row of the table lands in the validation set")
+        data.save(zeroed, tmp_path / "cases.csv")
+        out = tmp_path / "o"
+        assert run_cli("fit", "--input", tmp_path / "cases.csv", "--seed", seed, "--trials", trials,
+                       "--max-generations", 5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"Validation: record {table.ids[i]!r}: D must be positive" in err
+        assert not (out / "best.kexpr").exists()
+
+    def test_stage_whose_ln_displacement_sums_to_zero_rejected(self):
+        # the normalised MAE divides by the sum of ln D
+        rows = [data.CaseHistory(f"R{i}", 7.0, 0.3, 0.4, 0.6, 0.09, d)
+                for i, d in enumerate((2.0, 0.5))]
+        with pytest.raises(data.DatasetError, match="^Validation: ln D sums to zero"):
+            cli._stage_arrays("Validation", rows)
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -586,10 +623,12 @@ def test_fuzzed_cells_exit_0_or_2(text, block_rows, model, ambraseys_cm):
 
 
 def evolving_commands(tmp: Path) -> list[list[str]]:
-    """split and fit argv with few trials and a 4-chromosome, 1-generation run."""
+    """split, fit and sweep argv with few trials, a 2x2 grid and a
+    4-chromosome, 1-generation run."""
     cfg = tmp / "gep.cfg"
     cfg.write_text("number_of_chromosomes = 4\nmax_generations = 1\n", encoding="utf-8")
-    return [["split", "--trials", "5"], ["fit", "--trials", "5", "--config", str(cfg)]]
+    return [["split", "--trials", "5"], ["fit", "--trials", "5", "--config", str(cfg)],
+            ["sweep", "--genes", "1:2", "--heads", "1:2", "--config", str(cfg)]]
 
 
 def assert_exit_0_or_2(tmp: Path, message, *argvs):
@@ -621,3 +660,48 @@ def test_fuzzed_mostly_ordinary_tables_split_and_fit_exit_0_or_2(text):
         except data.DatasetError as exc:
             message = str(exc)
         assert_exit_0_or_2(Path(tmp), message, *evolving_commands(Path(tmp)))
+
+
+# small integers only, so that no drawn config asks for a large population
+CONFIG_VALUES = {
+    "int": ["-1", "0", "1", "2", "3", " 4 ", "+2", "1_0", "1.5", "nan", "inf", "x", ""],
+    "rate": ["0", "0.1", "1", "1.0", "-0.1", "1.5", "-0", "nan", "inf", "-inf", "1e-320", "x", ""],
+    "linking_function": ["+", "*", ""],
+    "function_set": ["+, -, *, /", "+,-,*,/", "+, -", "x"],
+}
+CONFIG_KEYS = ([(key, "int") for key in evolution._INT_KEYS]
+               + [(key, "rate") for key in evolution._RATE_KEYS]
+               + [("linking_function", "linking_function"), ("function_set", "function_set")]
+               + [(key, "rate") for key in ("population_size", "Mutation", "rate of mutation", "")])
+CONFIG_SEPARATORS = [" = ", "=", "\t=\t", " == ", ": ", " ", ""]
+
+
+@st.composite
+def fuzzed_config(draw) -> str:
+    """Config text of up to 5 ``key sep value`` lines after one that keeps
+    the run to 1 generation: known and unknown keys, good and bad
+    separators and values, now and then a comment or a blank line."""
+    lines = ["max_generations = 1"]
+    for _ in range(draw(st.integers(0, 5))):
+        key, kind = draw(st.sampled_from(CONFIG_KEYS))
+        separator = draw(st.sampled_from(CONFIG_SEPARATORS))
+        line = key + separator + draw(st.sampled_from(CONFIG_VALUES[kind]))
+        lines.append(draw(st.sampled_from([line, line, line, "# " + line, ""])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def small_cases(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("config_fuzz")
+    data.save(data.synthesize(data.EMBANKMENT_SUMMARY, 12, np.random.default_rng(5)),
+              tmp / "cases.csv")
+    return tmp
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=fuzzed_config())
+def test_fuzzed_config_text_exits_0_or_2(small_cases, text):
+    (small_cases / "gep.cfg").write_text(text, encoding="utf-8")
+    cfg = str(small_cases / "gep.cfg")
+    assert_exit_0_or_2(small_cases, None, ["fit", "--trials", "3", "--config", cfg],
+                       ["sweep", "--genes", "1:2", "--heads", "1:2", "--config", cfg])
