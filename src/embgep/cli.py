@@ -300,10 +300,6 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     outdir = _outdir(args)
-    if args.model not in displacement.MODEL_IDS:
-        raise ValueError(
-            f"unknown model id {args.model!r}; known: {', '.join(displacement.MODEL_IDS)}"
-        )
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
 
@@ -489,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("predict", help="run one registered relationship over a dataset")
     _add_common(p)
-    p.add_argument("--model", required=True, help=f"one of: {', '.join(displacement.MODEL_IDS)}")
+    p.add_argument("--model", required=True, choices=displacement.MODEL_IDS)
     p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.add_argument("--ambraseys-cm", action="store_true",
                    help="treat the Ambraseys-Menu value as log10 of centimeters")

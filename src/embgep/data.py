@@ -28,7 +28,7 @@ import numpy as np
 
 from .displacement import DEFAULT_POLE_EPS, POLE_PERIOD_RATIO, evaluate
 from .displacement import INVARIANTS as INPUT_INVARIANTS
-# re-exported: callers, and perfbench's per-layer tracer, bind data.gep_ln_displacement
+# re-exported only for the per-layer benchmark tracer, which binds data.gep_ln_displacement
 from .displacement import gep_ln_displacement  # noqa: F401
 
 CSV_HEADER = ("id", "Mw", "amax_g", "Tp_s", "Td_s", "ay_g", "D_m", "Tm_s", "H_m", "Vs_mps")

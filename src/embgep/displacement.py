@@ -17,8 +17,13 @@ All seven live in one model table, ``MODELS``: per relationship its scale
 tag, the inputs its formula reads, its applicability range, its domain
 rules and its formula.  ``evaluate`` runs one relationship over input
 columns and labels every row ``ok``, ``pole``, ``domain_error`` or
-``missing_input``; the scalar functions below are one-row calls of it that
-raise the matching error instead of returning a label.
+``missing_input``.  Three one-row entry points call it on a single case:
+``predict`` (a one-row ``Evaluation`` of a ``ModelInput``),
+``check_applicability`` (the worded bound violations of a ``ModelInput``)
+and ``gep_ln_displacement`` (ln D as a float, raising ``PoleError`` or
+``ModelDomainError`` instead of returning a label).  They stay for callers
+that hold one case rather than columns, and as the bindings the per-layer
+benchmark tracer wraps.
 
 The ``gep`` relationship has a pole where its period-ratio denominator
 5.55*(T_d/T_p) - 7.052 vanishes (T_d/T_p ~ 1.2706).  Inputs within
@@ -51,29 +56,6 @@ class PoleError(ValueError):
 
 class ModelDomainError(ValueError):
     """Input outside the mathematical domain of a relationship."""
-
-
-class MissingInputError(ValueError):
-    """A required input value is absent from the record."""
-
-
-@dataclass(frozen=True)
-class EmbankmentGeometry:
-    """Embankment height (m) and shear wave velocity (m/s)."""
-
-    height_m: float
-    vs_mps: float
-
-    def __post_init__(self):
-        if not self.height_m > 0:
-            raise ValueError(f"height must be positive, got {self.height_m}")
-        if not self.vs_mps > 0:
-            raise ValueError(f"shear wave velocity must be positive, got {self.vs_mps}")
-
-
-def fundamental_period(geom: EmbankmentGeometry) -> float:
-    """First natural period of the embankment, 4H/Vs."""
-    return 4.0 * geom.height_m / geom.vs_mps
 
 
 # the row invariants of a case, in the order they are checked: the field, the
@@ -123,29 +105,6 @@ _TO_METERS: dict[str, Callable[[float], float]] = {
 }
 
 
-def to_meters(value: float, scale: str) -> float:
-    """Convert a tagged displacement measure to meters."""
-    try:
-        convert = _TO_METERS[scale]
-    except KeyError:
-        raise ValueError(f"unknown scale tag {scale!r}") from None
-    try:
-        return convert(value)
-    except OverflowError:
-        return math.inf
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A displacement measure, its scale tag, the meter conversion and the
-    applicability verdict of the producing relationship."""
-
-    value: float
-    scale: str
-    in_range: bool
-    d_meters: float
-
-
 # ---------------------------------------------------------------------------
 # applicability ranges, as published
 
@@ -179,12 +138,6 @@ class ApplicabilityRange:
                 yield name, "below", lo, values[name] < lo
             if hi is not None:
                 yield name, "above", hi, values[name] > hi
-
-
-@dataclass(frozen=True)
-class Applicability:
-    ok: bool
-    violations: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -367,39 +320,34 @@ def evaluate(model_id: str, columns: dict, pole_eps: float = DEFAULT_POLE_EPS,
 
 
 # ---------------------------------------------------------------------------
-# scalar wrappers: one row through evaluate
+# one-row entry points: a single case through evaluate
 
 
-_STATUS_ERRORS = {"pole": PoleError, "domain_error": ModelDomainError,
-                  "missing_input": MissingInputError}
+def _input_columns(inp: ModelInput) -> dict[str, list[float]]:
+    """``evaluate``'s one-row columns of a case; NaN marks a missing T_m."""
+    return {"m_w": [inp.m_w], "a_max": [inp.a_max], "a_y": [inp.a_y],
+            "ay_ratio": [inp.ay_ratio], "period_ratio": [inp.period_ratio],
+            "t_m": [math.nan if inp.t_m is None else inp.t_m]}
 
 
-def _one(model_id: str, pole_eps: float = DEFAULT_POLE_EPS, ambraseys_cm: bool = False,
-         **inputs: float | None) -> Prediction:
-    """One row through ``evaluate`` (None marks a missing input); a status
-    other than ``ok`` raises its error."""
-    row = {name: math.nan if v is None else v for name, v in inputs.items()}
-    result = evaluate(model_id, {name: [v] for name, v in row.items()}, pole_eps, ambraseys_cm)
-    status = str(result.status[0])
-    if status != "ok":
-        given = ", ".join(f"{name}={v:g}" for name, v in row.items())
-        raise _STATUS_ERRORS[status](f"{model_id}: {status} at {given}")
-    return Prediction(float(result.value[0]), result.scale, bool(result.in_range[0]),
-                      float(result.d_m[0]))
+def predict(
+    model_id: str,
+    inp: ModelInput,
+    pole_eps: float = DEFAULT_POLE_EPS,
+    ambraseys_cm: bool = False,
+) -> Evaluation:
+    """Run one registered relationship on one case: a one-row ``Evaluation``
+    whose status labels a pole, domain error or missing input."""
+    return evaluate(model_id, _input_columns(inp), pole_eps, ambraseys_cm)
 
 
-def _input_row(inp: ModelInput) -> dict[str, float | None]:
-    return {"m_w": inp.m_w, "a_max": inp.a_max, "a_y": inp.a_y, "ay_ratio": inp.ay_ratio,
-            "period_ratio": inp.period_ratio, "t_m": inp.t_m}
-
-
-def check_applicability(model_id: str, inp: ModelInput) -> Applicability:
-    """Verdict listing every published bound the input violates."""
-    row = _input_row(inp)
-    violations = tuple(f"{_QUANTITY_LABELS[name]}={row[name]:g} {side} {bound:g}"
-                       for name, side, bound, beyond in _model(model_id).applicability.breaches(row)
-                       if beyond)
-    return Applicability(not violations, violations)
+def check_applicability(model_id: str, inp: ModelInput) -> tuple[str, ...]:
+    """Every published bound of the relationship that the case violates,
+    worded; empty when the case is in range."""
+    row = {name: column[0] for name, column in _input_columns(inp).items()}
+    return tuple(f"{_QUANTITY_LABELS[name]}={row[name]:g} {side} {bound:g}"
+                 for name, side, bound, beyond in _model(model_id).applicability.breaches(row)
+                 if beyond)
 
 
 def gep_ln_displacement(
@@ -414,61 +362,14 @@ def gep_ln_displacement(
     ModelDomainError for Mw = 0, non-finite inputs or any input combination
     whose value or displacement overflows; never returns a non-finite number.
     """
-    return _one("gep", pole_eps, m_w=m_w, ay_ratio=ay_ratio, period_ratio=period_ratio).value
-
-
-def hynes_griffin(ay_ratio: float, m_w: float | None = None) -> Prediction:
-    """Hynes-Griffin & Franklin (1984): log10 D (cm) from a_y/a_max."""
-    return _one("hynes_griffin", ay_ratio=ay_ratio, m_w=m_w)
-
-
-def ambraseys_menu(ay_ratio: float, m_w: float | None = None, cm_units: bool = False) -> Prediction:
-    """Ambraseys & Menu (1988): log10 D from a_y/a_max.
-
-    Tabulated with D in meters; the original publication used centimeters.
-    ``cm_units=True`` selects the original reading (same value, cm scale tag).
-    """
-    return _one("ambraseys_menu", ambraseys_cm=cm_units, ay_ratio=ay_ratio, m_w=m_w)
-
-
-def jibson(ay_ratio: float, m_w: float | None = None, a_y: float | None = None) -> Prediction:
-    """Jibson (2007): log10 D (cm) from a_y/a_max."""
-    return _one("jibson", ay_ratio=ay_ratio, m_w=m_w, a_y=a_y)
-
-
-def saygili_rathje(
-    a_max: float,
-    ay_ratio: float,
-    m_w: float | None = None,
-    a_y: float | None = None,
-) -> Prediction:
-    """Saygili & Rathje (2008): ln D (cm) from a_max and a_y/a_max."""
-    return _one("saygili_rathje", a_max=a_max, ay_ratio=ay_ratio, m_w=m_w, a_y=a_y)
-
-
-def madiai(ay_ratio: float) -> Prediction:
-    """Madiai (2009): log10 D (cm) from a_y/a_max."""
-    return _one("madiai", ay_ratio=ay_ratio)
-
-
-def tsai_chien(
-    a_max: float,
-    ay_ratio: float,
-    t_m: float,
-    m_w: float | None = None,
-) -> Prediction:
-    """Tsai & Chien (2016): ln D (cm) from a_max, a_y/a_max and mean period."""
-    return _one("tsai_chien", a_max=a_max, ay_ratio=ay_ratio, t_m=t_m, m_w=m_w)
-
-
-def predict(
-    model_id: str,
-    inp: ModelInput,
-    pole_eps: float = DEFAULT_POLE_EPS,
-    ambraseys_cm: bool = False,
-) -> Prediction:
-    """Run one registered relationship on a full input record."""
-    return _one(model_id, pole_eps, ambraseys_cm, **_input_row(inp))
+    result = evaluate("gep", {"m_w": [m_w], "ay_ratio": [ay_ratio],
+                              "period_ratio": [period_ratio]}, pole_eps)
+    status = str(result.status[0])
+    if status != "ok":
+        error = PoleError if status == "pole" else ModelDomainError
+        raise error(f"gep: {status} at m_w={m_w:g}, ay_ratio={ay_ratio:g}, "
+                    f"period_ratio={period_ratio:g}")
+    return float(result.value[0])
 
 
 # ---------------------------------------------------------------------------

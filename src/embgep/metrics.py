@@ -3,7 +3,8 @@
 ``mae_paper`` implements the normalised mean-absolute-error form exactly as
 tabulated in the source relationship, (1/N) * (sum|Yp - Ym| / sum Ym); the
 conventional mean absolute deviation is exposed separately as
-``mae_conventional`` (identical to ``bias``).  Reports carry both.
+``mae_conventional``, and ``bias`` is the signed mean error, so
+over- and under-predictions cancel in it.  Reports carry all three.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def scatter_index(pset: PredictionSet) -> float:
 
 
 def bias(pset: PredictionSet) -> float:
-    """Mean absolute difference (1/N) * sum|Yp - Ym|."""
-    return mae_conventional(pset)
+    """Signed mean error (1/N) * sum(Yp - Ym); positive when predictions run high."""
+    return float(np.mean(pset.y_predicted - pset.y_measured))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,11 @@ def test_criterion_01_gep_formula_oracle_equivalence():
     print(PASS.format(n=1, msg=f"100 grid points, worst |err| = {worst:.2e}, {elapsed:.3f}s"))
 
 
+def one_row(model_id, **inputs):
+    """The value of one row through ``displacement.evaluate``."""
+    return float(displacement.evaluate(model_id, {k: [v] for k, v in inputs.items()}).value[0])
+
+
 def test_criterion_02_baseline_oracle_equivalence():
     rng = np.random.default_rng(77)
     t0 = time.perf_counter()
@@ -81,13 +86,13 @@ def test_criterion_02_baseline_oracle_equivalence():
         a_max = float(rng.uniform(0.06, 0.9))
         t_m = float(rng.uniform(0.2, 1.2))
         pairs = (
-            (displacement.hynes_griffin(x_hg).value, oracles.hynes_griffin_exact(x_hg)),
-            (displacement.ambraseys_menu(x_mid).value, oracles.ambraseys_menu_exact(x_mid)),
-            (displacement.jibson(x_mid).value, oracles.jibson_exact(x_mid)),
-            (displacement.saygili_rathje(a_max, x_mid).value,
+            (one_row("hynes_griffin", ay_ratio=x_hg), oracles.hynes_griffin_exact(x_hg)),
+            (one_row("ambraseys_menu", ay_ratio=x_mid), oracles.ambraseys_menu_exact(x_mid)),
+            (one_row("jibson", ay_ratio=x_mid), oracles.jibson_exact(x_mid)),
+            (one_row("saygili_rathje", a_max=a_max, ay_ratio=x_mid),
              oracles.saygili_rathje_exact(a_max, x_mid)),
-            (displacement.madiai(x_md).value, oracles.madiai_exact(x_md)),
-            (displacement.tsai_chien(a_max, x_mid, t_m).value,
+            (one_row("madiai", ay_ratio=x_md), oracles.madiai_exact(x_md)),
+            (one_row("tsai_chien", a_max=a_max, ay_ratio=x_mid, t_m=t_m),
              oracles.tsai_chien_exact(a_max, x_mid, t_m)),
         )
         for got, exact in pairs:

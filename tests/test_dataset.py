@@ -127,6 +127,7 @@ BLOCK_BODIES = {
     "later_column_on_an_earlier_line": f"A,{OK_ROW}\nB,7.0,0.3,0.4,0.6,0.1,0.5,,,-2\nC,nan,0.3,0.4,0.6,0.1,0.5,,,\n",
     "non_finite_optional": f"A,{OK_ROW}\nB,7.0,0.3,0.4,inf,0.1,0.5,,,\n",
     "zero_tp": f"A,{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0,0.6,0.1,0.5,,,\n",
+    "zero_height": f"A,{OK_ROW}\nB,7.0,0.3,0.4,,0.1,0.5,,0,200\n",
     "quoted_multiline_id": f'"A\nA",{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,0.6,,0.5,,,\n',
 }
 

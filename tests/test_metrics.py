@@ -49,13 +49,13 @@ class TestMaePaper:
         # (1/2) * (|2-1| + |0-1|) / (1+1) = 0.5
         assert mae_paper(pset([1, 1], [2, 0])) == 0.5
 
-    def test_identity_with_bias(self, rng):
+    def test_identity_with_mae_conventional(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 40))
             ym = rng.uniform(0.5, 5.0, n)
             yp = ym + rng.normal(0, 1, n)
             p = pset(ym, yp)
-            assert mae_paper(p) == pytest.approx(bias(p) / float(ym.sum()), abs=1e-12)
+            assert mae_paper(p) == pytest.approx(mae_conventional(p) / float(ym.sum()), abs=1e-12)
 
     def test_zero_sum_rejected(self):
         with pytest.raises(MetricsError):
@@ -82,7 +82,8 @@ class TestRmseBiasSi:
             scatter_index(pset([1, -1], [1, -1]))
 
     def test_bias_direct(self):
-        assert bias(pset([1, 5], [2, 3])) == 1.5
+        # errors +1 and -2: signed mean -0.5
+        assert bias(pset([1, 5], [2, 3])) == -0.5
 
     def test_bias_not_above_rmse(self, rng):
         for _ in range(1000):
@@ -90,9 +91,10 @@ class TestRmseBiasSi:
             p = pset(rng.normal(0, 2, n), rng.normal(0, 2, n))
             assert bias(p) <= rmse(p) + 1e-12
 
-    def test_mae_conventional_equals_bias(self, rng):
-        p = pset(rng.normal(0, 1, 20), rng.normal(0, 1, 20))
-        assert mae_conventional(p) == bias(p)
+    def test_bias_is_signed_mean_error(self):
+        # errors +1 and -1 cancel in the bias but not in the absolute error
+        p = pset([1, 1], [2, 0])
+        assert (bias(p), mae_conventional(p)) == (0.0, 1.0)
 
 
 class TestRelativeError:
@@ -189,8 +191,8 @@ class TestReport:
         yp = ym + rng.normal(0, 0.5, 25)
         rep = metrics_report(pset(ym, yp))
         assert rep.n == 25
-        assert rep.mae_conventional == rep.bias
-        assert rep.rmse >= rep.bias
+        assert rep.bias == pytest.approx(float(np.mean(yp - ym)), abs=1e-15)
+        assert rep.rmse >= rep.mae_conventional >= abs(rep.bias)
 
     def test_shape_validation(self):
         with pytest.raises(MetricsError):
