@@ -192,8 +192,7 @@ def cmd_split(args) -> int:
 def _stage_arrays(stage: str, rows) -> tuple[np.ndarray, np.ndarray]:
     """The (X, ln D) arrays of one fit stage, checked before any evolution:
     the stage needs at least 2 rows, a positive D in each, and ln D values
-    that vary and do not sum to zero, or its R^2 and normalised metrics are
-    undefined."""
+    that vary, or its R^2 is undefined."""
     if len(rows) < 2:
         raise data.DatasetError(
             f"{stage}: the set has {len(rows)} row(s), at least 2 are needed to score it"
@@ -204,29 +203,38 @@ def _stage_arrays(stage: str, rows) -> tuple[np.ndarray, np.ndarray]:
         raise data.DatasetError(f"{stage}: {exc}") from None
     if (y == y[0]).all():
         raise data.DatasetError(f"{stage}: ln D is constant, so R^2 is undefined")
-    if y.sum() == 0.0:
-        raise data.DatasetError(f"{stage}: ln D sums to zero, so the normalised MAE is undefined")
     return X, y
 
 
 def _stage_metrics(stage: str, y, preds) -> dict:
+    """Scores of one fit stage on its rows with a finite prediction.  R^2,
+    RMSE, the conventional MAE and the bias compare ln D; the normalised
+    MAE and the scatter index compare D in metres, so their denominators
+    are positive.  Where a predicted D, or a sum of them, overflows a
+    float, those two are undefined: NaN, a blank cell."""
     finite = np.isfinite(preds)
     used = int(finite.sum())
     if used < 2:
         raise data.DatasetError(f"{stage}: model non-finite on too many rows to score")
-    report = metrics.metrics_report(metrics.PredictionSet(y[finite], preds[finite]))
-    return {
-        "stage": stage,
-        "n": len(y),
-        "n_used": used,
-        "space": "ln_D_m",
-        "r_squared": report.r_squared,
-        "mae_paper": report.mae_paper,
-        "mae_conventional": report.mae_conventional,
-        "rmse": report.rmse,
-        "scatter_index": report.scatter_index,
-        "bias": report.bias,
-    }
+    ln_d = metrics.PredictionSet(y[finite], preds[finite])
+    with np.errstate(over="ignore"):
+        d_m = metrics.PredictionSet(np.exp(ln_d.y_measured), np.exp(ln_d.y_predicted))
+        row = {
+            "stage": stage,
+            "n": len(y),
+            "n_used": used,
+            "space": "ln_D_m",
+            "r_squared": metrics.r_squared(ln_d),
+            "mae_paper": metrics.mae_paper(d_m),
+            "mae_conventional": metrics.mae_conventional(ln_d),
+            "rmse": metrics.rmse(ln_d),
+            "scatter_index": metrics.scatter_index(d_m),
+            "bias": metrics.bias(ln_d),
+        }
+    for key in ("mae_paper", "scatter_index"):
+        if not np.isfinite(row[key]):
+            row[key] = np.nan
+    return row
 
 
 def cmd_fit(args) -> int:
@@ -245,7 +253,8 @@ def cmd_fit(args) -> int:
               for stage, rows in (("Training", train), ("Validation", test), ("All data", records))}
     result = evolution.run(config, *stages["Training"], rngs.pop(0))
 
-    karva.write_kexpr(result.best, outdir / "best.kexpr")
+    best_text = karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs)
+    (outdir / "best.kexpr").write_text(best_text, encoding="utf-8")
     best = result.report.per_generation_best
     _write_csv(
         outdir / "history.csv",
@@ -254,7 +263,8 @@ def cmd_fit(args) -> int:
          result.zero_fitness_history],
     )
 
-    predicted = {stage: kernels.evaluate_chromosome_batch(result.best, X)
+    predicted = {stage: kernels.evaluate_codes(result.best_codes, result.best_pools, X,
+                                               config.num_inputs)
                  for stage, (X, _) in stages.items()}
     stage_rows = [_stage_metrics(stage, y, predicted[stage]) for stage, (_, y) in stages.items()]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
@@ -280,7 +290,8 @@ def cmd_fit(args) -> int:
     _write_json(
         outdir / "metrics.json",
         {
-            "stages": stage_rows,
+            # an undefined metric (NaN, a blank cell in metrics.csv) is null
+            "stages": [{k: None if v != v else v for k, v in row.items()} for row in stage_rows],
             "split": {"train_ids": list(split.train_ids), "test_ids": list(split.test_ids),
                       "score": split.score},
             "best_fitness": result.report.fitness,

@@ -18,16 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .karva import (
-    NUM_FUNCTIONS,
-    POOL_SIZE,
-    Chromosome,
-    alphabet,
-    chromosome_from_codes,
-    code_dtype,
-    coding_lengths,
-    tail_length,
-)
+from . import karva
+from .karva import NUM_FUNCTIONS, POOL_SIZE, alphabet, code_dtype, coding_lengths, tail_length
 from .kernels import evaluate_chromosome_batch, evaluate_codes
 
 # re-exported: perfbench's per-layer tracer binds evolution.compile_chromosome
@@ -103,15 +95,17 @@ class FitnessReport:
     per_generation_best: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Best-ever chromosome and its report, the per-generation mean fitness,
-    and ``evaluations``, the number of chromosomes actually evaluated (a
-    chromosome whose canonical key was already scored is not).  The
-    per-generation counters hold, for each generation after the initial
-    population, the chromosomes evaluated and those of fitness 0."""
+    """Best-ever chromosome as its ``(G, L)`` code rows and ``(G, 10)`` pools,
+    its report, the per-generation mean fitness, and ``evaluations``, the
+    number of chromosomes actually evaluated (a chromosome whose canonical
+    key was already scored is not).  The per-generation counters hold, for
+    each generation after the initial population, the chromosomes evaluated
+    and those of fitness 0."""
 
-    best: Chromosome
+    best_codes: np.ndarray
+    best_pools: np.ndarray
     report: FitnessReport
     mean_history: tuple[float, ...]
     evaluations: int
@@ -135,8 +129,8 @@ class Population:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, p: int) -> Chromosome:
-        return chromosome_from_codes(self.codes[p], self.constants[p], self.num_inputs)
+    def __getitem__(self, p: int) -> karva.Chromosome:
+        return karva.chromosome_from_codes(self.codes[p], self.constants[p], self.num_inputs)
 
     def __iter__(self):
         return (self[p] for p in range(len(self)))
@@ -167,7 +161,7 @@ def _report(preds, y) -> FitnessReport:
     return FitnessReport(1000.0 / (1.0 + rmse), rmse)
 
 
-def fitness(chrom: Chromosome, X, y) -> FitnessReport:
+def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
     """RMSE-based fitness; any non-finite prediction forces fitness 0."""
     X, y = _as_dataset(X, y)
     return _report(evaluate_chromosome_batch(chrom, X), y)
@@ -437,7 +431,8 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     reports, cache, evaluations = _evaluate_population(pop, X, y, None)
     fits = np.array([r.fitness for r in reports])
     best_i = int(np.argmax(fits))
-    best_chrom, best_rep = pop[best_i], reports[best_i]
+    best_codes, best_pools = pop.codes[best_i], pop.constants[best_i]
+    best_rep = reports[best_i]
 
     best_history: list[float] = []
     mean_history: list[float] = []
@@ -461,13 +456,14 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
         evaluation_history.append(count)
         zero_history.append(int(np.count_nonzero(fits == 0.0)))
         if reports[gen_i].fitness > best_rep.fitness:
-            best_chrom, best_rep = pop[gen_i], reports[gen_i]
+            best_codes, best_pools = pop.codes[gen_i], pop.constants[gen_i]
+            best_rep = reports[gen_i]
             stagnant = 0
         else:
             stagnant += 1
 
     report = replace(best_rep, per_generation_best=tuple(best_history))
-    return RunResult(best_chrom, report, tuple(mean_history), evaluations,
+    return RunResult(best_codes, best_pools, report, tuple(mean_history), evaluations,
                      tuple(evaluation_history), tuple(zero_history))
 
 

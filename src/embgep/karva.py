@@ -6,14 +6,16 @@ length is tied to the head length by ``tail = head + 1``, which guarantees
 that breadth-first decoding of any gene always terminates inside the string.
 A chromosome is a tuple of genes combined by addition.
 
-Text serialisation: one gene per line, space-separated symbol tokens
-(``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
-constants.  See ``chromosome_to_text`` / ``chromosome_from_text``.
-
 Array form: the search loop holds genes as rows of integer symbol codes,
 a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
 then inputs, then pool constants), plus one row of pool constants each.
-``chromosome_from_codes`` / ``chromosome_codes`` convert between the two.
+``chromosome_from_codes`` / ``chromosome_codes`` convert between the array
+form and the ``Gene``/``Chromosome`` objects of the reference decoder.
+
+Text form (K-expression): one gene per line, space-separated symbol tokens
+(``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
+constants.  ``kexpr_text`` / ``kexpr_codes`` write and read it straight from
+and into code rows.
 """
 
 from __future__ import annotations
@@ -148,54 +150,6 @@ class Chromosome:
 
 
 @dataclass(frozen=True)
-class Validity:
-    """Verdict of structural gene validation; ``position`` locates the first offence."""
-
-    ok: bool
-    reason: str | None = None
-    section: str | None = None
-    position: int | None = None
-
-
-def validate(gene: Gene, num_inputs: int | None = None) -> Validity:
-    """Check tail-terminal closure, the head/tail length tie and index bounds."""
-    expected_tail = tail_length(max(len(gene.head), 1))
-    if len(gene.head) < 1:
-        return Validity(False, "empty head", "head", 0)
-    if len(gene.tail) != expected_tail:
-        return Validity(
-            False,
-            f"tail length {len(gene.tail)} != head*(arity-1)+1 = {expected_tail}",
-            "tail",
-            None,
-        )
-    for i, sym in enumerate(gene.tail):
-        if not sym.is_terminal:
-            return Validity(False, f"function {sym.token!r} in tail", "tail", i)
-    if len(gene.constants) != POOL_SIZE:
-        return Validity(
-            False, f"constant pool has {len(gene.constants)} entries, expected {POOL_SIZE}",
-            "constants", None,
-        )
-    for i, sym in enumerate(gene.symbols):
-        if sym.kind == KIND_CONST and not 0 <= sym.index < POOL_SIZE:
-            section = "head" if i < len(gene.head) else "tail"
-            return Validity(False, f"constant index {sym.index} out of pool", section, i)
-        if num_inputs is not None and sym.kind == KIND_INPUT and not 0 <= sym.index < num_inputs:
-            section = "head" if i < len(gene.head) else "tail"
-            return Validity(False, f"input index {sym.index} >= {num_inputs}", section, i)
-    return Validity(True)
-
-
-def validate_chromosome(chrom: Chromosome, num_inputs: int | None = None) -> Validity:
-    for gene in chrom.genes:
-        verdict = validate(gene, num_inputs)
-        if not verdict.ok:
-            return verdict
-    return Validity(True)
-
-
-@dataclass(frozen=True)
 class Node:
     """Expression-tree node; functions carry exactly two children."""
 
@@ -225,7 +179,7 @@ def coding_children(functions) -> list[tuple[int, int] | None]:
             children.append(None)
         else:
             if next_free + MAX_ARITY > len(functions):
-                raise ValueError("gene too short to decode; did it pass validate()?")
+                raise ValueError("gene too short to decode: a function in its tail?")
             children.append((next_free, next_free + 1))
             next_free += MAX_ARITY
         i += 1
@@ -356,43 +310,65 @@ def chromosome_codes(chrom: Chromosome, num_inputs: int) -> tuple[np.ndarray, np
             np.array([gene.constants for gene in chrom.genes], dtype=np.float64))
 
 
-def gene_to_text(gene: Gene) -> str:
-    tokens = " ".join(sym.token for sym in gene.symbols)
-    consts = " ".join(repr(c) for c in gene.constants)
-    return f"{tokens} | {consts}"
+def kexpr_text(codes: np.ndarray, pools: np.ndarray, num_inputs: int) -> str:
+    """K-expression text of ``(G, L)`` code rows over ``alphabet(num_inputs)``
+    and their ``(G, 10)`` pools: one line per gene."""
+    tokens = [sym.token for sym in alphabet(num_inputs)]
+    return "".join(
+        " ".join(tokens[c] for c in row) + " | " + " ".join(map(repr, pool)) + "\n"
+        for row, pool in zip(codes.tolist(), pools.tolist())
+    )
 
 
-def gene_from_text(line: str) -> Gene:
-    if "|" not in line:
-        raise KExprError("gene line is missing the '|' constant separator")
-    sym_part, _, const_part = line.partition("|")
-    symbols = tuple(parse_symbol(tok) for tok in sym_part.split())
-    constants = tuple(float(tok) for tok in const_part.split())
-    if len(constants) != POOL_SIZE:
-        raise KExprError(f"expected {POOL_SIZE} pool constants, got {len(constants)}")
-    n = len(symbols)
-    if n < 3 or n % 2 == 0:
-        raise KExprError(f"gene length {n} is not 2*head+1 for any head >= 1")
-    head_len = (n - 1) // 2
-    return Gene(symbols[:head_len], symbols[head_len:], constants)
+def kexpr_codes(text: str, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``kexpr_text``: the code rows and pools of K-expression text.
 
-
-def chromosome_to_text(chrom: Chromosome) -> str:
-    return "\n".join(gene_to_text(g) for g in chrom.genes) + "\n"
-
-
-def chromosome_from_text(text: str) -> Chromosome:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise KExprError("empty K-expression text")
-    return Chromosome(tuple(gene_from_text(line) for line in lines))
-
-
-def write_kexpr(chrom: Chromosome, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(chromosome_to_text(chrom))
-
-
-def read_kexpr(path) -> Chromosome:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chromosome_from_text(fh.read())
+    Blank lines are skipped.  Raises ``KExprError``, naming the line and the
+    position, for a missing ``|``, an unknown token, an input ``d<i>`` with
+    ``i >= num_inputs``, a function in the tail, a gene length that is not
+    ``2 * head + 1`` for a head >= 1 or differs from the first gene's, and a
+    pool that is not 10 finite numbers.
+    """
+    codes, pools = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if "|" not in line:
+            raise KExprError(f"line {lineno}: missing the '|' before the pool constants")
+        sym_part, _, const_part = line.partition("|")
+        tokens = sym_part.split()
+        if len(tokens) < 3 or len(tokens) % 2 == 0:
+            raise KExprError(f"line {lineno}: gene length {len(tokens)} is not 2*head+1 "
+                             f"for any head >= 1")
+        if codes and len(tokens) != len(codes[0]):
+            raise KExprError(f"line {lineno}: gene length {len(tokens)} differs from "
+                             f"the first gene's {len(codes[0])}")
+        row = []
+        for pos, token in enumerate(tokens):
+            where = f"line {lineno}, position {pos}"
+            try:
+                sym = parse_symbol(token)
+            except KExprError as exc:
+                raise KExprError(f"{where}: {exc}") from None
+            if sym.kind == KIND_INPUT and sym.index >= num_inputs:
+                raise KExprError(f"{where}: input {token} but only {num_inputs} input(s)")
+            code = symbol_code(sym, num_inputs)
+            if code < NUM_FUNCTIONS and pos >= len(tokens) // 2:
+                raise KExprError(f"{where}: function {token!r} in the tail")
+            row.append(code)
+        pool = const_part.split()
+        if len(pool) != POOL_SIZE:
+            raise KExprError(f"line {lineno}: expected {POOL_SIZE} pool constants, got {len(pool)}")
+        for slot, token in enumerate(pool):
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise KExprError(f"line {lineno}, constant {slot}: {token!r} is not a finite number")
+            pool[slot] = value
+        codes.append(row)
+        pools.append(pool)
+    if not codes:
+        raise KExprError("empty K-expression text: no gene line")
+    return np.array(codes, dtype=code_dtype(num_inputs)), np.array(pools, dtype=np.float64)

@@ -1,10 +1,13 @@
 """Accuracy measures for prediction sets.
 
 ``mae_paper`` implements the normalised mean-absolute-error form exactly as
-tabulated in the source relationship, (1/N) * (sum|Yp - Ym| / sum Ym); the
+tabulated in the source relationship, (1/N) * (sum|Yp - Ym| / sum Ym), and
+``scatter_index`` divides the RMSE by the mean of Ym; both are defined only
+for a positive sum of Ym, as for displacements in metres (not their
+logarithms, which are mostly negative).  The
 conventional mean absolute deviation is exposed separately as
 ``mae_conventional``, and ``bias`` is the signed mean error, so
-over- and under-predictions cancel in it.  Reports carry all three.
+over- and under-predictions cancel in it.
 """
 
 from __future__ import annotations
@@ -57,10 +60,12 @@ def r_squared(pset: PredictionSet) -> float:
 
 
 def mae_paper(pset: PredictionSet) -> float:
-    """(1/N) * (sum|Yp - Ym| / sum Ym), exactly as tabulated."""
+    """(1/N) * (sum|Yp - Ym| / sum Ym), exactly as tabulated; defined for a
+    positive sum of measured values, such as displacements in metres."""
     total_measured = float(np.sum(pset.y_measured))
-    if total_measured == 0.0:
-        raise MetricsError("normalised MAE undefined: measured values sum to zero")
+    if not total_measured > 0.0:
+        raise MetricsError(f"normalised MAE undefined: measured values sum to {total_measured!r}, "
+                           "not a positive number")
     return float(np.sum(np.abs(pset.y_predicted - pset.y_measured))) / pset.n / total_measured
 
 
@@ -74,39 +79,17 @@ def rmse(pset: PredictionSet) -> float:
 
 
 def scatter_index(pset: PredictionSet) -> float:
-    """RMSE normalised by the mean measured value."""
+    """RMSE normalised by the mean measured value, which must be positive."""
     mean = pset.mean_measured
-    if mean == 0.0:
-        raise MetricsError("scatter index undefined: mean measured value is zero")
+    if not mean > 0.0:
+        raise MetricsError(f"scatter index undefined: mean measured value is {mean!r}, "
+                           "not a positive number")
     return rmse(pset) / mean
 
 
 def bias(pset: PredictionSet) -> float:
     """Signed mean error (1/N) * sum(Yp - Ym); positive when predictions run high."""
     return float(np.mean(pset.y_predicted - pset.y_measured))
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    n: int
-    r_squared: float
-    mae_paper: float
-    mae_conventional: float
-    rmse: float
-    scatter_index: float
-    bias: float
-
-
-def metrics_report(pset: PredictionSet) -> MetricsReport:
-    return MetricsReport(
-        n=pset.n,
-        r_squared=r_squared(pset),
-        mae_paper=mae_paper(pset),
-        mae_conventional=mae_conventional(pset),
-        rmse=rmse(pset),
-        scatter_index=scatter_index(pset),
-        bias=bias(pset),
-    )
 
 
 def relative_error(d_measured, d_predicted):

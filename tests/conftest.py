@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from embgep import data, evolution
+from embgep import data, evolution, karva
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,16 @@ def random_chromosome(rng, num_genes=4, head_size=7, num_inputs=3):
         num_chromosomes=2, head_size=head_size, num_genes=num_genes, num_inputs=num_inputs
     )
     return evolution.initialize(config, rng)[0]
+
+
+def assert_sound_codes(codes, pools, num_inputs):
+    """The structural rules of a gene, checked on code rows ``(..., G, L)``
+    and their pools: a gene length 2 * head + 1 >= 3, every code naming a
+    symbol of ``alphabet(num_inputs)``, only terminals in the tail, and 10
+    finite pool constants per gene."""
+    length = codes.shape[-1]
+    assert length >= 3 and length % 2 == 1
+    assert codes.min() >= 0 and (codes < len(karva.alphabet(num_inputs))).all()
+    assert (codes[..., length // 2:] >= karva.NUM_FUNCTIONS).all()
+    assert pools.shape == codes.shape[:-1] + (karva.POOL_SIZE,)
+    assert np.isfinite(pools).all()

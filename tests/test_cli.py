@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from embgep import cli, data, displacement, evolution, karva, metrics
+from embgep import cli, data, displacement, evolution, karva, kernels, metrics
 from embgep.cli import main
 from references import reference_load
 
@@ -148,8 +148,9 @@ class TestFit:
         code = run_cli("fit", "--synth", 40, "--seed", 2, "--max-generations", 8,
                        "--trials", 20, "--out", out)
         assert code == 0
-        best = karva.read_kexpr(out / "best.kexpr")
-        assert karva.validate_chromosome(best, 3).ok
+        # the reader enforces every structural rule of a gene
+        codes, pools = karva.kexpr_codes((out / "best.kexpr").read_text(encoding="utf-8"), 3)
+        assert codes.shape == (4, 15) and pools.shape == (4, 10)
         hist = read_rows(out / "history.csv")
         assert len(hist) <= 8
         fits = [float(r["best_fitness"]) for r in hist]
@@ -181,6 +182,24 @@ class TestFit:
         assert total == initial + sum(int(r["evaluations"]) for r in hist)
         assert all(0 <= int(r["zero_fitness"]) <= evolution.GepConfig().num_chromosomes
                    for r in hist)
+
+    def test_fit_builds_no_gene_or_chromosome(self, tmp_path, monkeypatch):
+        # fit evolves, writes and scores the best chromosome as code rows
+        built = []
+        for cls in (karva.Gene, karva.Chromosome):
+            def counted(obj, post_init=cls.__post_init__):
+                built.append(type(obj).__name__)
+                post_init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        out = tmp_path / "o"
+        assert run_cli("fit", "--synth", 40, "--seed", 2, "--max-generations", 20,
+                       "--trials", 20, "--out", out) == 0
+        assert built == []
+        # the counters see a view when one is built
+        text = (out / "best.kexpr").read_text(encoding="utf-8")
+        karva.chromosome_from_codes(*karva.kexpr_codes(text, 3), 3)
+        assert built == ["Gene"] * 4 + ["Chromosome"]
 
     def test_fit_zero_generations_reports_initial_best(self, tmp_path):
         out = tmp_path / "o"
@@ -251,12 +270,58 @@ class TestFit:
         assert f"Validation: record {table.ids[i]!r}: D must be positive" in err
         assert not (out / "best.kexpr").exists()
 
-    def test_stage_whose_ln_displacement_sums_to_zero_rejected(self):
-        # the normalised MAE divides by the sum of ln D
+    def test_stage_whose_ln_displacement_sums_to_zero_accepted(self):
+        # the normalised metrics divide by the sum or mean of D in metres,
+        # which is positive, not by those of ln D
         rows = [data.CaseHistory(f"R{i}", 7.0, 0.3, 0.4, 0.6, 0.09, d)
                 for i, d in enumerate((2.0, 0.5))]
-        with pytest.raises(data.DatasetError, match="^Validation: ln D sums to zero"):
-            cli._stage_arrays("Validation", rows)
+        X, y = cli._stage_arrays("Validation", rows)
+        assert y.sum() == 0.0
+        scores = cli._stage_metrics("Validation", y, y + math.log(2.0))  # predicts 2 D
+        assert scores["mae_paper"] == pytest.approx((2.0 + 0.5) / 2 / 2.5, rel=1e-12)
+        assert scores["scatter_index"] == pytest.approx(math.sqrt((4.0 + 0.25) / 2) / 1.25,
+                                                        rel=1e-12)
+
+    def test_normalised_metrics_scored_on_d_in_metres(self, tmp_path):
+        # scored on ln D, which is mostly negative, both came out negative
+        out = tmp_path / "o"
+        assert run_cli("fit", "--synth", 85, "--seed", 3, "--max-generations", 10,
+                       "--trials", 20, "--out", out) == 0
+        X, ln_d = data.regression_arrays(data.load(out / "synthetic_input.csv"))
+        codes, pools = karva.kexpr_codes((out / "best.kexpr").read_text(encoding="utf-8"), 3)
+        d, d_pred = np.exp(ln_d), np.exp(kernels.evaluate_codes(codes, pools, X, 3))
+        rows = {row["stage"]: row for row in read_rows(out / "metrics.csv")}
+        assert all(float(row["mae_paper"]) > 0.0 and float(row["scatter_index"]) > 0.0
+                   for row in rows.values())
+        assert rows["All data"]["n_used"] == "85"
+        assert float(rows["All data"]["mae_paper"]) == pytest.approx(
+            np.abs(d_pred - d).sum() / len(d) / d.sum(), rel=1e-12)
+        assert float(rows["All data"]["scatter_index"]) == pytest.approx(
+            np.sqrt(np.mean((d_pred - d) ** 2)) / d.mean(), rel=1e-12)
+
+    def test_overflowing_predicted_displacement_blanks_normalised_metrics(self, tmp_path,
+                                                                          monkeypatch, capsys):
+        # ln D = 800 is a finite prediction, but D = e^800 m overflows a float
+        evaluate_codes = kernels.evaluate_codes
+
+        def first_row_huge(*args):
+            preds = evaluate_codes(*args)
+            preds[0] = 800.0
+            return preds
+
+        monkeypatch.setattr(kernels, "evaluate_codes", first_row_huge)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--synth", 40, "--seed", 2, "--max-generations", 3,
+                           "--trials", 20, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        stages = json.loads((out / "metrics.json").read_text())["stages"]
+        for row, stage in zip(read_rows(out / "metrics.csv"), stages):
+            assert row["mae_paper"] == row["scatter_index"] == ""
+            assert stage["mae_paper"] is None and stage["scatter_index"] is None
+            for col in ("r_squared", "mae_conventional", "rmse", "bias"):
+                assert math.isfinite(float(row[col])) and stage[col] == float(row[col])
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_chromosome
+from conftest import assert_sound_codes, random_chromosome
 from embgep import evolution, karva
 from embgep.evolution import (
     ConfigError,
@@ -80,7 +80,7 @@ class TestInitialize:
     def test_all_valid(self):
         config = GepConfig(num_inputs=3)
         pop = initialize(config, np.random.default_rng(0))
-        assert all(karva.validate_chromosome(c, 3).ok for c in pop)
+        assert_sound_codes(pop.codes, pop.constants, 3)
 
     def test_published_defaults_geometry(self):
         config = GepConfig()
@@ -141,8 +141,8 @@ class TestOperators:
         rng = np.random.default_rng(9)
         pop = initialize(config, rng)
         out = apply_operators(pop, config, rng)
+        assert_sound_codes(out.codes, out.constants, 2)
         for chrom in out:
-            assert karva.validate_chromosome(chrom, 2).ok
             for gene in chrom.genes:
                 assert all(s.is_terminal for s in gene.tail)
 
@@ -152,10 +152,10 @@ class TestOperators:
         pop = initialize(config, rng)
         for _ in range(50):
             pop = apply_operators(pop, config, rng)
+            assert_sound_codes(pop.codes, pop.constants, 3)
             for chrom in pop:
                 assert len(chrom.genes) == 4
                 assert all(g.length == 15 for g in chrom.genes)
-                assert karva.validate_chromosome(chrom, 3).ok
 
     def test_recombination_conserves_symbol_multiset(self, rng):
         for rate_name in ("one_point_recombination", "two_point_recombination",
@@ -270,7 +270,8 @@ class TestRun:
         config = GepConfig(num_inputs=1, max_generations=25, rng_seed=21)
         r1 = run(config, X, X[:, 0] + 1.0)
         r2 = run(config, X, X[:, 0] + 1.0)
-        assert r1.best == r2.best
+        assert np.array_equal(r1.best_codes, r2.best_codes)
+        assert r1.best_pools.tobytes() == r2.best_pools.tobytes()
         assert r1.report == r2.report
         assert r1.mean_history == r2.mean_history
 
@@ -290,36 +291,12 @@ class TestRun:
 
         monkeypatch.setattr(evolution, "_evaluate_population", every_chromosome)
         plain = run(config, X, y)
-        assert karva.chromosome_to_text(cached.best) == karva.chromosome_to_text(plain.best)
+        assert np.array_equal(cached.best_codes, plain.best_codes)
+        assert cached.best_pools.tobytes() == plain.best_pools.tobytes()
         assert cached.report == plain.report
         assert cached.mean_history == plain.mean_history
         assert plain.evaluations == 20 * (len(plain.report.per_generation_best) + 1)
         assert 0 < cached.evaluations < plain.evaluations
-
-    def test_views_only_for_the_best_ever(self, monkeypatch):
-        # the loop scores code rows; a Chromosome view is built for the
-        # initial best and for each best-ever improvement only
-        X = np.linspace(0.5, 2.0, 25).reshape(-1, 1)
-        y = X[:, 0] ** 2 + 1.0
-        config = GepConfig(num_chromosomes=20, num_inputs=1, max_generations=60,
-                           stagnation_limit=60, rng_seed=4)
-        pop = initialize(config, np.random.default_rng(4))
-        best = max(fitness(c, X, y).fitness for c in pop)
-        improvements = 0
-        for fit in run(config, X, y).report.per_generation_best:
-            improvements += fit > best
-            best = max(best, fit)
-        assert improvements > 0
-
-        views = []
-
-        def counted(*args):
-            views.append(args)
-            return karva.chromosome_from_codes(*args)
-
-        monkeypatch.setattr(evolution, "chromosome_from_codes", counted)
-        result = run(config, X, y)
-        assert len(views) == 1 + improvements < result.evaluations
 
     def test_copies_of_scored_chromosomes_are_not_evaluated(self):
         # no operator fires, so every later generation holds copies of

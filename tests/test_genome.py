@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_sound_codes
 from embgep import karva, kernels
 from embgep.evolution import (
     GepConfig,
@@ -42,9 +43,20 @@ def code_arrays(draw, max_genes=4, max_head=12):
 @given(code_arrays())
 def test_view_round_trip_is_identity(arrays):
     num_inputs, codes, pools = arrays
+    assert_sound_codes(codes, pools, num_inputs)
     chrom = karva.chromosome_from_codes(codes, pools, num_inputs)
-    assert karva.validate_chromosome(chrom, num_inputs).ok
     back_codes, back_pools = karva.chromosome_codes(chrom, num_inputs)
+    assert back_codes.dtype == codes.dtype
+    assert np.array_equal(back_codes, codes)
+    assert back_pools.tobytes() == pools.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_arrays())
+def test_kexpr_round_trip_is_identity(arrays):
+    num_inputs, codes, pools = arrays
+    text = karva.kexpr_text(codes, pools, num_inputs)
+    back_codes, back_pools = karva.kexpr_codes(text, num_inputs)
     assert back_codes.dtype == codes.dtype
     assert np.array_equal(back_codes, codes)
     assert back_pools.tobytes() == pools.tobytes()
@@ -134,5 +146,5 @@ def test_every_operator_at_rate_one_keeps_the_genome_sound(drawn):
         assert (out.codes < len(karva.alphabet(config.num_inputs))).all()
         assert (out.codes[:, :, config.head_size:] >= karva.NUM_FUNCTIONS).all(), name
         assert np.isfinite(out.constants).all()
-        assert all(karva.validate_chromosome(c, config.num_inputs).ok for c in out)
+        assert_sound_codes(out.codes, out.constants, config.num_inputs)
         pop = out

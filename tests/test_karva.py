@@ -11,20 +11,22 @@ from embgep.karva import (
     Chromosome,
     Gene,
     KExprError,
-    chromosome_from_text,
-    chromosome_to_text,
+    chromosome_codes,
+    chromosome_from_codes,
     constant_symbol,
     decode,
     evaluate_chromosome,
     evaluate_tree,
     function_symbol,
     input_symbol,
+    kexpr_codes,
+    kexpr_text,
     parse_symbol,
     tail_length,
-    validate,
 )
 
 POOL = tuple(float(i) for i in range(10))
+POOL_TEXT = " ".join(map(repr, POOL))
 
 
 def gene_from_tokens(tokens, head_len, constants=POOL):
@@ -48,39 +50,36 @@ class TestTailLength:
             tail_length(head, arity)
 
 
+def gene_line(tokens, pool_text=POOL_TEXT):
+    return f"{tokens} | {pool_text}"
+
+
 class TestValidate:
+    """The structural rules of a gene, which the reader enforces."""
+
     def test_function_in_tail_reports_position(self):
-        gene = gene_from_tokens("+ d0 d1 - d0 d1 d0".split(), head_len=3)
-        verdict = validate(gene)
-        assert not verdict.ok
-        assert verdict.section == "tail"
-        assert verdict.position == 0
+        with pytest.raises(KExprError, match=r"^line 1, position 3: function '-' in the tail"):
+            kexpr_codes(gene_line("+ d0 d1 - d0 d1 d0"), 2)
 
     def test_valid_published_geometry(self):
-        tokens = "+ - * / d0 d1 d2".split() + ["d0"] * 8
-        gene = gene_from_tokens(tokens, head_len=7)
-        assert validate(gene).ok
+        codes, pools = kexpr_codes(gene_line("+ - * / d0 d1 d2 " + "d0 " * 8), 3)
+        assert codes.shape == (1, 7 + tail_length(7)) and pools.shape == (1, 10)
+        assert codes.dtype == karva.code_dtype(3)
 
     def test_tail_length_mismatch(self):
-        gene = Gene(
-            (function_symbol("+"), input_symbol(0)),
-            (input_symbol(0), input_symbol(1)),  # needs 3
-            POOL,
-        )
-        verdict = validate(gene)
-        assert not verdict.ok
-        assert "tail length" in verdict.reason
+        # head 2 needs a tail of 3: a 4-symbol gene has no head/tail split
+        with pytest.raises(KExprError, match=r"^line 1: gene length 4 is not 2\*head\+1"):
+            kexpr_codes(gene_line("+ d0 d0 d1"), 2)
 
     def test_input_index_bound(self):
-        gene = gene_from_tokens("+ d0 d5 d0 d1".split(), head_len=2)
-        assert validate(gene).ok
-        assert not validate(gene, num_inputs=3).ok
+        line = gene_line("+ d0 d5 d0 d1")
+        assert kexpr_codes(line, 6)[0].tolist() == [[0, 4, 9, 4, 5]]
+        with pytest.raises(KExprError, match=r"^line 1, position 2: input d5 but only 3 input"):
+            kexpr_codes(line, 3)
 
     def test_short_constant_pool(self):
-        gene = Gene((input_symbol(0),), (input_symbol(0), input_symbol(0)), (1.0, 2.0))
-        verdict = validate(gene)
-        assert not verdict.ok
-        assert verdict.section == "constants"
+        with pytest.raises(KExprError, match=r"^line 1: expected 10 pool constants, got 2"):
+            kexpr_codes(gene_line("d0 d0 d0", "1.0 2.0"), 1)
 
 
 class TestDecode:
@@ -113,7 +112,8 @@ class TestDecode:
         for head in itertools.product(head_alphabet, repeat=2):
             for tail in itertools.product(tail_alphabet, repeat=3):
                 gene = gene_from_tokens(list(head) + list(tail), head_len=2)
-                assert validate(gene, num_inputs=2).ok
+                codes, pools = kexpr_codes(gene_line(" ".join(head + tail)), 2)
+                assert chromosome_from_codes(codes, pools, 2) == Chromosome((gene,))
                 consumed = karva.consumed_length(gene)
                 assert consumed <= gene.length
                 tree = decode(gene)
@@ -131,10 +131,9 @@ class TestDecode:
         # equivalence against the closed-form relationship
         chrom = oracles.build_gep_formula_chromosome()
         for gene in chrom.genes:
-            assert validate(gene, num_inputs=3).ok
             assert decode(gene) == decode(gene)
-        text = chromosome_to_text(chrom)
-        again = chromosome_from_text(text)
+        text = kexpr_text(*chromosome_codes(chrom, 3), 3)
+        again = chromosome_from_codes(*kexpr_codes(text, 3), 3)
         assert again == chrom
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -197,26 +196,47 @@ class TestSerialization:
     def test_round_trip_random(self, rng):
         for _ in range(25):
             chrom = random_chromosome(rng)
-            assert chromosome_from_text(chromosome_to_text(chrom)) == chrom
+            codes, pools = chromosome_codes(chrom, 3)
+            text = kexpr_text(codes, pools, 3)
+            back_codes, back_pools = kexpr_codes(text, 3)
+            assert np.array_equal(back_codes, codes) and back_pools.tobytes() == pools.tobytes()
+            assert kexpr_text(back_codes, back_pools, 3) == text
 
     def test_rejects_even_length(self):
-        with pytest.raises(KExprError):
-            chromosome_from_text("+ d0 d0 d0 | " + " ".join(["0.0"] * 10))
+        with pytest.raises(KExprError, match="^line 1: gene length 4"):
+            kexpr_codes(gene_line("+ d0 d0 d0"), 1)
 
     def test_rejects_bad_token(self):
-        with pytest.raises(KExprError):
-            chromosome_from_text("q d0 d0 | " + " ".join(["0.0"] * 10))
+        with pytest.raises(KExprError, match="^line 1, position 0: unknown symbol token 'q'"):
+            kexpr_codes(gene_line("q d0 d0"), 1)
 
     def test_rejects_wrong_pool_size(self):
-        with pytest.raises(KExprError):
-            chromosome_from_text("+ d0 d0 d0 d0 | 1.0 2.0")
+        with pytest.raises(KExprError, match="^line 1: expected 10 pool constants, got 2"):
+            kexpr_codes(gene_line("+ d0 d0 d0 d0", "1.0 2.0"), 1)
 
     def test_rejects_empty(self):
-        with pytest.raises(KExprError):
-            chromosome_from_text("\n\n")
+        for text in ("", "\n\n", "  \n"):
+            with pytest.raises(KExprError, match="empty K-expression text"):
+                kexpr_codes(text, 3)
 
     def test_mixed_gene_lengths_rejected(self):
-        g1 = "d0 d0 d0 | " + " ".join(["0.0"] * 10)
-        g2 = "+ d0 d0 d0 d0 | " + " ".join(["0.0"] * 10)
-        with pytest.raises(ValueError):
-            chromosome_from_text(g1 + "\n" + g2)
+        text = gene_line("d0 d0 d0") + "\n" + gene_line("+ d0 d0 d0 d0")
+        with pytest.raises(KExprError, match="^line 2: gene length 5 differs from the first gene's 3"):
+            kexpr_codes(text, 1)
+
+    # each line below is wrong in one way; a good gene and a blank line come
+    # first, so the error must name line 3
+    @pytest.mark.parametrize("bad,message", [
+        (gene_line("+ d0 * d1 d2"), "line 3, position 2: function '\\*' in the tail"),
+        (gene_line("+ d0 d3 d0 d1"), "line 3, position 2: input d3 but only 3 input"),
+        (gene_line("+ d0 d1 d2 d0 d1 d2"), "line 3: gene length 7 differs"),
+        (gene_line("+ d0 d1 d2 d0", "1.0 x " + "0.0 " * 8), "line 3, constant 1: 'x' is not"),
+        (gene_line("+ d0 d1 d2 d0", "nan " + "0.0 " * 9), "line 3, constant 0: 'nan' is not"),
+        ("+ d0 d1 d2 d0 " + POOL_TEXT, "line 3: missing the '\\|'"),
+        (gene_line("+ d0 c10 d2 d0"), "line 3, position 2: constant index 10 outside pool"),
+    ])
+    def test_reader_names_the_offending_line(self, bad, message):
+        good = gene_line("- d1 c9 d2 d0")
+        with pytest.raises(KExprError, match="^" + message):
+            kexpr_codes(f"{good}\n\n{bad}\n", 3)
+        assert kexpr_codes(good, 3)[0].tolist() == [[1, 5, 16, 6, 4]]

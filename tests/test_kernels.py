@@ -1,13 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_chromosome
-from embgep import karva, kernels
-from embgep.evolution import Population, canonical_keys
+from embgep import data, displacement, karva, kernels
+from embgep.evolution import Population, _evaluate_population, canonical_keys
 from embgep.karva import Chromosome, Gene, parse_symbol
 
 POOL = tuple(float(i) for i in range(10))
@@ -167,3 +169,45 @@ def test_batch_matches_oracle_property(chrom, X):
             assert math.isnan(batch[r])
         else:
             assert batch[r] == scalar
+
+
+# The published gep relationship planted in the engine's own search space: a
+# 4-gene, head-7 chromosome (the published default geometry), one term per
+# gene over d0 = Mw, d1 = ay/amax, d2 = Td/Tp.  Gene 1 is written as
+# 6.524 / (x^4 + 7.864 / Mw), the published first term divided through by Mw.
+PLANTED = Path(__file__).resolve().parent / "fixtures" / "gep_planted.kexpr"
+
+
+def planted():
+    return karva.kexpr_codes(PLANTED.read_text(encoding="utf-8"), 3)
+
+
+def test_planted_relationship_matches_the_exact_oracle_up_to_the_pole():
+    codes, pools = planted()
+    assert codes.shape == (4, 15)
+    assert karva.kexpr_text(codes, pools, 3) == PLANTED.read_text(encoding="utf-8")
+    pole, eps = displacement.POLE_PERIOD_RATIO, displacement.DEFAULT_POLE_EPS
+    near = eps * np.array([1.0, 1.5, 2.0, 5.0, 10.0, 100.0, 1000.0])
+    ratios = np.concatenate((pole - near, pole + near, np.linspace(0.2, 4.0, 21)))
+    grid = np.meshgrid(np.linspace(4.9, 8.3, 7), np.linspace(0.02, 1.0, 7), ratios,
+                       indexing="ij")
+    X = np.column_stack([axis.ravel() for axis in grid])
+    got = kernels.evaluate_codes(codes, pools, X, 3)
+    for row, value in zip(X.tolist(), got.tolist()):
+        exact = float(oracles.gep_formula_exact(*row))
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact)), row
+
+
+def test_planted_relationship_scores_1000_on_noise_free_rows():
+    # the synthesizer's inputs keep 2 * DEFAULT_POLE_EPS from the pole; the
+    # targets are the exact relationship, with no noise and no clipping
+    table = data.synthesize(data.EMBANKMENT_SUMMARY, 200, np.random.default_rng(7),
+                            noise_sd=0.0)
+    X, _ = data.regression_arrays(table)
+    assert (np.abs(X[:, 2] - displacement.POLE_PERIOD_RATIO) > displacement.DEFAULT_POLE_EPS).all()
+    y = np.array([float(oracles.gep_formula_exact(*row)) for row in X.tolist()])
+    codes, pools = planted()
+    reports, _, evaluations = _evaluate_population(Population(codes[None], pools[None], 3),
+                                                   X, y, None)
+    assert evaluations == 1
+    assert 1000.0 - 1e-9 <= reports[0].fitness <= 1000.0

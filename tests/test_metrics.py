@@ -11,7 +11,6 @@ from embgep.metrics import (
     cumulative_frequency,
     mae_conventional,
     mae_paper,
-    metrics_report,
     pearson_r,
     r_squared,
     relative_error,
@@ -58,8 +57,10 @@ class TestMaePaper:
             assert mae_paper(p) == pytest.approx(mae_conventional(p) / float(ym.sum()), abs=1e-12)
 
     def test_zero_sum_rejected(self):
-        with pytest.raises(MetricsError):
-            mae_paper(pset([1, -1], [0, 0]))
+        # and a negative sum, such as that of ln D, which is mostly negative
+        for measured in ([1, -1], [-1.5, -2.0], [-3.0, 0.5]):
+            with pytest.raises(MetricsError, match="not a positive number"):
+                mae_paper(pset(measured, [0, 0]))
 
 
 class TestRmseBiasSi:
@@ -78,8 +79,10 @@ class TestRmseBiasSi:
         assert scatter_index(p) == 0.5
 
     def test_si_zero_mean_guarded(self):
-        with pytest.raises(MetricsError):
-            scatter_index(pset([1, -1], [1, -1]))
+        # and a negative mean
+        for measured in ([1, -1], [-1.5, -2.0], [-3.0, 0.5]):
+            with pytest.raises(MetricsError, match="not a positive number"):
+                scatter_index(pset(measured, [1, -1]))
 
     def test_bias_direct(self):
         # errors +1 and -2: signed mean -0.5
@@ -189,10 +192,10 @@ class TestReport:
     def test_report_fields(self, rng):
         ym = rng.uniform(1, 3, 25)
         yp = ym + rng.normal(0, 0.5, 25)
-        rep = metrics_report(pset(ym, yp))
-        assert rep.n == 25
-        assert rep.bias == pytest.approx(float(np.mean(yp - ym)), abs=1e-15)
-        assert rep.rmse >= rep.mae_conventional >= abs(rep.bias)
+        p = pset(ym, yp)
+        assert p.n == 25
+        assert bias(p) == pytest.approx(float(np.mean(yp - ym)), abs=1e-15)
+        assert rmse(p) >= mae_conventional(p) >= abs(bias(p))
 
     def test_shape_validation(self):
         with pytest.raises(MetricsError):
