@@ -2,8 +2,9 @@
 
 Every command writes its artifacts plus a ``manifest.json`` listing input and
 output digests into ``--out``.  With identical seed, config and inputs every
-artifact is byte-identical across reruns (the manifest's timestamp field is
-the one documented exception).
+artifact is byte-identical across reruns (the manifest's timestamp field, and
+the engine's stage timings ``fit`` and ``sweep`` add to it, are the
+documented exceptions).
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error.
 """
@@ -70,7 +71,8 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
                     inputs: list[Path], outputs: list[Path],
-                    config_snapshot: dict | None = None) -> None:
+                    config_snapshot: dict | None = None,
+                    timings_s: dict[str, float] | None = None) -> None:
     options = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -85,6 +87,8 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "outputs": {p.name: f"sha256:{_sha256(p)}" for p in sorted(outputs)},
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+    if timings_s is not None:
+        manifest["timings_s"] = timings_s
     _write_json(outdir / "manifest.json", manifest)
 
 
@@ -305,7 +309,8 @@ def cmd_fit(args) -> int:
                 outdir / "metrics.csv", outdir / "metrics.json"]
     if residual_info is not None:
         outputs.append(outdir / "residual_histogram.csv")
-    _write_manifest(outdir, "fit", args, inputs, outputs, dataclasses.asdict(config))
+    _write_manifest(outdir, "fit", args, inputs, outputs, dataclasses.asdict(config),
+                    result.timings_s)
     return 0
 
 
@@ -439,7 +444,8 @@ def cmd_sweep(args) -> int:
         {"genes": best.num_genes, "head": best.head_size, "fitness": best.fitness},
     )
     outputs += [outdir / "sweep.csv", outdir / "sweep_argmax.json"]
-    _write_manifest(outdir, "sweep", args, inputs, outputs, dataclasses.asdict(config))
+    timings = {stage: sum(c.timings_s[stage] for c in cells) for stage in evolution.STAGES}
+    _write_manifest(outdir, "sweep", args, inputs, outputs, dataclasses.asdict(config), timings)
     return 0
 
 

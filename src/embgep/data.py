@@ -643,7 +643,9 @@ def synthesize(targets: dict[str, ParamStats], n: int,
 
 
 def regression_arrays(records) -> tuple[np.ndarray, np.ndarray]:
-    """(Mw, ay/amax, Td/Tp) feature matrix and ln D target vector."""
+    """(Mw, ay/amax, Td/Tp) feature matrix and ln D target vector.  A
+    record whose D is not positive, or one of whose features is not finite
+    (a ratio that overflows), raises ``DatasetError`` naming it."""
     table = CaseTable.from_records(records)
     if not table:
         raise DatasetError("empty dataset")
@@ -651,4 +653,10 @@ def regression_arrays(records) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         raise DatasetError(f"record {table.ids[bad[0]]!r}: D must be positive to fit in ln space")
     X = np.column_stack((table.m_w, table.ay_ratio, table.period_ratio))
+    finite = np.isfinite(X)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        names = ", ".join(np.array(("Mw", "ay_ratio", "period_ratio"))[~finite[bad[0]]])
+        raise DatasetError(f"record {table.ids[bad[0]]!r}: {names} not finite, so the record"
+                           " cannot be scored")
     return X, np.log(table.d)

@@ -15,15 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
 from . import karva
 from .karva import NUM_FUNCTIONS, POOL_SIZE, alphabet, code_dtype, coding_lengths, tail_length
-from .kernels import evaluate_chromosome_batch, evaluate_codes
+from .kernels import evaluate_chromosome_batch, gene_sum
 
 # re-exported: perfbench's per-layer tracer binds evolution.compile_chromosome
 from .kernels import compile_chromosome  # noqa: F401
+
+# the engine stages ``run`` times, in loop order
+STAGES = ("selection", "operators", "canonical_keys", "evaluation")
 
 
 class ConfigError(ValueError):
@@ -102,7 +106,8 @@ class RunResult:
     number of chromosomes actually evaluated (a chromosome whose canonical
     key was already scored is not).  The per-generation counters hold, for
     each generation after the initial population, the chromosomes evaluated
-    and those of fitness 0."""
+    and those of fitness 0.  ``timings_s`` maps each of ``STAGES`` to its
+    wall seconds over the run; it is the one non-deterministic field."""
 
     best_codes: np.ndarray
     best_pools: np.ndarray
@@ -111,6 +116,7 @@ class RunResult:
     evaluations: int
     evaluation_history: tuple[int, ...]
     zero_fitness_history: tuple[int, ...]
+    timings_s: dict[str, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +157,17 @@ def _as_dataset(X, y):
     return X, y
 
 
-def _report(preds, y) -> FitnessReport:
-    if not np.isfinite(preds).all():
+def _report(total, bad, y) -> FitnessReport:
+    """Report of the gene sums ``total`` and flagged rows ``bad`` of
+    ``kernels.gene_sum``; ``total`` is overwritten.  A non-finite value in
+    ``total`` makes the RMSE non-finite, so it needs no check of its own;
+    ``np.add.reduce`` is the pairwise sum ``np.mean`` takes."""
+    if bad.any():
         return FitnessReport(0.0, math.inf)
-    with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean((preds - y) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(total, y, out=total)
+        np.square(total, out=total)
+        rmse = math.sqrt(np.add.reduce(total) / len(y))
     if not math.isfinite(rmse):
         return FitnessReport(0.0, math.inf)
     return FitnessReport(1000.0 / (1.0 + rmse), rmse)
@@ -164,7 +176,8 @@ def _report(preds, y) -> FitnessReport:
 def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
     """RMSE-based fitness; any non-finite prediction forces fitness 0."""
     X, y = _as_dataset(X, y)
-    return _report(evaluate_chromosome_batch(chrom, X), y)
+    preds = evaluate_chromosome_batch(chrom, X)
+    return _report(preds, np.isnan(preds), y)
 
 
 def initialize(config: GepConfig, rng: np.random.Generator) -> Population:
@@ -393,30 +406,38 @@ def canonical_keys(population: Population) -> np.ndarray:
     return np.concatenate((masked.view(np.uint8), kept.view(np.uint8)), axis=2)
 
 
-def _evaluate_population(pop, X, y, prev_cache):
+def _evaluate_population(pop, columns, y, prev_cache, timings):
     """Fitness per chromosome, evaluating each canonical key once.
 
     The cache maps chromosome key (see ``canonical_keys``) -> report for
     the previous and the current generation only; ``prev_cache`` is the
     map returned for the previous generation (None for the first).  A
-    missed chromosome is evaluated straight from its code rows.  Returns
-    the reports, the new map and the number of chromosomes evaluated.
+    missed chromosome is scored straight from its code rows by
+    ``kernels.gene_sum`` over ``columns``, the inputs as a C-contiguous
+    ``(inputs, rows)`` array.  Adds the seconds spent on keys and on scoring
+    to ``timings``.  Returns the reports, the new map and the number of
+    chromosomes evaluated.
     """
     prev_reports = prev_cache or {}
     reports_by_key = {}
     reports = []
     evaluations = 0
+    start = perf_counter()
     blocks = canonical_keys(pop)
+    keyed = perf_counter()
     size = blocks[0].size
     raw = blocks.tobytes()
     for p in range(len(pop)):
         key = raw[p * size : (p + 1) * size]
         report = reports_by_key.get(key) or prev_reports.get(key)
         if report is None:
-            report = _report(evaluate_codes(pop.codes[p], pop.constants[p], X, pop.num_inputs), y)
+            total, bad = gene_sum(pop.codes[p], pop.constants[p], columns, pop.num_inputs)
+            report = _report(total, bad, y)
             evaluations += 1
         reports_by_key[key] = report
         reports.append(report)
+    timings["canonical_keys"] += keyed - start
+    timings["evaluation"] += perf_counter() - keyed
     return reports, reports_by_key, evaluations
 
 
@@ -425,10 +446,12 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     best-fitness improvement; returns the best-ever chromosome, its report
     (with the per-generation best-fitness history) and the histories."""
     X, y = _as_dataset(X, y)
+    columns = np.ascontiguousarray(X.T)
+    timings = dict.fromkeys(STAGES, 0.0)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     pop = initialize(config, rng)
-    reports, cache, evaluations = _evaluate_population(pop, X, y, None)
+    reports, cache, evaluations = _evaluate_population(pop, columns, y, None, timings)
     fits = np.array([r.fitness for r in reports])
     best_i = int(np.argmax(fits))
     best_codes, best_pools = pop.codes[best_i], pop.constants[best_i]
@@ -442,12 +465,16 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     for _ in range(config.max_generations):
         if stagnant >= config.stagnation_limit:
             break
+        start = perf_counter()
         idx = select(fits, rng)
+        selected = perf_counter()
         children = apply_operators(pop.take(idx[1:]), config, rng)
         pop = Population(np.concatenate((pop.codes[idx[:1]], children.codes)),
                          np.concatenate((pop.constants[idx[:1]], children.constants)),
                          pop.num_inputs)
-        reports, cache, count = _evaluate_population(pop, X, y, cache)
+        timings["selection"] += selected - start
+        timings["operators"] += perf_counter() - selected
+        reports, cache, count = _evaluate_population(pop, columns, y, cache, timings)
         evaluations += count
         fits = np.array([r.fitness for r in reports])
         gen_i = int(np.argmax(fits))
@@ -464,14 +491,18 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
 
     report = replace(best_rep, per_generation_best=tuple(best_history))
     return RunResult(best_codes, best_pools, report, tuple(mean_history), evaluations,
-                     tuple(evaluation_history), tuple(zero_history))
+                     tuple(evaluation_history), tuple(zero_history), timings)
 
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One grid cell's best fitness; ``timings_s`` is its run's, and takes
+    no part in comparisons."""
+
     num_genes: int
     head_size: int
     fitness: float
+    timings_s: dict[str, float] = field(compare=False)
 
 
 def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCell]:
@@ -486,7 +517,7 @@ def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCe
             cfg = replace(base_config, num_genes=g, head_size=h)
             rng = np.random.default_rng(np.random.SeedSequence([base_config.rng_seed, g, h]))
             result = run(cfg, X, y, rng)
-            cells.append(SweepCell(g, h, result.report.fitness))
+            cells.append(SweepCell(g, h, result.report.fitness, result.timings_s))
     return cells
 
 

@@ -5,12 +5,20 @@ A chromosome is evaluated straight from its code rows (symbol codes from
 region is laid out by ``karva.coding_children`` (children always after their
 parent) and run with numpy over every data row at once, one vectorised
 operation per coding node, in reverse node order.  Non-coding symbols and
-unread pool slots are never touched.
+unread pool slots are never touched.  The inputs are read as contiguous
+``(inputs, rows)`` columns, so a terminal is a unit-stride row.
 
 Non-finite semantics: a division by zero, an overflow or any other
 non-finite intermediate poisons that data row to NaN, even if later
 operations would have brought it back to a finite value; so does a
-non-finite sum of the genes.
+non-finite sum of the genes.  ``gene_sum`` checks this at two places only:
+at every division whose divisor is a computed node (``bad |= isinf``) and
+at the gene sum.  That is complete for finite terminals.  Among + - * /,
+``x / +-inf`` is the only operation that turns a non-finite operand finite:
+a NaN operand always gives NaN, and an infinite one gives an infinity or a
+NaN in every other position.  So a non-finite node value either reaches
+the gene sum or is an infinite computed divisor, and a NaN divisor makes
+its quotient NaN.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .karva import KIND_INPUT, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_children
+from .karva import DIV, KIND_INPUT, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_children
 
 # the function codes ADD, SUB, MUL, DIV, in that order
 _OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv)
@@ -35,15 +43,21 @@ def compile_chromosome(chrom: Chromosome) -> tuple[np.ndarray, np.ndarray, int]:
     return codes, pools, num_inputs
 
 
-def evaluate_codes(codes: np.ndarray, pools: np.ndarray, X: np.ndarray,
-                   num_inputs: int) -> np.ndarray:
-    """Chromosome value per row of ``X``: the sum of its genes, given as
-    ``(G, L)`` code rows over ``alphabet(num_inputs)`` and ``(G, 10)``
-    pools; NaN where any coding node or the sum is non-finite."""
+def gene_sum(codes: np.ndarray, pools: np.ndarray, columns: np.ndarray,
+             num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of the genes per data row, unmasked, and the rows it flags.
+
+    ``codes`` and ``pools`` are ``(G, L)`` code rows over
+    ``alphabet(num_inputs)`` and ``(G, 10)`` pools; ``columns`` holds the
+    inputs as a C-contiguous ``(inputs, rows)`` array.  Returns a new
+    ``total`` array and ``bad``, true where a computed divisor is infinite.
+    A row is non-finite in the sense of the module docstring exactly where
+    ``bad`` holds or ``total`` is not finite.
+    """
     first_constant = NUM_FUNCTIONS + num_inputs
-    columns = X.shape[1]
-    total = np.zeros(X.shape[0], dtype=np.float64)
-    bad = np.zeros(X.shape[0], dtype=bool)
+    num_columns, rows = columns.shape
+    total = np.zeros(rows, dtype=np.float64)
+    bad = np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
         for row, pool in zip(codes.tolist(), pools):
             layout = coding_children([c < NUM_FUNCTIONS for c in row])
@@ -51,18 +65,30 @@ def evaluate_codes(codes: np.ndarray, pools: np.ndarray, X: np.ndarray,
             for i in range(len(layout) - 1, -1, -1):
                 code, children = row[i], layout[i]
                 if children is not None:
-                    v = _OPERATIONS[code](vals[children[0]], vals[children[1]])
-                    bad |= ~np.isfinite(v)
+                    left, right = children
+                    if code == DIV and layout[right] is not None:
+                        bad |= np.isinf(vals[right])
+                    v = _OPERATIONS[code](vals[left], vals[right])
                 elif code < first_constant:
                     column = code - NUM_FUNCTIONS
-                    if column >= columns:
-                        raise ValueError(
-                            f"the chromosome reads input d{column}, but X has {columns} column(s)")
-                    v = X[:, column]
+                    if column >= num_columns:
+                        raise ValueError(f"the chromosome reads input d{column},"
+                                         f" but X has {num_columns} column(s)")
+                    v = columns[column]
                 else:
                     v = pool[code - first_constant]  # a numpy scalar: x / 0 gives inf
                 vals[i] = v
-            total = total + vals[0]
+            total += vals[0]
+    return total, bad
+
+
+def evaluate_codes(codes: np.ndarray, pools: np.ndarray, X: np.ndarray,
+                   num_inputs: int) -> np.ndarray:
+    """Chromosome value per row of the ``(rows, inputs)`` matrix ``X``: the
+    ``gene_sum`` of its code rows and pools, NaN where any coding node or
+    the sum is non-finite."""
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    total, bad = gene_sum(codes, pools, columns, num_inputs)
     total[bad | ~np.isfinite(total)] = np.nan
     return total
 

@@ -592,6 +592,28 @@ class TestSweep:
         assert_other_input_count_rejected(tmp_path, capsys, "sweep", "--synth", 15,
                                           "--genes", "1", "--heads", "4")
 
+    def test_overflowing_feature_ratio_exits_2_naming_the_record(self, tmp_path, capsys):
+        # ay / amax = 1e300 / 1e-300 is inf: a chromosome dividing by d1 would
+        # score that row a finite 0 that the scalar oracle flags
+        path = overflow_cases(tmp_path, "1e+300", "1e-300")
+        assert run_cli("sweep", "--input", path, "--genes", "1:2", "--heads", "4:5",
+                       "--max-generations", 2, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "record 'X': ay_ratio not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_engine_stage_timings_only_in_the_manifest(tmp_path):
+    for command, extra in (("fit", ("--trials", 5)), ("sweep", ("--genes", 1, "--heads", 4))):
+        out = tmp_path / command
+        assert run_cli(command, "--synth", 20, "--max-generations", 3, *extra, "--out", out) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == set(evolution.STAGES)
+        assert all(seconds >= 0.0 for seconds in timings.values()) and timings["evaluation"] > 0
+    assert run_cli("stats", "--synth", 20, "--out", tmp_path / "stats") == 0
+    assert "timings_s" not in json.loads((tmp_path / "stats" / "manifest.json").read_text())
+
 
 ENGINE_MODULES = {"embgep.evolution", "embgep.karva", "embgep.kernels"}
 
@@ -619,6 +641,9 @@ def test_closed_form_commands_load_no_engine(tmp_path):
     assert "embgep.data" in loaded and not loaded & (ENGINE_MODULES | {"embgep.metrics"})
 
 
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden_digests.json"
+
+
 class TestDeterminism:
     @staticmethod
     def digests(outdir):
@@ -637,6 +662,16 @@ class TestDeterminism:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["outputs"] == mb["outputs"]
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_same_seed_artifacts_match_the_golden_digests(self, tmp_path, command):
+        # the digests pin the engine's RNG stream and arithmetic across
+        # commits; a change that alters either on purpose updates the
+        # fixture and says why
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[command]
+        assert run_cli(*golden["argv"], "--out", tmp_path) == 0
+        digests = self.digests(tmp_path)
+        assert {name: digests[name] for name in golden["sha256"]} == golden["sha256"]
 
 
 # valid in every numeric column: the edges of the float range and padding

@@ -286,8 +286,8 @@ class TestRun:
                            stagnation_limit=80, rng_seed=6)
         cached = run(config, X, y)
 
-        def every_chromosome(pop, X, y, prev_cache):
-            return [fitness(c, X, y) for c in pop], prev_cache, len(pop)
+        def every_chromosome(pop, columns, y, prev_cache, timings):
+            return [fitness(c, columns.T, y) for c in pop], prev_cache, len(pop)
 
         monkeypatch.setattr(evolution, "_evaluate_population", every_chromosome)
         plain = run(config, X, y)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_chromosome
 from embgep import data, displacement, karva, kernels
-from embgep.evolution import Population, _evaluate_population, canonical_keys
+from embgep.evolution import STAGES, Population, _evaluate_population, canonical_keys
 from embgep.karva import Chromosome, Gene, parse_symbol
 
 POOL = tuple(float(i) for i in range(10))
@@ -171,6 +171,49 @@ def test_batch_matches_oracle_property(chrom, X):
             assert batch[r] == scalar
 
 
+def score(pop, X, y):
+    """``_evaluate_population`` of ``pop`` over the ``(rows, inputs)`` matrix
+    ``X``, laid out as ``run`` lays it, with a fresh cache."""
+    return _evaluate_population(pop, np.ascontiguousarray(X.T), y, None,
+                                dict.fromkeys(STAGES, 0.0))
+
+
+def assert_fitness_matches_oracle(chrom, X, y):
+    """The fitness path scores ``chrom`` 0 exactly when the scalar oracle
+    flags some row, and otherwise to the bit of the oracle's RMSE."""
+    codes, pools = karva.chromosome_codes(chrom, NUM_INPUTS)
+    [report], _, _ = score(Population(codes[None], pools[None], NUM_INPUTS), X, y)
+    values = [karva.evaluate_chromosome(chrom, row) for row in X]
+    if any(v is None for v in values):
+        assert (report.fitness, report.rmse) == (0.0, math.inf)
+        return
+    with np.errstate(over="ignore"):
+        rmse = math.sqrt(np.add.reduce((np.array(values) - y) ** 2) / len(y))
+    if math.isfinite(rmse):
+        assert report.rmse == rmse
+        assert report.fitness == 1000.0 / (1.0 + rmse)
+    else:
+        assert (report.fitness, report.rmse) == (0.0, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chromosomes(), data_rows, st.data())
+def test_fitness_path_matches_oracle_property(chrom, X, data):
+    y = np.array(data.draw(st.lists(values, min_size=len(X), max_size=len(X))))
+    assert_fitness_matches_oracle(chrom, X, y)
+
+
+def test_fitness_path_flags_nonfinite_intermediate_even_if_final_finite():
+    # d0 / (c0 / d1) at d1 = 0: the computed divisor is inf, the quotient 0.0
+    gene = gene_from_tokens("/ d0 / c0 d1 d0 d0".split(), head_len=3, constants=(2.0,) + (0.0,) * 9)
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    assert_fitness_matches_oracle(Chromosome((gene,)), X, np.zeros(2))
+    assert_fitness_matches_oracle(Chromosome((gene,)), X[1:], np.zeros(1))
+    codes, pools = karva.chromosome_codes(Chromosome((gene,)), NUM_INPUTS)
+    total, bad = kernels.gene_sum(codes, pools, np.ascontiguousarray(X.T), NUM_INPUTS)
+    assert total.tolist() == [0.0, 1.0] and bad.tolist() == [True, False]
+
+
 # The published gep relationship planted in the engine's own search space: a
 # 4-gene, head-7 chromosome (the published default geometry), one term per
 # gene over d0 = Mw, d1 = ay/amax, d2 = Td/Tp.  Gene 1 is written as
@@ -207,7 +250,6 @@ def test_planted_relationship_scores_1000_on_noise_free_rows():
     assert (np.abs(X[:, 2] - displacement.POLE_PERIOD_RATIO) > displacement.DEFAULT_POLE_EPS).all()
     y = np.array([float(oracles.gep_formula_exact(*row)) for row in X.tolist()])
     codes, pools = planted()
-    reports, _, evaluations = _evaluate_population(Population(codes[None], pools[None], 3),
-                                                   X, y, None)
+    reports, _, evaluations = score(Population(codes[None], pools[None], 3), X, y)
     assert evaluations == 1
     assert 1000.0 - 1e-9 <= reports[0].fitness <= 1000.0
