@@ -6,9 +6,10 @@ CSV schema (header required, UTF-8, '.' decimal separator)::
     id,Mw,amax_g,Tp_s,Td_s,ay_g,D_m,Tm_s,H_m,Vs_mps
 
 Optional cells (Td_s, Tm_s, H_m, Vs_mps) may be empty; a blank Td_s is
-derived as 4H/Vs when height and shear wave velocity are present.  ``load``
-and ``synthesize`` return a ``CaseTable``, the records held by column, whose
-items are ``CaseHistory`` views.
+derived as 4H/Vs when height and shear wave velocity are present.  A set of
+case histories is only ever held as a ``CaseTable``, one float64 array per
+column: ``load`` and ``synthesize`` return one, and ``save``, the summaries,
+the matched split and ``regression_arrays`` take one.
 
 The real 85-record database behind the built-in gep relationship is not
 publicly available; ``synthesize`` generates surrogate databases whose
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .displacement import gep_ln_displacement  # noqa: F401
 CSV_HEADER = ("id", "Mw", "amax_g", "Tp_s", "Td_s", "ay_g", "D_m", "Tm_s", "H_m", "Vs_mps")
 
 PARAMETERS = ("Mw", "amax", "Tp", "Td", "ay", "ay_ratio", "period_ratio", "D")
-# the CaseHistory field (or ratio property) of each summary parameter
+# the CaseTable column (or ratio property) of each summary parameter
 _PARAMETER_FIELDS = dict(zip(PARAMETERS, ("m_w", "a_max", "t_p", "t_d", "a_y", "ay_ratio",
                                           "period_ratio", "d")))
 
@@ -46,46 +47,16 @@ class DatasetError(ValueError):
 # the row invariants of a case history: those of a model input, then D >= 0
 INVARIANTS = INPUT_INVARIANTS + (("d", "D must be >= 0", lambda v: np.logical_not(v >= 0)),)
 
-
-@dataclass(frozen=True)
-class CaseHistory:
-    """One earth-embankment earthquake record."""
-
-    id: str
-    m_w: float
-    a_max: float
-    t_p: float
-    t_d: float
-    a_y: float
-    d: float
-    t_m: float | None = None
-    h: float | None = None
-    vs: float | None = None
-
-    def __post_init__(self):
-        for field, message, rejects in INVARIANTS:
-            if rejects(getattr(self, field)):
-                raise DatasetError(f"{message}, got {getattr(self, field)}")
-
-    @property
-    def ay_ratio(self) -> float:
-        return self.a_y / self.a_max
-
-    @property
-    def period_ratio(self) -> float:
-        return self.t_d / self.t_p
-
-
-# the float fields of CaseHistory, in CSV column order; the last three are optional
+# the float columns of a case history, in CSV column order; the last three are optional
 _FIELDS = ("m_w", "a_max", "t_p", "t_d", "a_y", "d", "t_m", "h", "vs")
 
 
 @dataclass(frozen=True, eq=False)
-class CaseTable(Sequence):
-    """Case histories held by column: the ids and one contiguous float64
-    array per ``CaseHistory`` field, NaN where an optional value (T_m, H,
-    Vs) is absent.  Indexing gives a ``CaseHistory`` view, slicing a
-    sub-table; a table equals any sequence of equal records."""
+class CaseTable:
+    """Earth-embankment earthquake records held by column: the ids and one
+    contiguous float64 array per field, NaN where an optional value (T_m,
+    H, Vs) is absent.  Two tables are equal when their ids and every column
+    are, an absent value equal to an absent one."""
 
     ids: tuple[str, ...]
     m_w: np.ndarray
@@ -105,39 +76,20 @@ class CaseTable(Sequence):
                                np.ascontiguousarray(getattr(self, name), dtype=np.float64))
 
     @classmethod
-    def from_records(cls, records) -> CaseTable:
-        """A table of ``CaseHistory`` records; a table is returned as is."""
-        if isinstance(records, CaseTable):
-            return records
-        records = list(records)
-        values = np.array(
-            [(r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.d, _or_nan(r.t_m), _or_nan(r.h),
-              _or_nan(r.vs)) for r in records],
-            dtype=np.float64,
-        ).reshape(-1, len(_FIELDS))
-        return cls(tuple(r.id for r in records), *values.T)
-
-    @classmethod
     def concat(cls, tables) -> CaseTable:
-        tables = list(tables) or [cls.from_records([])]
+        tables = list(tables) or [cls((), *[()] * len(_FIELDS))]
         return cls(tuple(i for t in tables for i in t.ids),
                    *(np.concatenate([getattr(t, name) for t in tables]) for name in _FIELDS))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        rec_id = self.ids[index]
-        values = [float(getattr(self, name)[index]) for name in _FIELDS]
-        optional = [None if math.isnan(v) else v for v in values[6:]]
-        return CaseHistory(rec_id, *values[:6], *optional)
-
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, CaseTable):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in _FIELDS)
 
     def take(self, index) -> CaseTable:
         index = np.asarray(index, dtype=np.intp)
@@ -158,10 +110,6 @@ class CaseTable(Sequence):
         """The input columns of ``displacement.evaluate``."""
         return {"m_w": self.m_w, "a_max": self.a_max, "a_y": self.a_y,
                 "ay_ratio": self.ay_ratio, "period_ratio": self.period_ratio, "t_m": self.t_m}
-
-
-def _or_nan(value: float | None) -> float:
-    return math.nan if value is None else value
 
 
 @dataclass(frozen=True)
@@ -186,12 +134,9 @@ EMBANKMENT_SUMMARY: dict[str, ParamStats] = {
 }
 
 
-def _matrix(records) -> np.ndarray:
-    """(n, 8) float64 matrix of PARAMETERS, one row per record.  The two
-    ratios are numpy divisions, IEEE-identical to the ``CaseHistory``
-    properties."""
-    t = CaseTable.from_records(records)
-    return np.column_stack([getattr(t, field) for field in _PARAMETER_FIELDS.values()])
+def _matrix(table: CaseTable) -> np.ndarray:
+    """(n, 8) float64 matrix of PARAMETERS, one row per record."""
+    return np.column_stack([getattr(table, field) for field in _PARAMETER_FIELDS.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +247,7 @@ def load(path) -> CaseTable:
         try:
             header = next(reader)
         except StopIteration:
-            return CaseTable.from_records([])
+            return CaseTable.concat([])
         header = tuple(h.strip() for h in header)
         if header != CSV_HEADER:
             missing = [c for c in CSV_HEADER if c not in header]
@@ -344,9 +289,8 @@ def float_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def save(records, path) -> None:
-    """Write records in the canonical schema; load(save(x)) round-trips exactly."""
-    table = CaseTable.from_records(records)
+def save(table: CaseTable, path) -> None:
+    """Write a table in the canonical schema; load(save(x)) round-trips exactly."""
     columns = [table.ids] + [float_cells(getattr(table, name)) for name in _FIELDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -371,11 +315,11 @@ def _centred_columns(mat: np.ndarray, context: str) -> np.ndarray:
     return centred
 
 
-def summarize(records) -> dict[str, ParamStats]:
+def summarize(table: CaseTable) -> dict[str, ParamStats]:
     """Min/max/mean/sample-SD for the eight summary parameters."""
-    if not records:
+    if not table:
         raise DatasetError("empty dataset")
-    mat = _matrix(records)
+    mat = _matrix(table)
     _centred_columns(mat, "summary")
     n = mat.shape[0]
     out = {}
@@ -414,15 +358,16 @@ def _gap_score(train: np.ndarray, test: np.ndarray, ranges: np.ndarray) -> float
     return float(((dmean + dsd)[valid] / ranges[valid]).sum())
 
 
-def match_score(train_records, test_records, full_records=None) -> float:
-    """Sum over parameters of (|mean gap| + |SD gap|) / parameter range."""
-    train, test = _matrix(train_records), _matrix(test_records)
-    full = np.vstack((train, test)) if full_records is None else _matrix(full_records)
+def match_score(train: CaseTable, test: CaseTable, full: CaseTable | None = None) -> float:
+    """Sum over parameters of (|mean gap| + |SD gap|) / parameter range; the
+    ranges are those of ``full``, or of train and test together."""
+    train, test = _matrix(train), _matrix(test)
+    full = np.vstack((train, test)) if full is None else _matrix(full)
     ranges = full.max(axis=0) - full.min(axis=0)
     return _gap_score(train, test, ranges)
 
 
-def split_matched(records, fraction: float = 0.75, trials: int = 1,
+def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
                   rng: np.random.Generator | None = None) -> Split:
     """Best of ``trials`` random splits by the normalised moment-matching
     score.  85 records at the default fraction give the published 63/22.
@@ -434,7 +379,6 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     ``match_score``'s formula on its rows in sorted order, so ``score``
     equals ``match_score`` of the split's records exactly.
     """
-    table = CaseTable.from_records(records)
     n = len(table)
     if n < 4:
         raise DatasetError(f"need at least 4 records to split, got {n}")
@@ -494,8 +438,7 @@ def split_matched(records, fraction: float = 0.75, trials: int = 1,
     )
 
 
-def split_records(records, split: Split) -> tuple[CaseTable, CaseTable]:
-    table = CaseTable.from_records(records)
+def split_records(table: CaseTable, split: Split) -> tuple[CaseTable, CaseTable]:
     row = {rec_id: i for i, rec_id in enumerate(table.ids)}
     return (table.take([row[i] for i in split.train_ids]),
             table.take([row[i] for i in split.test_ids]))
@@ -642,11 +585,10 @@ def synthesize(targets: dict[str, ParamStats], n: int,
     return CaseTable(ids, m_w, a_max, t_p, t_d, a_y, d, t_m, absent, absent)
 
 
-def regression_arrays(records) -> tuple[np.ndarray, np.ndarray]:
+def regression_arrays(table: CaseTable) -> tuple[np.ndarray, np.ndarray]:
     """(Mw, ay/amax, Td/Tp) feature matrix and ln D target vector.  A
     record whose D is not positive, or one of whose features is not finite
     (a ratio that overflows), raises ``DatasetError`` naming it."""
-    table = CaseTable.from_records(records)
     if not table:
         raise DatasetError("empty dataset")
     bad = np.flatnonzero(~(table.d > 0))

@@ -511,13 +511,15 @@ def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCe
     head_sizes = list(head_sizes)
     if not gene_counts or not head_sizes:
         raise ValueError("sweep grids must be nonempty")
+    # every cell's config is built, and so checked, before the first run
+    configs = [replace(base_config, num_genes=g, head_size=h)
+               for g in gene_counts for h in head_sizes]
     cells = []
-    for g in gene_counts:
-        for h in head_sizes:
-            cfg = replace(base_config, num_genes=g, head_size=h)
-            rng = np.random.default_rng(np.random.SeedSequence([base_config.rng_seed, g, h]))
-            result = run(cfg, X, y, rng)
-            cells.append(SweepCell(g, h, result.report.fitness, result.timings_s))
+    for cfg in configs:
+        g, h = cfg.num_genes, cfg.head_size
+        rng = np.random.default_rng(np.random.SeedSequence([base_config.rng_seed, g, h]))
+        result = run(cfg, X, y, rng)
+        cells.append(SweepCell(g, h, result.report.fitness, result.timings_s))
     return cells
 
 

@@ -86,7 +86,8 @@ def constant_symbol(index: int) -> Symbol:
 def parse_symbol(token: str) -> Symbol:
     if token in FUNCTION_TOKENS:
         return function_symbol(token)
-    if len(token) > 1 and token[0] in ("d", "c") and token[1:].isdigit():
+    # str.isdigit alone also accepts non-ASCII digits such as '²' and '٢'
+    if len(token) > 1 and token[0] in ("d", "c") and token[1:].isascii() and token[1:].isdigit():
         index = int(token[1:])
         return input_symbol(index) if token[0] == "d" else constant_symbol(index)
     raise KExprError(f"unknown symbol token {token!r}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,14 @@ from embgep import data, evolution, karva
 @pytest.fixture(scope="session")
 def synth85():
     return data.synthesize(data.EMBANKMENT_SUMMARY, 85, np.random.default_rng(42))
+
+
+def case_table(*rows):
+    """A ``data.CaseTable`` of rows ``(id, Mw, amax, Tp, Td, ay, D)``, with
+    no T_m, H or Vs."""
+    ids, *columns = zip(*rows) if rows else [()] * 7
+    absent = [math.nan] * len(rows)
+    return data.CaseTable(ids, *columns, absent, absent, absent)
 
 
 @pytest.fixture()

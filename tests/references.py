@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 
-from embgep.data import CSV_HEADER, CaseHistory, DatasetError
+from embgep.data import CSV_HEADER, CaseTable, DatasetError
 
 
 class Pole(Exception):
@@ -157,14 +157,15 @@ def parse_float(value: str, column: str, line: int, required: bool):
     return out
 
 
-def reference_load(path) -> list[CaseHistory]:
+def reference_load(path) -> CaseTable:
     """The case-history CSV parsed one row at a time, each cell checked in
-    column order; the reference for ``data.load``'s records and messages."""
+    column order and then the row invariants (a_max, T_p > 0; T_d, a_y,
+    D >= 0); the reference for ``data.load``'s table and messages."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, CSV_HEADER)) != CSV_HEADER:
             raise ValueError("reference_load reads the canonical header only")
-        records, seen_ids = [], set()
+        ids, rows, seen_ids = [], [], set()
         for row in reader:
             line = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -195,8 +196,14 @@ def reference_load(path) -> list[CaseHistory]:
                         f"line {line}: Td_s is empty and cannot be derived (needs H_m and Vs_mps)"
                     )
                 t_d = 4.0 * h / vs
-            try:
-                records.append(CaseHistory(rec_id, m_w, a_max, t_p, t_d, a_y, d, t_m, h, vs))
-            except DatasetError as exc:
-                raise DatasetError(f"line {line}: {exc}") from None
-    return records
+            for value, holds, message in ((a_max, a_max > 0, "a_max must be positive"),
+                                          (t_p, t_p > 0, "T_p must be positive"),
+                                          (t_d, t_d >= 0, "T_d must be >= 0"),
+                                          (a_y, a_y >= 0, "a_y must be >= 0"),
+                                          (d, d >= 0, "D must be >= 0")):
+                if not holds:
+                    raise DatasetError(f"line {line}: {message}, got {value}")
+            ids.append(rec_id)
+            rows.append([m_w, a_max, t_p, t_d, a_y, d]
+                        + [math.nan if v is None else v for v in (t_m, h, vs)])
+    return CaseTable(tuple(ids), *(list(zip(*rows)) or [()] * 9))

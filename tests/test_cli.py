@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import case_table
 from embgep import cli, data, displacement, evolution, karva, kernels, metrics
 from embgep.cli import main
 from references import reference_load
@@ -273,8 +274,8 @@ class TestFit:
     def test_stage_whose_ln_displacement_sums_to_zero_accepted(self):
         # the normalised metrics divide by the sum or mean of D in metres,
         # which is positive, not by those of ln D
-        rows = [data.CaseHistory(f"R{i}", 7.0, 0.3, 0.4, 0.6, 0.09, d)
-                for i, d in enumerate((2.0, 0.5))]
+        rows = case_table(*[(f"R{i}", 7.0, 0.3, 0.4, 0.6, 0.09, d)
+                            for i, d in enumerate((2.0, 0.5))])
         X, y = cli._stage_arrays("Validation", rows)
         assert y.sum() == 0.0
         scores = cli._stage_metrics("Validation", y, y + math.log(2.0))  # predicts 2 D
@@ -592,6 +593,17 @@ class TestSweep:
         assert_other_input_count_rejected(tmp_path, capsys, "sweep", "--synth", 15,
                                           "--genes", "1", "--heads", "4")
 
+    def test_bad_grid_cell_rejected_before_evolving(self, tmp_path, capsys, monkeypatch):
+        # the gene count 0 comes last in the grid, after cells that would evolve
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolution ran before every grid cell was checked")
+
+        monkeypatch.setattr(evolution, "run", no_run)
+        assert run_cli("sweep", "--synth", 20, "--genes", "3,0", "--heads", "4:12",
+                       "--out", tmp_path / "o") == 2
+        assert "number of genes must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
     def test_overflowing_feature_ratio_exits_2_naming_the_record(self, tmp_path, capsys):
         # ay / amax = 1e300 / 1e-300 is inf: a chromosome dividing by d1 would
         # score that row a finite 0 that the scalar oracle flags
@@ -663,10 +675,12 @@ class TestDeterminism:
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["outputs"] == mb["outputs"]
 
-    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("command", ["fit", "sweep", "stats", "split", "predict", "compare",
+                                         "sensitivity"])
     def test_same_seed_artifacts_match_the_golden_digests(self, tmp_path, command):
-        # the digests pin the engine's RNG stream and arithmetic across
-        # commits; a change that alters either on purpose updates the
+        # the digests pin the engine's RNG stream and arithmetic, and the
+        # closed-form layer's CSV reading, writing and formulas, across
+        # commits; a change that alters any of them on purpose updates the
         # fixture and says why
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[command]
         assert run_cli(*golden["argv"], "--out", tmp_path) == 0

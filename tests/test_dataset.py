@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import case_table
 from embgep import data
 from references import reference_load
 
 from embgep.data import (
     EMBANKMENT_SUMMARY,
     GENERATION_TOLERANCE,
-    CaseHistory,
     DatasetError,
     ParamStats,
     load,
@@ -40,13 +40,13 @@ class TestLoad:
         path = write_csv(tmp_path, HEADER + "\nA,7.0,0.3,0.4,0.6,0.1,0.5,,,\n")
         records = load(path)
         assert len(records) == 1
-        assert records[0].id == "A"
-        assert records[0].t_m is None
+        assert records.ids[0] == "A"
+        assert np.isnan(records.t_m[0])
 
     def test_td_derived_from_geometry(self, tmp_path):
         path = write_csv(tmp_path, HEADER + "\nA,7.0,0.3,0.4,,0.1,0.5,,25,200\n")
         records = load(path)
-        assert records[0].t_d == 0.5  # 4 * 25 / 200
+        assert records.t_d[0] == 0.5  # 4 * 25 / 200
 
     def test_td_missing_and_underivable(self, tmp_path):
         path = write_csv(tmp_path, HEADER + "\nA,7.0,0.3,0.4,,0.1,0.5,,,\n")
@@ -62,8 +62,8 @@ class TestLoad:
             load(path)
 
     def test_empty_file_gives_empty_list(self, tmp_path):
-        assert load(write_csv(tmp_path, "")) == []
-        assert load(write_csv(tmp_path, HEADER + "\n")) == []
+        assert load(write_csv(tmp_path, "")) == case_table()
+        assert load(write_csv(tmp_path, HEADER + "\n")) == case_table()
 
     def test_bad_header_names_missing_column(self, tmp_path):
         path = write_csv(tmp_path, HEADER.replace(",Tm_s", "") + "\nA,7.0,0.3,0.4,0.6,0.1,0.5,,\n")
@@ -98,9 +98,10 @@ class TestLoad:
     def test_ratio_consistency_after_load(self, tmp_path, synth85):
         path = tmp_path / "synth.csv"
         save(synth85, path)
-        for r in load(path):
-            assert r.ay_ratio * r.a_max == pytest.approx(r.a_y, abs=1e-12)
-            assert r.period_ratio * r.t_p == pytest.approx(r.t_d, abs=1e-12)
+        t = load(path)
+        for i in range(len(t)):
+            assert t.ay_ratio[i] * t.a_max[i] == pytest.approx(t.a_y[i], abs=1e-12)
+            assert t.period_ratio[i] * t.t_p[i] == pytest.approx(t.t_d[i], abs=1e-12)
 
     def test_save_load_round_trip_exact(self, tmp_path, synth85):
         path = tmp_path / "synth.csv"
@@ -149,44 +150,44 @@ def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
 
 class TestMatrix:
     def test_equals_per_record_reference_bitwise(self, synth85):
-        records = list(synth85) + [
-            CaseHistory("big", 7.0, 1e-10, 0.4, 0.6, 1e200, 0.5),
-            CaseHistory("inf", 7.0, 1e-300, 1e-300, 1e300, 1e300, 0.5),
-            CaseHistory("tiny", 7.0, 3.0, 7.0, 1e-310, 1e-310, 0.0),
-        ]
-        reference = np.array(
-            [[r.m_w, r.a_max, r.t_p, r.t_d, r.a_y, r.ay_ratio, r.period_ratio, r.d]
-             for r in records]
-        )
+        records = data.CaseTable.concat([synth85, case_table(
+            ("big", 7.0, 1e-10, 0.4, 0.6, 1e200, 0.5),
+            ("inf", 7.0, 1e-300, 1e-300, 1e300, 1e300, 0.5),
+            ("tiny", 7.0, 3.0, 7.0, 1e-310, 1e-310, 0.0),
+        )])
+        # the ratios divided as Python floats, one record at a time
+        rows = zip(*(getattr(records, name).tolist()
+                     for name in ("m_w", "a_max", "t_p", "t_d", "a_y", "d")))
+        reference = np.array([[m_w, a_max, t_p, t_d, a_y, a_y / a_max, t_d / t_p, d]
+                              for m_w, a_max, t_p, t_d, a_y, d in rows])
         mat = data._matrix(records)
         assert mat.shape == (len(records), len(data.PARAMETERS))
         assert mat.tobytes() == reference.tobytes()
 
     def test_empty(self):
-        assert data._matrix([]).shape == (0, len(data.PARAMETERS))
+        assert data._matrix(case_table()).shape == (0, len(data.PARAMETERS))
 
 
 class TestSummarize:
     def test_single_record_degenerate(self):
-        rec = CaseHistory("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.5)
-        stats = summarize([rec])
+        stats = summarize(case_table(("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.5)))
         s = stats["Mw"]
         assert s.minimum == s.maximum == s.mean == 7.0
         assert s.sd == 0.0
         assert s.degenerate
 
     def test_two_point_sd(self):
-        recs = [
-            CaseHistory("A", 7.0, 0.3, 0.4, 0.6, 0.1, 1.0),
-            CaseHistory("B", 7.0, 0.3, 0.4, 0.6, 0.1, 3.0),
-        ]
+        recs = case_table(
+            ("A", 7.0, 0.3, 0.4, 0.6, 0.1, 1.0),
+            ("B", 7.0, 0.3, 0.4, 0.6, 0.1, 3.0),
+        )
         s = summarize(recs)["D"]
         assert s.mean == 2.0
         assert s.sd == pytest.approx(math.sqrt(2.0))
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            summarize([])
+            summarize(case_table())
 
     def test_synthetic_round_trip_within_declared_tolerance(self, synth85):
         stats = summarize(synth85)
@@ -206,13 +207,13 @@ class TestSplit:
         split = split_matched(synth85, 0.6, trials=3, rng=np.random.default_rng(1))
         train, test = set(split.train_ids), set(split.test_ids)
         assert not train & test
-        assert train | test == {r.id for r in synth85}
+        assert train | test == set(synth85.ids)
 
     def test_single_trial_is_plain_random_split(self, synth85):
         rng = np.random.default_rng(9)
         split = split_matched(synth85, 0.75, trials=1, rng=rng)
         perm = np.argsort(np.random.default_rng(9).random((1, 85)), axis=1)[0]
-        expected_train = {synth85[i].id for i in perm[:63]}
+        expected_train = {synth85.ids[i] for i in perm[:63]}
         assert set(split.train_ids) == expected_train
 
     def test_more_trials_never_worse_for_same_stream(self, synth85):
@@ -251,7 +252,7 @@ class TestSplit:
         with pytest.raises(DatasetError):
             split_matched(synth85, 0.0)
         with pytest.raises(DatasetError):
-            split_matched(synth85[:3], 0.75)
+            split_matched(synth85.take(range(3)), 0.75)
         with pytest.raises(DatasetError):
             split_matched(synth85, 0.75, trials=0)
 
@@ -280,7 +281,7 @@ class TestSynthesize:
         from embgep.displacement import DEFAULT_POLE_EPS, POLE_PERIOD_RATIO
 
         records = synthesize(EMBANKMENT_SUMMARY, 5000, np.random.default_rng(8))
-        ratios = np.array([r.period_ratio for r in records])
+        ratios = records.period_ratio
         assert np.all(np.abs(ratios - POLE_PERIOD_RATIO) >= DEFAULT_POLE_EPS)
 
     def test_infeasible_targets_rejected(self):
@@ -308,7 +309,7 @@ class TestSynthesize:
                             ("D", -0.5), ("D", math.nan)]),
            st.integers(2, 20_000), st.integers(0, 9))
     def test_target_minimum_breaking_a_row_invariant_named(self, bad, n, seed):
-        # a row drawn at such a minimum would break a CaseHistory invariant
+        # a row drawn at such a minimum would break a row invariant
         # (a_max, T_p > 0; T_d, a_y, D >= 0), whether or not a row lands on it
         name, minimum = bad
         targets = dict(EMBANKMENT_SUMMARY)
@@ -322,11 +323,10 @@ class TestRegressionArrays:
         X, y = regression_arrays(synth85)
         assert X.shape == (85, 3)
         assert y.shape == (85,)
-        assert X[0, 0] == synth85[0].m_w
-        assert X[0, 1] == synth85[0].ay_ratio
-        assert y[0] == math.log(synth85[0].d)
+        assert X[0, 0] == synth85.m_w[0]
+        assert X[0, 1] == synth85.a_y[0] / synth85.a_max[0]
+        assert y[0] == math.log(synth85.d[0])
 
     def test_zero_displacement_rejected(self):
-        rec = CaseHistory("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.0)
         with pytest.raises(DatasetError):
-            regression_arrays([rec])
+            regression_arrays(case_table(("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.0)))

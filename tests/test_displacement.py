@@ -256,7 +256,7 @@ class TestFundamentalPeriod:
         rows = "".join(f"{i},7.0,0.3,0.4,,0.1,0.5,,{h},{vs}\n" for i, (h, vs) in enumerate(geometry))
         path = tmp_path / "cases.csv"
         path.write_text(",".join(data.CSV_HEADER) + "\n" + rows, encoding="utf-8")
-        return [r.t_d for r in data.load(path)]
+        return data.load(path).t_d.tolist()
 
     def test_direct_values(self, tmp_path):
         assert self.derived_periods(tmp_path, ((25.0, 200.0), (100.0, 400.0))) == [0.5, 1.0]

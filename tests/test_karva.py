@@ -234,6 +234,8 @@ class TestSerialization:
         (gene_line("+ d0 d1 d2 d0", "nan " + "0.0 " * 9), "line 3, constant 0: 'nan' is not"),
         ("+ d0 d1 d2 d0 " + POOL_TEXT, "line 3: missing the '\\|'"),
         (gene_line("+ d0 c10 d2 d0"), "line 3, position 2: constant index 10 outside pool"),
+        (gene_line("+ d0 c\u00b2 d2 d0"), "line 3, position 2: unknown symbol token 'c\u00b2'"),
+        (gene_line("+ d0 d\u0662 d2 d0"), "line 3, position 2: unknown symbol token 'd\u0662'"),
     ])
     def test_reader_names_the_offending_line(self, bad, message):
         good = gene_line("- d1 c9 d2 d0")

@@ -28,6 +28,12 @@ values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300]), st.floats(-10.0, 10
 def genes(draw, head_len=None):
     h = draw(st.integers(1, 12)) if head_len is None else head_len
     head = draw(st.lists(symbols, min_size=h, max_size=h))
+    if h >= 3 and draw(st.integers(0, 2)) == 0:
+        # a root "/ a / b c" or "/ a * b c": the computed divisor is infinite
+        # where c is 0 or b * c overflows, and its quotient is then finite,
+        # which only the check on computed divisors flags
+        head[0] = karva.function_symbol("/")
+        head[2] = karva.function_symbol(draw(st.sampled_from(["/", "*"])))
     tail = draw(st.lists(terminals, min_size=h + 1, max_size=h + 1))
     pool = draw(st.lists(values, min_size=karva.POOL_SIZE, max_size=karva.POOL_SIZE))
     return Gene(tuple(head), tuple(tail), tuple(pool))
