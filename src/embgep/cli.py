@@ -2,9 +2,9 @@
 
 Every command writes its artifacts plus a ``manifest.json`` listing input and
 output digests into ``--out``.  With identical seed, config and inputs every
-artifact is byte-identical across reruns (the manifest's timestamp field, and
-the engine's stage timings ``fit`` and ``sweep`` add to it, are the
-documented exceptions).
+artifact is byte-identical across reruns (the manifest's timestamp and
+environment fields, ``sweep``'s worker count and the engine's stage timings
+``fit`` and ``sweep`` add to it are the documented exceptions).
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error.
 """
@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import traceback
 from datetime import datetime, timezone
@@ -71,8 +72,10 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
                     inputs: list[Path], outputs: list[Path],
-                    config_snapshot: dict | None = None,
-                    timings_s: dict[str, float] | None = None) -> None:
+                    config_snapshot: dict | None = None, **run_facts) -> None:
+    """``manifest.json``: the command, its options, seed and config, input
+    and output digests, and facts of this run that vary between hosts or
+    reruns: the time, the Python and numpy versions, and ``run_facts``."""
     options = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -86,9 +89,9 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "inputs": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
         "outputs": {p.name: f"sha256:{_sha256(p)}" for p in sorted(outputs)},
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
+        **run_facts,
     }
-    if timings_s is not None:
-        manifest["timings_s"] = timings_s
     _write_json(outdir / "manifest.json", manifest)
 
 
@@ -244,12 +247,12 @@ def _stage_metrics(stage: str, y, preds) -> dict:
 def cmd_fit(args) -> int:
     from . import evolution, karva, kernels
 
+    config = _load_config(args)
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 3)
     records, inputs, outputs = _load_records(args, outdir, rngs)
     if args.config:
         inputs.append(Path(args.config))
-    config = _load_config(args)
 
     split = data.split_matched(records, 0.75, args.trials, rngs.pop(0))
     train, test = data.split_records(records, split)
@@ -310,7 +313,7 @@ def cmd_fit(args) -> int:
     if residual_info is not None:
         outputs.append(outdir / "residual_histogram.csv")
     _write_manifest(outdir, "fit", args, inputs, outputs, dataclasses.asdict(config),
-                    result.timings_s)
+                    timings_s=result.timings_s)
     return 0
 
 
@@ -408,30 +411,34 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[int]:
-    text = text.strip()
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"bad grid {text!r}: end before start")
-        return list(range(lo_i, hi_i + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_grid(option: str, text: str) -> list[int]:
+    """The integers of a grid option, ``lo:hi`` (inclusive) or ``a,b,...``."""
+    lo, colon, hi = text.partition(":")
+    try:
+        grid = (list(range(int(lo), int(hi) + 1)) if colon
+                else [int(part) for part in text.split(",") if part.strip()])
+    except ValueError:
+        raise ValueError(f"{option} {text!r}: expected integers as lo:hi or a,b,...") from None
+    if not grid:
+        raise ValueError(f"{option} {text!r}: the grid is empty")
+    return grid
 
 
 def cmd_sweep(args) -> int:
     from . import evolution
 
+    config = _load_config(args)
+    gene_grid = _parse_grid("--genes", args.genes)
+    head_grid = _parse_grid("--heads", args.heads)
+    # every cell's config is checked before any data is read or written
+    evolution.sweep_configs(config, gene_grid, head_grid)
     outdir = _outdir(args)
     rngs = _spawn_rngs(args.seed, 1)
     records, inputs, outputs = _load_records(args, outdir, rngs)
     if args.config:
         inputs.append(Path(args.config))
-    config = _load_config(args)
     X, y = data.regression_arrays(records)
 
-    gene_grid = _parse_grid(args.genes)
-    head_grid = _parse_grid(args.heads)
     cells = evolution.sweep(X, y, config, gene_grid, head_grid)
     _write_csv(
         outdir / "sweep.csv",
@@ -445,7 +452,8 @@ def cmd_sweep(args) -> int:
     )
     outputs += [outdir / "sweep.csv", outdir / "sweep_argmax.json"]
     timings = {stage: sum(c.timings_s[stage] for c in cells) for stage in evolution.STAGES}
-    _write_manifest(outdir, "sweep", args, inputs, outputs, dataclasses.asdict(config), timings)
+    _write_manifest(outdir, "sweep", args, inputs, outputs, dataclasses.asdict(config),
+                    timings_s=timings, workers=evolution.sweep_workers(len(cells)))
     return 0
 
 

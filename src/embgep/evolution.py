@@ -14,6 +14,9 @@ inversion, the transpositions and all recombinations are per-chromosome
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -505,22 +508,105 @@ class SweepCell:
     timings_s: dict[str, float] = field(compare=False)
 
 
-def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCell]:
-    """Best fitness per (genes, head) grid cell, one fixed-seed run per cell."""
+def sweep_configs(base_config: GepConfig, gene_counts, head_sizes) -> list[GepConfig]:
+    """The config of every (genes, head) grid cell, in grid order: gene
+    count major, head size minor.  Building them checks every cell."""
     gene_counts = list(gene_counts)
     head_sizes = list(head_sizes)
     if not gene_counts or not head_sizes:
         raise ValueError("sweep grids must be nonempty")
-    # every cell's config is built, and so checked, before the first run
-    configs = [replace(base_config, num_genes=g, head_size=h)
-               for g in gene_counts for h in head_sizes]
+    return [replace(base_config, num_genes=g, head_size=h) for g in gene_counts for h in head_sizes]
+
+
+def sweep_workers(cells: int) -> int:
+    """Processes ``sweep`` runs ``cells`` grid cells on: one per CPU this
+    process may run on, and no more than there are cells."""
+    return min(cells, len(os.sched_getaffinity(0)))
+
+
+def _run_cells(X, y, configs) -> list[SweepCell]:
     cells = []
     for cfg in configs:
         g, h = cfg.num_genes, cfg.head_size
-        rng = np.random.default_rng(np.random.SeedSequence([base_config.rng_seed, g, h]))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, g, h]))
         result = run(cfg, X, y, rng)
         cells.append(SweepCell(g, h, result.report.fitness, result.timings_s))
     return cells
+
+
+def _fork_share(X, y, configs):
+    """Fork a child that runs ``configs`` and writes the pickled cells, or
+    the exception the run raised, to a pipe; returns its pid and the
+    pipe's read end.  The child leaves with ``os._exit``: it runs no exit
+    handlers and flushes no stdio buffer it shares with the parent, and
+    it exits 0 only once the whole result is written."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps(_run_cells(X, y, configs))
+            except BaseException as exc:  # sent to the parent, which raises it
+                payload = pickle.dumps(exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _share_cells(share: int, status: int, payload: bytes) -> list[SweepCell]:
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"sweep worker for share {share} ended without a result ({how})")
+    result = pickle.loads(payload)  # written by this program's own child
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCell]:
+    """Best fitness per (genes, head) grid cell, one fixed-seed run per cell,
+    in grid order.
+
+    Every cell's config is built, and so checked, before the first run.
+    The cells are dealt into ``sweep_workers`` interleaved shares (cell i
+    to share i mod N): this process runs share 0 and one forked child runs
+    each other share.  A cell's RNG depends only on the seed and the cell,
+    so the result does not depend on N.  An exception a child's run raises
+    is raised here; a child that ends without a result raises
+    ``RuntimeError``.  On any error every child still running is killed
+    and reaped before the exception propagates.
+    """
+    configs = sweep_configs(base_config, gene_counts, head_sizes)
+    n = sweep_workers(len(configs))
+    # fork, not a spawned pool: a child starts with X, y and the imported
+    # engine already in memory, and the parent's share keeps its CPU busy.
+    # The engine starts no thread and calls no BLAS routine, so the child
+    # needs no lock another thread might have held at the fork
+    children = []  # (share, pid, pipe) of every child not yet reaped
+    try:
+        for share in range(1, n):
+            children.append((share, *_fork_share(X, y, configs[share::n])))
+        shares = [_run_cells(X, y, configs[::n])]
+        while children:
+            share, pid, pipe = children[0]
+            payload = pipe.read()  # to EOF before waiting, so a full pipe cannot block the child
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            shares.append(_share_cells(share, status, payload))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # an unreaped child, even one that exited, has its pid
+            os.waitpid(pid, 0)
+    return [shares[i % n][i // n] for i in range(len(configs))]
 
 
 # ---------------------------------------------------------------------------

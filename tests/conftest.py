@@ -1,9 +1,25 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embgep import data, evolution, karva
+
+
+def child_pids() -> set[int]:
+    """Pids of this process's children, running or exited but not reaped."""
+    return {int(pid) for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process behind; reap nothing."""
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    assert not left, f"the test left child process(es) {sorted(left)}"
 
 
 @pytest.fixture(scope="session")

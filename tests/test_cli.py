@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -614,6 +615,61 @@ class TestSweep:
         assert "record 'X': ay_ratio not finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--genes", "3,0"],
+    ["sweep", "--genes", "x"],
+    ["sweep", "--heads", ","],
+    ["sweep", "--config", "bad.cfg"],
+    ["fit", "--config", "bad.cfg"],
+    ["fit", "--config", "missing.cfg"],
+])
+def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text("bad = 1\n", encoding="utf-8")
+    assert run_cli(*argv, "--synth", 20, "--out", "o") == 2
+    assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--genes", "x", "--genes 'x': expected integers as lo:hi or a,b,..."),
+    ("--genes", "1:", "--genes '1:': expected integers as lo:hi or a,b,..."),
+    ("--heads", "4:6:8", "--heads '4:6:8': expected integers as lo:hi or a,b,..."),
+    ("--genes", ",", "--genes ',': the grid is empty"),
+    ("--heads", "7:5", "--heads '7:5': the grid is empty"),
+])
+def test_bad_grid_error_names_the_option_and_text(tmp_path, capsys, option, text, message):
+    assert run_cli("sweep", "--synth", 20, option, text, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_workers_exception_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, real_run = os.getpid(), evolution.run
+
+    def run_one_column_in_worker(config, X, y, rng):
+        return real_run(config, X if os.getpid() == parent else X[:, :1], y, rng)
+
+    monkeypatch.setattr(evolution, "run", run_one_column_in_worker)
+    assert run_cli("sweep", "--synth", 20, "--genes", "1:2", "--heads", 4, "--max-generations", 1,
+                   "--out", tmp_path / "o") == 2
+    assert "but X has 1 column(s)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_manifest_records_environment_and_sweep_workers(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert run_cli("sweep", "--synth", 20, "--genes", "1:2", "--heads", 4, "--max-generations", 1,
+                   "--out", tmp_path / "sweep") == 0
+    assert run_cli("stats", "--synth", 20, "--out", tmp_path / "stats") == 0
+    sweep_manifest, stats_manifest = (json.loads((tmp_path / name / "manifest.json").read_text())
+                                      for name in ("sweep", "stats"))
+    assert sweep_manifest["workers"] == min(2, cpus) and "workers" not in stats_manifest
+    for manifest in (sweep_manifest, stats_manifest):
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": np.__version__}
 
 
 def test_engine_stage_timings_only_in_the_manifest(tmp_path):

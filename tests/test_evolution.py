@@ -1,9 +1,14 @@
+import contextlib
 import math
+import os
+import signal
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_sound_codes, random_chromosome
+from conftest import assert_sound_codes, child_pids, random_chromosome
 from embgep import evolution, karva
 from embgep.evolution import (
     ConfigError,
@@ -340,6 +345,111 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(np.zeros((3, 1)), np.zeros(3), GepConfig(num_inputs=1), [], [7])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block outlasts ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def patch_run(monkeypatch, in_child=None, in_parent=None):
+    """Make ``evolution.run`` call ``in_child(config)`` in a forked sweep
+    worker, or ``in_parent(config)`` in this process, before the real run."""
+    parent, real_run = os.getpid(), evolution.run
+
+    def patched(config, X, y, rng):
+        hook = in_parent if os.getpid() == parent else in_child
+        if hook is not None:
+            X = hook(config, X)
+        return real_run(config, X, y, rng)
+
+    monkeypatch.setattr(evolution, "run", patched)
+
+
+class TestSweepWorkers:
+    """Each test also checks, through conftest's autouse fixture, that
+    ``sweep`` leaves no worker process behind."""
+
+    X = np.random.default_rng(3).uniform(0.5, 2.0, size=(30, 3))
+    y = X[:, 0] * X[:, 1] - X[:, 2]
+    config = GepConfig(num_chromosomes=8, max_generations=3, rng_seed=9)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_worker_count_matches_per_cell_runs_in_grid_order(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        genes, heads = [1, 2, 3], [3, 5]
+        assert evolution.sweep_workers(6) == cpus and evolution.sweep_workers(2) == min(2, cpus)
+        cells = sweep(self.X, self.y, self.config, genes, heads)
+        assert len(forks) == cpus - 1
+        expected = []
+        for g in genes:
+            for h in heads:
+                rng = np.random.default_rng(np.random.SeedSequence([9, g, h]))
+                result = run(replace(self.config, num_genes=g, head_size=h), self.X, self.y, rng)
+                expected.append((g, h, result.report.fitness))
+        assert [(c.num_genes, c.head_size, c.fitness) for c in cells] == expected
+
+    def test_a_workers_exception_is_raised_here(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        patch_run(monkeypatch, in_child=lambda config, X: X[:, :1])
+        with deadline(60), pytest.raises(ValueError, match=r"but X has 1 column\(s\)") as info:
+            sweep(self.X, self.y, self.config, [1, 2, 3, 4], [4])
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (lambda: os._exit(3), "exit status 3"),
+    ])
+    def test_a_worker_that_ends_without_a_result_raises(self, monkeypatch, end, how):
+        # of three shares, only share 1 (the gene count 2) ends early
+        set_cpus(monkeypatch, 3)
+
+        def end_in_share_1(config, X):
+            if config.num_genes == 2:
+                end()
+            return X
+
+        patch_run(monkeypatch, in_child=end_in_share_1)
+        with deadline(60), pytest.raises(RuntimeError,
+                                         match=rf"share 1 ended without a result \({how}\)"):
+            sweep(self.X, self.y, self.config, [1, 2, 3], [4])
+
+    def test_interrupted_parent_kills_and_reaps_every_worker(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        before = child_pids()
+
+        def interrupt(config, X):
+            assert len(child_pids() - before) == 2
+            raise KeyboardInterrupt
+
+        patch_run(monkeypatch, in_child=lambda config, X: time.sleep(600), in_parent=interrupt)
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            sweep(self.X, self.y, self.config, [1, 2, 3], [4])
+        assert child_pids() == before
 
 
 class TestConfig:
