@@ -176,19 +176,18 @@ def cmd_split(args) -> int:
     records, inputs, outputs = _load_records(args, outdir, rngs)
 
     split = data.split_matched(records, args.fraction, args.trials, rngs.pop(0))
-    train, test = data.split_records(records, split)
-    data.save(train, outdir / "train.csv")
-    data.save(test, outdir / "test.csv")
+    data.save(split.train, outdir / "train.csv")
+    data.save(split.test, outdir / "test.csv")
     _write_json(
         outdir / "split.json",
         {
             "fraction": args.fraction,
             "trials": args.trials,
             "score": split.score,
-            "n_train": len(train),
-            "n_test": len(test),
-            "train_ids": list(split.train_ids),
-            "test_ids": list(split.test_ids),
+            "n_train": len(split.train),
+            "n_test": len(split.test),
+            "train_ids": list(split.train.ids),
+            "test_ids": list(split.test.ids),
         },
     )
     outputs += [outdir / "train.csv", outdir / "test.csv", outdir / "split.json"]
@@ -255,9 +254,8 @@ def cmd_fit(args) -> int:
         inputs.append(Path(args.config))
 
     split = data.split_matched(records, 0.75, args.trials, rngs.pop(0))
-    train, test = data.split_records(records, split)
-    stages = {stage: _stage_arrays(stage, rows)
-              for stage, rows in (("Training", train), ("Validation", test), ("All data", records))}
+    stages = {stage: _stage_arrays(stage, rows) for stage, rows in
+              (("Training", split.train), ("Validation", split.test), ("All data", records))}
     result = evolution.run(config, *stages["Training"], rngs.pop(0))
 
     best_text = karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs)
@@ -299,7 +297,7 @@ def cmd_fit(args) -> int:
         {
             # an undefined metric (NaN, a blank cell in metrics.csv) is null
             "stages": [{k: None if v != v else v for k, v in row.items()} for row in stage_rows],
-            "split": {"train_ids": list(split.train_ids), "test_ids": list(split.test_ids),
+            "split": {"train_ids": list(split.train.ids), "test_ids": list(split.test.ids),
                       "score": split.score},
             "best_fitness": result.report.fitness,
             "best_rmse": result.report.rmse,
@@ -391,22 +389,19 @@ def cmd_sensitivity(args) -> int:
     outdir = _outdir(args)
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.family:
-        levels = [float(v) for v in args.levels.split(",")] if args.levels else []
-        if not levels:
-            raise ValueError("family mode needs --levels, e.g. --levels 0.2,0.5,1.0")
-        points = [(level, p) for level in levels for p in displacement.sensitivity_profile(
-            "Mw", grid, {args.family: level}, args.pole_eps)]
+        # one Mw curve per level: the grid tiled once per level, level-major
+        levels = np.repeat(args.levels, grid.size)
+        varied, values, anchors = "Mw", np.tile(grid, len(args.levels)), {args.family: levels}
         header = ("family_parameter", "level", "Mw", "ln_D_m", "status")
-        leading = [[args.family] * len(points), [level for level, _ in points]]
+        leading = [[args.family] * values.size, levels]
     else:
-        points = [(None, p) for p in displacement.sensitivity_profile(
-            args.param, grid, None, args.pole_eps)]
+        varied, values, anchors = args.param, grid, None
         header = ("parameter", "value", "ln_D_m", "status")
-        leading = [[args.param] * len(points)]
-    # ln_D_m is a float column, NaN (a blank cell) where the status is not ok
-    ln_d = np.array([p.ln_d for _, p in points], dtype=np.float64)
+        leading = [[args.param] * values.size]
+    result = displacement.sensitivity_profile(varied, values, anchors, args.pole_eps)
+    # ln_D_m is NaN (a blank cell) where the status is not ok
     _write_csv(outdir / "sensitivity.csv", header,
-               [*leading, [p.value for _, p in points], ln_d, [p.status for _, p in points]])
+               [*leading, values, result.value, result.status])
     _write_manifest(outdir, "sensitivity", args, [], [outdir / "sensitivity.csv"])
     return 0
 
@@ -468,6 +463,23 @@ def _pole_eps(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def _levels(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, e.g. 0.2,0.5,1.0, got {text!r}") from None
+
+
 def _add_common(sub: argparse.ArgumentParser, with_data: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     sub.add_argument("--out", default=".", help="output directory (default .)")
@@ -527,10 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=displacement.SENSITIVITY_PARAMS, default="Mw")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
-                   help="vary Mw at fixed levels of this parameter")
-    p.add_argument("--levels", help="comma-separated family levels")
+                   help="vary Mw at fixed levels of this parameter (needs --levels)")
+    p.add_argument("--levels", type=_levels, help="comma-separated family levels")
     p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.set_defaults(func=cmd_sensitivity)
 
@@ -549,6 +561,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sensitivity" and (args.family is None) != (args.levels is None):
+            parser.error("argument --family: needs --levels" if args.levels is None
+                         else "argument --levels: needs --family")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

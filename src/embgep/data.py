@@ -8,8 +8,9 @@ CSV schema (header required, UTF-8, '.' decimal separator)::
 Optional cells (Td_s, Tm_s, H_m, Vs_mps) may be empty; a blank Td_s is
 derived as 4H/Vs when height and shear wave velocity are present.  A set of
 case histories is only ever held as a ``CaseTable``, one float64 array per
-column: ``load`` and ``synthesize`` return one, and ``save``, the summaries,
-the matched split and ``regression_arrays`` take one.
+column: ``load`` and ``synthesize`` return one, ``save``, the summaries and
+``regression_arrays`` take one, and the matched split takes one and returns
+its training and test rows as two.
 
 The real 85-record database behind the built-in gep relationship is not
 publicly available; ``synthesize`` generates surrogate databases whose
@@ -337,8 +338,11 @@ def summarize(table: CaseTable) -> dict[str, ParamStats]:
 
 @dataclass(frozen=True)
 class Split:
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
+    """The training and test rows of a matched split, each in table order,
+    and the split's ``match_score``."""
+
+    train: CaseTable
+    test: CaseTable
     score: float
 
 
@@ -370,14 +374,15 @@ def match_score(train: CaseTable, test: CaseTable, full: CaseTable | None = None
 def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
                   rng: np.random.Generator | None = None) -> Split:
     """Best of ``trials`` random splits by the normalised moment-matching
-    score.  85 records at the default fraction give the published 63/22.
+    score, as the two tables of its rows.  85 records at the default
+    fraction give the published 63/22.
 
     Trials are screened in chunks without gathering rows: a 0/1 mask of each
     trial's training rows times the column-centred matrix and its squares
     gives the training sums, the column totals less those give the test
     sums, and the moments follow.  The winner is rescored with
     ``match_score``'s formula on its rows in sorted order, so ``score``
-    equals ``match_score`` of the split's records exactly.
+    equals ``match_score(split.train, split.test)`` exactly.
     """
     n = len(table)
     if n < 4:
@@ -431,17 +436,8 @@ def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
 
     train_idx = np.sort(best_perm[:k])
     test_idx = np.sort(best_perm[k:])
-    return Split(
-        tuple(table.ids[i] for i in train_idx.tolist()),
-        tuple(table.ids[i] for i in test_idx.tolist()),
-        _gap_score(mat[train_idx], mat[test_idx], ranges),
-    )
-
-
-def split_records(table: CaseTable, split: Split) -> tuple[CaseTable, CaseTable]:
-    row = {rec_id: i for i, rec_id in enumerate(table.ids)}
-    return (table.take([row[i] for i in split.train_ids]),
-            table.take([row[i] for i in split.test_ids]))
+    return Split(table.take(train_idx), table.take(test_idx),
+                 _gap_score(mat[train_idx], mat[test_idx], ranges))
 
 
 # ---------------------------------------------------------------------------

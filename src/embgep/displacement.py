@@ -23,7 +23,9 @@ columns and labels every row ``ok``, ``pole``, ``domain_error`` or
 and ``gep_ln_displacement`` (ln D as a float, raising ``PoleError`` or
 ``ModelDomainError`` instead of returning a label).  They stay for callers
 that hold one case rather than columns, and as the bindings the per-layer
-benchmark tracer wraps.
+benchmark tracer wraps.  ``sensitivity_profile`` is ``evaluate`` of ``gep``
+along a grid of one parameter: it returns the ``Evaluation`` itself, whose
+``value`` column is the ln D curve.
 
 The ``gep`` relationship has a pole where its period-ratio denominator
 5.55*(T_d/T_p) - 7.052 vanishes (T_d/T_p ~ 1.2706).  Inputs within
@@ -376,49 +378,29 @@ def gep_ln_displacement(
 # sensitivity curves
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """One grid point; ``status`` is ``ok``, ``pole`` or ``domain_error``,
-    and ``ln_d`` is None unless it is ``ok``."""
-
-    value: float
-    ln_d: float | None
-    status: str
-
-    @property
-    def pole(self) -> bool:
-        return self.status == "pole"
-
-
 def sensitivity_profile(
     varied: str,
     grid,
-    anchors: dict[str, float] | None = None,
+    anchors: dict | None = None,
     pole_eps: float = DEFAULT_POLE_EPS,
-) -> list[SensitivityPoint]:
-    """ln D along a grid of one parameter, the others held at their anchors
-    (defaults: database means).  Grid points inside the pole neighbourhood
-    or outside the model domain (Mw = 0) come back as explicit status
-    markers, not values."""
+) -> Evaluation:
+    """The ``gep`` ``Evaluation`` along a grid of one parameter, the others
+    held at their anchors (defaults: database means).  An anchor is a number
+    or a column as long as the grid, so one call covers a family of curves.
+    ``value`` is ln D (m); a grid point inside the pole neighbourhood or
+    outside the model domain (Mw = 0) has the status ``pole`` or
+    ``domain_error`` and a NaN value."""
     if varied not in SENSITIVITY_PARAMS:
         raise ValueError(f"unknown parameter {varied!r}; expected one of {SENSITIVITY_PARAMS}")
-    base = {
-        "Mw": MEAN_MW,
-        "ay_ratio": MEAN_AY_RATIO,
-        "period_ratio": MEAN_PERIOD_RATIO,
-    }
-    if anchors:
-        for key in anchors:
-            if key not in base:
-                raise ValueError(f"unknown anchor {key!r}")
-        base.update(anchors)
+    base = dict(zip(SENSITIVITY_PARAMS, (MEAN_MW, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)))
+    for key in anchors or {}:
+        if key not in base:
+            raise ValueError(f"unknown anchor {key!r}")
+    base.update(anchors or {})
     values = np.asarray(grid, dtype=np.float64).reshape(-1)
-    columns = {name: np.full(len(values), base[name], dtype=np.float64) for name in base}
-    columns[varied] = values
-    result = evaluate("gep", {"m_w": columns["Mw"], "ay_ratio": columns["ay_ratio"],
-                              "period_ratio": columns["period_ratio"]}, pole_eps)
-    return [
-        SensitivityPoint(v, ln_d if status == "ok" else None, status)
-        for v, ln_d, status in zip(values.tolist(), result.value.tolist(),
-                                   result.status.tolist())
-    ]
+    base[varied] = values
+    m_w, ay_ratio, period_ratio = (np.broadcast_to(np.asarray(base[name], dtype=np.float64),
+                                                   values.shape)
+                                   for name in SENSITIVITY_PARAMS)
+    return evaluate("gep", {"m_w": m_w, "ay_ratio": ay_ratio, "period_ratio": period_ratio},
+                    pole_eps)

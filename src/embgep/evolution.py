@@ -128,7 +128,7 @@ class Population:
 
     ``codes[p, g, i]`` is the symbol code (see ``karva.alphabet``) at
     position ``i`` of gene ``g`` of chromosome ``p``, and ``constants[p, g]``
-    is that gene's pool.  Indexing and iteration give ``Chromosome`` views.
+    is that gene's pool.
     """
 
     codes: np.ndarray
@@ -137,12 +137,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, p: int) -> karva.Chromosome:
-        return karva.chromosome_from_codes(self.codes[p], self.constants[p], self.num_inputs)
-
-    def __iter__(self):
-        return (self[p] for p in range(len(self)))
 
     def take(self, rows) -> "Population":
         return Population(self.codes[rows], self.constants[rows], self.num_inputs)
@@ -675,23 +669,3 @@ def config_from_text(text: str) -> GepConfig:
 def read_config_file(path) -> GepConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_text(fh.read())
-
-
-def config_to_text(config: GepConfig) -> str:
-    lines = [
-        f"number_of_chromosomes = {config.num_chromosomes}",
-        f"head_size = {config.head_size}",
-        f"number_of_genes = {config.num_genes}",
-        f"number_of_inputs = {config.num_inputs}",
-        "linking_function = +",
-        f"function_set = {FUNCTION_SET_TEXT}",
-    ]
-    reverse_rates = {v: k for k, v in _RATE_KEYS.items()}
-    for field_name, value in config.rates.as_dict().items():
-        lines.append(f"{reverse_rates[field_name]} = {value!r}")
-    lines += [
-        f"max_generations = {config.max_generations}",
-        f"stagnation_limit = {config.stagnation_limit}",
-        f"rng_seed = {config.rng_seed}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Karva-encoded genomes: fixed-length linear genes decoded into expression trees.
+"""Karva-encoded genomes: fixed-length linear genes read breadth first.
 
 A gene is a linear string of symbols split into a head (functions and
 terminals) and a tail (terminals only).  With a binary function set the tail
@@ -9,8 +9,12 @@ A chromosome is a tuple of genes combined by addition.
 Array form: the search loop holds genes as rows of integer symbol codes,
 a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
 then inputs, then pool constants), plus one row of pool constants each.
-``chromosome_from_codes`` / ``chromosome_codes`` convert between the array
-form and the ``Gene``/``Chromosome`` objects of the reference decoder.
+``coding_children`` lays out a gene's coding region, and
+``kernels.gene_sum`` evaluates code rows straight from that layout; the
+package holds no other evaluator.  ``Gene``/``Chromosome`` are object views
+of one chromosome, and ``chromosome_codes`` gives a view's code rows.  The
+scalar reference decoder (expression trees, evaluated one row at a time)
+is the test oracle in ``tests/oracles.py``.
 
 Text form (K-expression): one gene per line, space-separated symbol tokens
 (``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,13 +97,11 @@ def parse_symbol(token: str) -> Symbol:
     raise KExprError(f"unknown symbol token {token!r}")
 
 
-def tail_length(head_length: int, max_arity: int = MAX_ARITY) -> int:
-    """Tail length required for a head, ``head * (max_arity - 1) + 1``."""
+def tail_length(head_length: int) -> int:
+    """Tail length required for a head, ``head + 1``: every function is binary."""
     if head_length < 1:
         raise ValueError(f"head_length must be >= 1, got {head_length}")
-    if max_arity < 1:
-        raise ValueError(f"max_arity must be >= 1, got {max_arity}")
-    return head_length * (max_arity - 1) + 1
+    return head_length + 1
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,6 @@ class Chromosome:
         return self.genes[0].head_length
 
 
-@dataclass(frozen=True)
-class Node:
-    """Expression-tree node; functions carry exactly two children."""
-
-    symbol: Symbol
-    children: tuple["Node", ...] = field(default=())
-
-    @property
-    def size(self) -> int:
-        return 1 + sum(child.size for child in self.children)
-
-
 def coding_children(functions) -> list[tuple[int, int] | None]:
     """Breadth-first (Karva) layout of a gene's coding region.
 
@@ -180,20 +170,16 @@ def coding_children(functions) -> list[tuple[int, int] | None]:
             children.append(None)
         else:
             if next_free + MAX_ARITY > len(functions):
-                raise ValueError("gene too short to decode: a function in its tail?")
+                raise ValueError("gene too short to read: a function in its tail?")
             children.append((next_free, next_free + 1))
             next_free += MAX_ARITY
         i += 1
     return children
 
 
-def _functions(symbols) -> list[bool]:
-    return [not sym.is_terminal for sym in symbols]
-
-
 def consumed_length(gene: Gene) -> int:
     """Number of leading symbols the breadth-first decoding actually reads."""
-    return len(coding_children(_functions(gene.symbols)))
+    return len(coding_children([not sym.is_terminal for sym in gene.symbols]))
 
 
 def coding_lengths(codes: np.ndarray) -> np.ndarray:
@@ -208,65 +194,6 @@ def coding_lengths(codes: np.ndarray) -> np.ndarray:
     before = np.zeros(codes.shape[:-1] + (length + 1,), dtype=np.intp)
     np.cumsum(codes < NUM_FUNCTIONS, axis=-1, out=before[..., 1:])
     return np.argmax(np.arange(length + 1) >= 1 + MAX_ARITY * before, axis=-1)
-
-
-def decode(gene: Gene) -> Node:
-    """Decode a gene breadth-first into its expression tree (see
-    ``coding_children``); unread symbols are the gene's non-coding region."""
-    symbols = gene.symbols
-    children = coding_children(_functions(symbols))
-
-    def build(idx: int) -> Node:
-        pair = children[idx]
-        if pair is None:
-            return Node(symbols[idx])
-        return Node(symbols[idx], (build(pair[0]), build(pair[1])))
-
-    return build(0)
-
-
-def evaluate_tree(tree: Node, inputs, constants) -> float | None:
-    """Evaluate an expression tree; ``None`` flags any non-finite result.
-
-    Division by zero, overflow and every other non-finite intermediate value
-    return the flag instead of a number: there is no protected arithmetic.
-    """
-    sym = tree.symbol
-    if sym.kind == KIND_INPUT:
-        value = float(inputs[sym.index])
-    elif sym.kind == KIND_CONST:
-        value = float(constants[sym.index])
-    else:
-        left = evaluate_tree(tree.children[0], inputs, constants)
-        right = evaluate_tree(tree.children[1], inputs, constants)
-        if left is None or right is None:
-            return None
-        if sym.index == ADD:
-            value = left + right
-        elif sym.index == SUB:
-            value = left - right
-        elif sym.index == MUL:
-            value = left * right
-        else:
-            if right == 0.0:
-                return None
-            value = left / right
-    return value if math.isfinite(value) else None
-
-
-def evaluate_gene(gene: Gene, inputs) -> float | None:
-    return evaluate_tree(decode(gene), inputs, gene.constants)
-
-
-def evaluate_chromosome(chrom: Chromosome, inputs) -> float | None:
-    """Sum of per-gene values (linking by addition); non-finite if any gene is."""
-    total = 0.0
-    for gene in chrom.genes:
-        value = evaluate_gene(gene, inputs)
-        if value is None:
-            return None
-        total += value
-    return total if math.isfinite(total) else None
 
 
 @functools.lru_cache(maxsize=8)
@@ -294,18 +221,8 @@ def symbol_code(sym: Symbol, num_inputs: int) -> int:
     return NUM_FUNCTIONS + num_inputs + sym.index
 
 
-def chromosome_from_codes(codes: np.ndarray, constants: np.ndarray, num_inputs: int) -> Chromosome:
-    """Chromosome view of a ``(genes, L)`` code array and its ``(genes, 10)`` pools."""
-    symbol = alphabet(num_inputs).__getitem__
-    head = (codes.shape[1] - 1) // MAX_ARITY
-    return Chromosome(tuple(
-        Gene(tuple(map(symbol, row[:head])), tuple(map(symbol, row[head:])), pool)
-        for row, pool in zip(codes.tolist(), constants.tolist())
-    ))
-
-
 def chromosome_codes(chrom: Chromosome, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``chromosome_from_codes``: the code array and the pools."""
+    """The ``(genes, L)`` code array and ``(genes, 10)`` pools of a chromosome view."""
     codes = [[symbol_code(sym, num_inputs) for sym in gene.symbols] for gene in chrom.genes]
     return (np.array(codes, dtype=code_dtype(num_inputs)),
             np.array([gene.constants for gene in chrom.genes], dtype=np.float64))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from embgep import data, evolution, karva
 
 
@@ -44,7 +45,7 @@ def random_chromosome(rng, num_genes=4, head_size=7, num_inputs=3):
     config = evolution.GepConfig(
         num_chromosomes=2, head_size=head_size, num_genes=num_genes, num_inputs=num_inputs
     )
-    return evolution.initialize(config, rng)[0]
+    return oracles.population_views(evolution.initialize(config, rng))[0]
 
 
 def assert_sound_codes(codes, pools, num_inputs):

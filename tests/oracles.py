@@ -1,12 +1,20 @@
-"""Independent high-precision oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values.
 
 These never call the package's own arithmetic: the gep relationship is
 re-evaluated in exact rational arithmetic (fractions), the comparison
 relationships in 60-digit decimal arithmetic (decimal).  Python floats are
 converted exactly (binary value, no re-parsing), so the oracle evaluates the
 same inputs the implementation sees.
+
+The scalar Karva decoder is the oracle of the array engine: it reads a
+``karva.Gene`` view breadth first into an expression tree, with its own
+layout code, and evaluates the tree on one input row in Python floats,
+flagging any non-finite value.  ``kernels.gene_sum`` and
+``kernels.evaluate_codes`` are checked against it.
 """
 
+import math
+from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -135,3 +143,104 @@ def build_gep_formula_chromosome() -> karva.Chromosome:
         {0: 5.098},
     )
     return karva.Chromosome((term1, term2, term3, term4))
+
+
+# ---------------------------------------------------------------------------
+# the scalar Karva decoder: object views of code rows, expression trees and
+# their evaluation one input row at a time
+
+
+def chromosome_from_codes(codes, constants, num_inputs: int) -> karva.Chromosome:
+    """``Chromosome`` view of a ``(genes, L)`` code array and its ``(genes, 10)`` pools."""
+    alphabet = karva.alphabet(num_inputs)
+    head = (codes.shape[1] - 1) // 2
+    return karva.Chromosome(tuple(
+        karva.Gene(tuple(alphabet[c] for c in row[:head]), tuple(alphabet[c] for c in row[head:]),
+                   pool)
+        for row, pool in zip(codes.tolist(), constants.tolist())
+    ))
+
+
+def population_views(pop) -> list[karva.Chromosome]:
+    """The ``Chromosome`` view of every chromosome of an ``evolution.Population``."""
+    return [chromosome_from_codes(codes, pools, pop.num_inputs)
+            for codes, pools in zip(pop.codes, pop.constants)]
+
+
+@dataclass(frozen=True)
+class Node:
+    """Expression-tree node; functions carry exactly two children."""
+
+    symbol: karva.Symbol
+    children: tuple["Node", ...] = field(default=())
+
+    @property
+    def size(self) -> int:
+        return 1 + sum(child.size for child in self.children)
+
+
+def decode(gene: karva.Gene) -> Node:
+    """The gene's expression tree, read breadth first: each symbol's
+    arguments are the next unread symbols, level by level, so a function's
+    children follow every argument of the symbols read before it.  Symbols
+    left unread are the gene's non-coding region."""
+    symbols = gene.symbols
+    first_child = []  # per coding position, where its arguments start
+    needed = 1  # symbols the tree needs so far: the root and every argument met
+    for sym in symbols:
+        if len(first_child) == needed:
+            break
+        first_child.append(needed)
+        needed += sym.arity
+    if needed > len(symbols):
+        raise ValueError("gene too short to decode: a function in its tail?")
+
+    def build(i: int) -> Node:
+        sym = symbols[i]
+        return Node(sym, tuple(build(first_child[i] + k) for k in range(sym.arity)))
+
+    return build(0)
+
+
+def evaluate_tree(tree: Node, inputs, constants) -> float | None:
+    """Evaluate an expression tree; ``None`` flags any non-finite result.
+
+    Division by zero, overflow and every other non-finite intermediate value
+    return the flag instead of a number: there is no protected arithmetic.
+    """
+    sym = tree.symbol
+    if sym.kind == karva.KIND_INPUT:
+        value = float(inputs[sym.index])
+    elif sym.kind == karva.KIND_CONST:
+        value = float(constants[sym.index])
+    else:
+        left = evaluate_tree(tree.children[0], inputs, constants)
+        right = evaluate_tree(tree.children[1], inputs, constants)
+        if left is None or right is None:
+            return None
+        if sym.index == karva.ADD:
+            value = left + right
+        elif sym.index == karva.SUB:
+            value = left - right
+        elif sym.index == karva.MUL:
+            value = left * right
+        else:
+            if right == 0.0:
+                return None
+            value = left / right
+    return value if math.isfinite(value) else None
+
+
+def evaluate_gene(gene: karva.Gene, inputs) -> float | None:
+    return evaluate_tree(decode(gene), inputs, gene.constants)
+
+
+def evaluate_chromosome(chrom: karva.Chromosome, inputs) -> float | None:
+    """Sum of per-gene values (linking by addition); non-finite if any gene is."""
+    total = 0.0
+    for gene in chrom.genes:
+        value = evaluate_gene(gene, inputs)
+        if value is None:
+            return None
+        total += value
+    return total if math.isfinite(total) else None

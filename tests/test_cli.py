@@ -200,7 +200,7 @@ class TestFit:
         assert built == []
         # the counters see a view when one is built
         text = (out / "best.kexpr").read_text(encoding="utf-8")
-        karva.chromosome_from_codes(*karva.kexpr_codes(text, 3), 3)
+        oracles.chromosome_from_codes(*karva.kexpr_codes(text, 3), 3)
         assert built == ["Gene"] * 4 + ["Chromosome"]
 
     def test_fit_zero_generations_reports_initial_best(self, tmp_path):
@@ -260,7 +260,7 @@ class TestFit:
             zeroed = dataclasses.replace(table, d=np.where(np.arange(len(table)) == i, 0.0,
                                                            table.d))
             split_rng = cli._spawn_rngs(seed, 3)[1]  # the stream cmd_fit splits with
-            if table.ids[i] in data.split_matched(zeroed, 0.75, trials, split_rng).test_ids:
+            if table.ids[i] in data.split_matched(zeroed, 0.75, trials, split_rng).test.ids:
                 break
         else:
             pytest.fail("no row of the table lands in the validation set")
@@ -574,6 +574,24 @@ class TestSensitivity:
                                      "--from", 1.2, "--to", 1.4, "--steps", 5,
                                      "--out", tmp_path / "o")
 
+    @pytest.mark.parametrize("options,message", [
+        (("--steps", "-1"), "argument --steps: must be an integer >= 1, got '-1'"),
+        (("--steps", "0"), "argument --steps: must be an integer >= 1, got '0'"),
+        (("--steps", "3", "--family", "ay_ratio", "--levels", "0.2,x"),
+         "argument --levels: expected comma-separated numbers, e.g. 0.2,0.5,1.0, got '0.2,x'"),
+        (("--steps", "3", "--family", "ay_ratio", "--levels", ","),
+         "argument --levels: expected comma-separated numbers, e.g. 0.2,0.5,1.0, got ','"),
+        (("--steps", "3", "--levels", "0.5"), "argument --levels: needs --family"),
+        (("--steps", "3", "--family", "ay_ratio"), "argument --family: needs --levels"),
+    ], ids=["steps_negative", "steps_zero", "levels_not_a_number", "levels_empty",
+            "levels_without_family", "family_without_levels"])
+    def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, options, message):
+        out = tmp_path / "o"
+        assert run_cli("sensitivity", "--from", 5, "--to", 8, *options, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert message in err and "usage:" in err  # argparse's error, not a crash
+        assert not out.exists()
+
 
 class TestSweep:
     def test_shape_argmax_determinism(self, tmp_path):
@@ -732,7 +750,7 @@ class TestDeterminism:
         assert ma["outputs"] == mb["outputs"]
 
     @pytest.mark.parametrize("command", ["fit", "sweep", "stats", "split", "predict", "compare",
-                                         "sensitivity"])
+                                         "sensitivity", "sensitivity_family"])
     def test_same_seed_artifacts_match_the_golden_digests(self, tmp_path, command):
         # the digests pin the engine's RNG stream and arithmetic, and the
         # closed-form layer's CSV reading, writing and formulas, across

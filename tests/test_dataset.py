@@ -21,7 +21,6 @@ from embgep.data import (
     regression_arrays,
     save,
     split_matched,
-    split_records,
     summarize,
     synthesize,
 )
@@ -200,21 +199,27 @@ class TestSummarize:
 class TestSplit:
     def test_published_counts_at_85(self, synth85):
         split = split_matched(synth85, 0.75, trials=10, rng=np.random.default_rng(0))
-        assert len(split.train_ids) == 63
-        assert len(split.test_ids) == 22
+        assert len(split.train) == 63
+        assert len(split.test) == 22
 
     def test_disjoint_and_exhaustive(self, synth85):
         split = split_matched(synth85, 0.6, trials=3, rng=np.random.default_rng(1))
-        train, test = set(split.train_ids), set(split.test_ids)
+        train, test = set(split.train.ids), set(split.test.ids)
         assert not train & test
         assert train | test == set(synth85.ids)
+        # each side holds its records' rows, in table order
+        row = {rec_id: i for i, rec_id in enumerate(synth85.ids)}
+        for side in (split.train, split.test):
+            index = [row[rec_id] for rec_id in side.ids]
+            assert index == sorted(index)
+            assert side == synth85.take(index)
 
     def test_single_trial_is_plain_random_split(self, synth85):
         rng = np.random.default_rng(9)
         split = split_matched(synth85, 0.75, trials=1, rng=rng)
         perm = np.argsort(np.random.default_rng(9).random((1, 85)), axis=1)[0]
         expected_train = {synth85.ids[i] for i in perm[:63]}
-        assert set(split.train_ids) == expected_train
+        assert set(split.train.ids) == expected_train
 
     def test_more_trials_never_worse_for_same_stream(self, synth85):
         for seed in range(5):
@@ -224,8 +229,8 @@ class TestSplit:
 
     def test_score_matches_direct_computation(self, synth85):
         split = split_matched(synth85, 0.75, trials=4, rng=np.random.default_rng(3))
-        train, test = split_records(synth85, split)
-        assert match_score(train, test, synth85) == split.score
+        assert match_score(split.train, split.test, synth85) == split.score
+        assert match_score(split.train, split.test) == split.score
 
     def test_result_independent_of_chunk_size(self, synth85, monkeypatch):
         def split(trials_per_chunk):

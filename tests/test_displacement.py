@@ -269,18 +269,18 @@ class TestFundamentalPeriod:
 
 class TestSensitivity:
     def test_singleton_grid_equals_direct_call(self):
-        points = sensitivity_profile("Mw", [6.0])
-        assert len(points) == 1
-        assert points[0].ln_d == gep_ln_displacement(6.0, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)
+        result = sensitivity_profile("Mw", [6.0])
+        assert (result.scale, len(result.value)) == ("ln_D_m", 1)
+        assert result.value[0] == gep_ln_displacement(6.0, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)
 
     def test_magnitude_trend_increasing(self):
         grid = np.linspace(4.9, 8.3, 35)
-        values = [p.ln_d for p in sensitivity_profile("Mw", grid)]
+        values = sensitivity_profile("Mw", grid).value.tolist()
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_ay_ratio_anchor_comparison(self):
-        lo = sensitivity_profile("ay_ratio", [0.5])[0].ln_d
-        hi = sensitivity_profile("ay_ratio", [1.0])[0].ln_d
+        lo = sensitivity_profile("ay_ratio", [0.5]).value[0]
+        hi = sensitivity_profile("ay_ratio", [1.0]).value[0]
         assert hi < lo
 
     def test_period_ratio_trend_above_local_max(self):
@@ -293,20 +293,30 @@ class TestSensitivity:
         grid = np.linspace(1.9, 4.0, 30)
         oracle_vals = [float(oracles.gep_formula_exact(MEAN_MW, MEAN_AY_RATIO, float(r))) for r in grid]
         assert all(b < a for a, b in zip(oracle_vals, oracle_vals[1:]))
-        values = [p.ln_d for p in sensitivity_profile("period_ratio", grid)]
+        values = sensitivity_profile("period_ratio", grid).value.tolist()
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_pole_markers_emitted(self):
         grid = [1.2, POLE_PERIOD_RATIO, 1.4]
-        points = sensitivity_profile("period_ratio", grid)
-        assert [p.pole for p in points] == [False, True, False]
-        assert points[1].ln_d is None
+        result = sensitivity_profile("period_ratio", grid)
+        assert (result.status == "pole").tolist() == [False, True, False]
+        assert math.isnan(result.value[1])
 
     def test_domain_error_marked(self):
-        points = sensitivity_profile("Mw", [0.0, 7.0])
-        assert [(p.status, p.pole) for p in points] == [("domain_error", False), ("ok", False)]
-        assert points[0].ln_d is None
-        assert points[1].ln_d == gep_ln_displacement(7.0, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)
+        result = sensitivity_profile("Mw", [0.0, 7.0])
+        assert result.status.tolist() == ["domain_error", "ok"]
+        assert math.isnan(result.value[0])
+        assert result.value[1] == gep_ln_displacement(7.0, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)
+
+    def test_anchor_columns_give_a_family_in_one_call(self):
+        # levels tiled over the grid, level-major, equal the per-level curves
+        grid, levels = np.array([0.0, 5.0, 7.5]), [0.8, POLE_PERIOD_RATIO, 2.5]
+        family = sensitivity_profile("Mw", np.tile(grid, 3),
+                                     {"period_ratio": np.repeat(levels, 3)})
+        curves = [sensitivity_profile("Mw", grid, {"period_ratio": level}) for level in levels]
+        assert family.status.tolist() == [s for c in curves for s in c.status.tolist()]
+        assert family.value.tobytes() == np.concatenate([c.value for c in curves]).tobytes()
+        assert {"ok", "pole", "domain_error"} <= set(family.status.tolist())
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import signal
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from embgep.evolution import (
     _one_point_recombination,
     apply_operators,
     config_from_text,
-    config_to_text,
     fitness,
     initialize,
     run,
@@ -25,6 +25,7 @@ from embgep.evolution import (
     sweep,
 )
 from embgep.karva import Chromosome, Gene, constant_symbol, function_symbol, input_symbol
+from oracles import population_views
 
 
 def identity_gene(head_size=1):
@@ -80,7 +81,7 @@ class TestInitialize:
         a = initialize(config, np.random.default_rng(7))
         b = initialize(config, np.random.default_rng(7))
         assert np.array_equal(a.codes, b.codes) and np.array_equal(a.constants, b.constants)
-        assert list(a) == list(b)
+        assert population_views(a) == population_views(b)
 
     def test_all_valid(self):
         config = GepConfig(num_inputs=3)
@@ -91,12 +92,13 @@ class TestInitialize:
         config = GepConfig()
         pop = initialize(config, np.random.default_rng(1))
         assert len(pop) == 50
-        assert all(len(c.genes) == 4 for c in pop)
-        assert all(g.length == 15 for c in pop for g in c.genes)
+        views = population_views(pop)
+        assert all(len(c.genes) == 4 for c in views)
+        assert all(g.length == 15 for c in views for g in c.genes)
 
     def test_pool_constants_in_range(self):
         pop = initialize(GepConfig(), np.random.default_rng(3))
-        for c in pop:
+        for c in population_views(pop):
             for g in c.genes:
                 assert all(-10.0 <= v <= 10.0 for v in g.constants)
 
@@ -147,7 +149,7 @@ class TestOperators:
         pop = initialize(config, rng)
         out = apply_operators(pop, config, rng)
         assert_sound_codes(out.codes, out.constants, 2)
-        for chrom in out:
+        for chrom in population_views(out):
             for gene in chrom.genes:
                 assert all(s.is_terminal for s in gene.tail)
 
@@ -158,7 +160,7 @@ class TestOperators:
         for _ in range(50):
             pop = apply_operators(pop, config, rng)
             assert_sound_codes(pop.codes, pop.constants, 3)
-            for chrom in pop:
+            for chrom in population_views(pop):
                 assert len(chrom.genes) == 4
                 assert all(g.length == 15 for g in chrom.genes)
 
@@ -171,8 +173,10 @@ class TestOperators:
             for before, after in ((pop.codes, out.codes), (pop.constants, out.constants)):
                 # every exchange swaps cells between the pair at the same position
                 assert np.array_equal(np.sort(before, axis=0), np.sort(after, axis=0))
-            before = sorted((s.kind, s.index) for ch in pop for g in ch.genes for s in g.symbols)
-            after = sorted((s.kind, s.index) for ch in out for g in ch.genes for s in g.symbols)
+            before = sorted((s.kind, s.index) for ch in population_views(pop)
+                            for g in ch.genes for s in g.symbols)
+            after = sorted((s.kind, s.index) for ch in population_views(out)
+                           for g in ch.genes for s in g.symbols)
             assert before == after
 
 
@@ -259,7 +263,7 @@ class TestRun:
         assert result.report.per_generation_best == ()
         assert result.mean_history == ()
         pop = initialize(config, np.random.default_rng(3))
-        best = max(fitness(c, X, X[:, 0]).fitness for c in pop)
+        best = max(fitness(c, X, X[:, 0]).fitness for c in population_views(pop))
         assert result.report.fitness == best
 
     def test_history_nondecreasing_and_bounded(self):
@@ -292,7 +296,8 @@ class TestRun:
         cached = run(config, X, y)
 
         def every_chromosome(pop, columns, y, prev_cache, timings):
-            return [fitness(c, columns.T, y) for c in pop], prev_cache, len(pop)
+            return ([fitness(c, columns.T, y) for c in population_views(pop)], prev_cache,
+                    len(pop))
 
         monkeypatch.setattr(evolution, "_evaluate_population", every_chromosome)
         plain = run(config, X, y)
@@ -466,9 +471,42 @@ class TestConfig:
         assert (r.one_point_recombination, r.two_point_recombination) == (0.003, 0.003)
         assert (r.gene_recombination, r.gene_transposition) == (0.003, 0.003)
 
-    def test_text_round_trip(self):
-        config = GepConfig(num_chromosomes=30, head_size=5, num_genes=2, rng_seed=17)
-        assert config_from_text(config_to_text(config)) == config
+    def test_readme_config_block_is_the_defaults(self):
+        # the `key = value` block of README's "GEP engine" section documents
+        # the defaults, so it must read back as GepConfig()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## GEP engine\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert "number_of_chromosomes = 50" in block
+        assert config_from_text(block) == GepConfig()
+
+    def test_every_key_read_to_its_field(self):
+        text = (
+            "number_of_chromosomes = 30\nhead_size = 5\nnumber_of_genes = 2\n"
+            "number_of_inputs = 4\nlinking_function = +\nfunction_set = +, -, *, /\n"
+            "rate_of_mutation = 0.01\nconservative_mutation = 0.02\npermutation = 0.03\n"
+            "biased_mutation = 0.04\nis_transposition_rate = 0.05\n"
+            "ris_transposition_rate = 0.06\nrate_of_inversion = 0.07\n"
+            "uniform_recombination = 0.08\none_point_recombination = 0.09\n"
+            "two_point_recombination = 0.1\nrate_of_gene_recombination = 0.11\n"
+            "rate_of_gene_transposition = 0.12\nmax_generations = 77\n"
+            "stagnation_limit = 33\nrng_seed = 17\n"
+        )
+        rates = OperatorRates(
+            mutation=0.01, conservative_mutation=0.02, permutation=0.03, biased_mutation=0.04,
+            is_transposition=0.05, ris_transposition=0.06, inversion=0.07,
+            uniform_recombination=0.08, one_point_recombination=0.09,
+            two_point_recombination=0.1, gene_recombination=0.11, gene_transposition=0.12,
+        )
+        expected = GepConfig(num_chromosomes=30, head_size=5, num_genes=2, num_inputs=4,
+                             rates=rates, max_generations=77, stagnation_limit=33, rng_seed=17)
+        config = config_from_text(text)
+        assert config == expected
+        # every field differs from its default, so no key is silently ignored
+        default = GepConfig()
+        assert all(getattr(config, f) != getattr(default, f) for f in GepConfig.__dataclass_fields__)
+        assert all(a != b for a, b in zip(config.rates.as_dict().values(),
+                                          default.rates.as_dict().values()))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

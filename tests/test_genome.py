@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import assert_sound_codes
 from embgep import karva, kernels
 from embgep.evolution import (
@@ -44,7 +45,7 @@ def code_arrays(draw, max_genes=4, max_head=12):
 def test_view_round_trip_is_identity(arrays):
     num_inputs, codes, pools = arrays
     assert_sound_codes(codes, pools, num_inputs)
-    chrom = karva.chromosome_from_codes(codes, pools, num_inputs)
+    chrom = oracles.chromosome_from_codes(codes, pools, num_inputs)
     back_codes, back_pools = karva.chromosome_codes(chrom, num_inputs)
     assert back_codes.dtype == codes.dtype
     assert np.array_equal(back_codes, codes)
@@ -66,7 +67,7 @@ def test_kexpr_round_trip_is_identity(arrays):
 @given(code_arrays())
 def test_cumsum_coding_lengths_match_the_decoder(arrays):
     num_inputs, codes, pools = arrays
-    chrom = karva.chromosome_from_codes(codes, pools, num_inputs)
+    chrom = oracles.chromosome_from_codes(codes, pools, num_inputs)
     expected = [karva.consumed_length(gene) for gene in chrom.genes]
     assert karva.coding_lengths(codes).tolist() == expected
     # the same rule over a whole population at once
@@ -99,14 +100,14 @@ def gene_pairs(draw):
 
 
 def valued_tree(gene):
-    """The gene's ``karva.decode`` tree with each constant leaf replaced by
+    """The gene's ``oracles.decode`` tree with each constant leaf replaced by
     its pool value."""
     def walk(node):
         if node.symbol.kind == karva.KIND_CONST:
             return gene.constants[node.symbol.index]
         return node.symbol, tuple(walk(child) for child in node.children)
 
-    return walk(karva.decode(gene))
+    return walk(oracles.decode(gene))
 
 
 @settings(max_examples=500, deadline=None)
@@ -115,12 +116,13 @@ def test_equal_keys_exactly_when_programs_are_equal(pop):
     keys = canonical_keys(pop)
     assert keys.shape[:2] == (2, 1)
     same_key = keys[0].tobytes() == keys[1].tobytes()
-    first, second = (chrom.genes[0] for chrom in pop)
+    views = oracles.population_views(pop)
+    first, second = (chrom.genes[0] for chrom in views)
     assert same_key == (valued_tree(first) == valued_tree(second))
     # the code rows and their view evaluate alike
     X = np.linspace(-2.0, 2.0, 3 * pop.num_inputs).reshape(3, pop.num_inputs)
     values = kernels.evaluate_codes(pop.codes[1], pop.constants[1], X, pop.num_inputs)
-    assert values.tobytes() == kernels.evaluate_chromosome_batch(pop[1], X).tobytes()
+    assert values.tobytes() == kernels.evaluate_chromosome_batch(views[1], X).tobytes()
 
 
 @st.composite

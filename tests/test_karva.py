@@ -12,11 +12,7 @@ from embgep.karva import (
     Gene,
     KExprError,
     chromosome_codes,
-    chromosome_from_codes,
     constant_symbol,
-    decode,
-    evaluate_chromosome,
-    evaluate_tree,
     function_symbol,
     input_symbol,
     kexpr_codes,
@@ -24,6 +20,7 @@ from embgep.karva import (
     parse_symbol,
     tail_length,
 )
+from oracles import chromosome_from_codes, decode, evaluate_chromosome, evaluate_tree
 
 POOL = tuple(float(i) for i in range(10))
 POOL_TEXT = " ".join(map(repr, POOL))
@@ -36,18 +33,15 @@ def gene_from_tokens(tokens, head_len, constants=POOL):
 
 class TestTailLength:
     def test_published_geometry(self):
-        assert tail_length(7, 2) == 8
+        assert tail_length(7) == 8
 
     def test_smallest_head(self):
-        assert tail_length(1, 2) == 2
+        assert tail_length(1) == 2
 
-    def test_unary_arity_collapses_tail(self):
-        assert tail_length(7, 1) == 1
-
-    @pytest.mark.parametrize("head,arity", [(0, 2), (-1, 2), (3, 0), (3, -2)])
-    def test_rejects_nonpositive(self, head, arity):
+    @pytest.mark.parametrize("head", [0, -1])
+    def test_rejects_nonpositive(self, head):
         with pytest.raises(ValueError):
-            tail_length(head, arity)
+            tail_length(head)
 
 
 def gene_line(tokens, pool_text=POOL_TEXT):

@@ -60,7 +60,7 @@ def test_batch_matches_scalar_evaluation(rng):
         chrom = random_chromosome(rng)
         batch = kernels.evaluate_chromosome_batch(chrom, X)
         for r in range(X.shape[0]):
-            scalar = karva.evaluate_chromosome(chrom, X[r])
+            scalar = oracles.evaluate_chromosome(chrom, X[r])
             if scalar is None:
                 assert math.isnan(batch[r])
             else:
@@ -70,7 +70,7 @@ def test_batch_matches_scalar_evaluation(rng):
 def test_nonfinite_intermediate_flags_even_if_final_finite():
     # d0 / (c0 / d1) at d1 = 0: inner division is inf, outer would be 0.0
     gene = gene_from_tokens("/ d0 / c0 d1 d0 d0".split(), head_len=3, constants=(2.0,) + (0.0,) * 9)
-    assert karva.evaluate_tree(karva.decode(gene), [1.0, 0.0], gene.constants) is None
+    assert oracles.evaluate_tree(oracles.decode(gene), [1.0, 0.0], gene.constants) is None
     X = np.array([[1.0, 0.0], [1.0, 2.0]])
     out = kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
     assert math.isnan(out[0])
@@ -123,7 +123,7 @@ def codes_of(*genes):
 @given(genes())
 def test_layout_agrees_across_consumers(gene):
     n = karva.consumed_length(gene)
-    assert n == karva.decode(gene).size == karva.coding_lengths(codes_of(gene).codes)[0, 0]
+    assert n == oracles.decode(gene).size == karva.coding_lengths(codes_of(gene).codes)[0, 0]
     assert n <= gene.length
 
 
@@ -170,7 +170,7 @@ def test_read_constant_edit_changes_the_program(gene, data):
 def test_batch_matches_oracle_property(chrom, X):
     batch = kernels.evaluate_chromosome_batch(chrom, X)
     for r in range(X.shape[0]):
-        scalar = karva.evaluate_chromosome(chrom, X[r])
+        scalar = oracles.evaluate_chromosome(chrom, X[r])
         if scalar is None:
             assert math.isnan(batch[r])
         else:
@@ -189,7 +189,7 @@ def assert_fitness_matches_oracle(chrom, X, y):
     flags some row, and otherwise to the bit of the oracle's RMSE."""
     codes, pools = karva.chromosome_codes(chrom, NUM_INPUTS)
     [report], _, _ = score(Population(codes[None], pools[None], NUM_INPUTS), X, y)
-    values = [karva.evaluate_chromosome(chrom, row) for row in X]
+    values = [oracles.evaluate_chromosome(chrom, row) for row in X]
     if any(v is None for v in values):
         assert (report.fitness, report.rmse) == (0.0, math.inf)
         return
