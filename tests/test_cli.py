@@ -750,7 +750,8 @@ class TestDeterminism:
         assert ma["outputs"] == mb["outputs"]
 
     @pytest.mark.parametrize("command", ["fit", "sweep", "stats", "split", "predict", "compare",
-                                         "sensitivity", "sensitivity_family"])
+                                         "sensitivity", "sensitivity_family", "split_5000",
+                                         "compare_5000"])
     def test_same_seed_artifacts_match_the_golden_digests(self, tmp_path, command):
         # the digests pin the engine's RNG stream and arithmetic, and the
         # closed-form layer's CSV reading, writing and formulas, across
