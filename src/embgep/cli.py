@@ -12,21 +12,26 @@ Exit codes: 0 success, 1 internal error, 2 input/validation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS starts a worker thread at ``import numpy`` unless told otherwise,
+# and no command calls a BLAS routine, so the thread would only spin CPU
+# beside each command; a value the user has set is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 # the GEP engine (evolution, karva, kernels) is imported only by the
 # commands that evolve, so the closed-form commands never load it
-from . import data, displacement, metrics
+from . import data, displacement, metrics  # noqa: E402
 
 SYNTH_DEFAULT_N = 85
 
@@ -52,10 +57,7 @@ def _cells(column) -> list[str]:
 
 def _write_csv(path: Path, header, columns) -> None:
     """One CSV file from equal-length columns, each formatted whole."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+    data.write_csv(path, header, [_cells(column) for column in columns], "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -472,6 +474,17 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+# grid points of one sensitivity run, over all the curves of a family
+MAX_SENSITIVITY_POINTS = 100_000
+
+
+def _steps(text: str) -> int:
+    steps = _positive_int(text)
+    if steps > MAX_SENSITIVITY_POINTS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SENSITIVITY_POINTS}, got {text!r}")
+    return steps
+
+
 def _levels(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
@@ -539,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=displacement.SENSITIVITY_PARAMS, default="Mw")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--steps", type=_steps, required=True,
+                   help=f"grid points per curve, 1 to {MAX_SENSITIVITY_POINTS} over all curves")
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
                    help="vary Mw at fixed levels of this parameter (needs --levels)")
     p.add_argument("--levels", type=_levels, help="comma-separated family levels")
@@ -564,6 +578,10 @@ def main(argv=None) -> int:
         if args.command == "sensitivity" and (args.family is None) != (args.levels is None):
             parser.error("argument --family: needs --levels" if args.levels is None
                          else "argument --levels: needs --family")
+        if args.command == "sensitivity" and args.levels and (
+                args.steps * len(args.levels) > MAX_SENSITIVITY_POINTS):
+            parser.error(f"argument --steps: {args.steps} steps x {len(args.levels)} levels is"
+                         f" more than {MAX_SENSITIVITY_POINTS} grid points")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

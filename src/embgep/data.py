@@ -155,23 +155,26 @@ _NUMERIC = (("Mw", True), ("amax_g", True), ("Tp_s", True), ("Td_s", False), ("a
 def _parse_column(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One column of a block: its float64 values (NaN where empty), its
     empty cells and its cells that are not numbers.  numpy converts a str
-    with Python's ``float``, which also ignores surrounding whitespace."""
+    with Python's ``float``, which also ignores surrounding whitespace; the
+    column is converted whole, or, when it holds a cell that is not a
+    number, cell by cell."""
+    none = np.zeros(len(cells), dtype=bool)
     try:
-        values = np.array(cells, dtype=np.float64)
-        none = np.zeros(len(cells), dtype=bool)
-        return values, none, none
+        return np.array(cells, dtype=np.float64), none, none
     except ValueError:  # an empty cell or one that is not a number
         pass
+    empty = np.array([not cell.strip() for cell in cells], dtype=bool)
+    filled = np.flatnonzero(~empty).tolist()
     values = np.full(len(cells), np.nan)
-    empty = np.zeros(len(cells), dtype=bool)
+    try:
+        values[filled] = np.array([cells[i] for i in filled], dtype=np.float64)
+        return values, empty, none
+    except ValueError:  # a cell that is not a number
+        pass
     unparsed = np.zeros(len(cells), dtype=bool)
-    for i, cell in enumerate(cells):
-        cell = cell.strip()
-        if not cell:
-            empty[i] = True
-            continue
+    for i in filled:
         try:
-            values[i] = float(cell)
+            values[i] = float(cells[i])
         except ValueError:
             unparsed[i] = True
     return values, empty, unparsed
@@ -290,13 +293,39 @@ def float_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
+def write_csv(path, header, columns, lineterminator: str) -> None:
+    """One CSV file from a header and equal-length columns of str cells,
+    written as ``csv.writer`` writes it with that line terminator: a cell
+    holding a comma, a double quote or a character of the terminator is
+    quoted with its quotes doubled, and so is the empty cell of a
+    one-column row.  A column is searched for those characters once, as one
+    string, and the rows are joined and written ``_BLOCK_ROWS`` at a time."""
+    special = ',"' + lineterminator
+
+    def quoted(column):
+        text = "".join(column)
+        if not any(ch in text for ch in special):
+            return column
+        return ['"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in special)
+                else cell for cell in column]
+
+    header, *columns = map(quoted, (header, *columns))
+    if len(header) == 1:
+        header = [header[0] or '""']
+    if len(columns) == 1:
+        columns = [[cell or '""' for cell in columns[0]]]
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + lineterminator)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = zip(*(column[start:start + _BLOCK_ROWS] for column in columns))
+            fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
+
+
 def save(table: CaseTable, path) -> None:
     """Write a table in the canonical schema; load(save(x)) round-trips exactly."""
-    columns = [table.ids] + [float_cells(getattr(table, name)) for name in _FIELDS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*columns))
+    write_csv(path, CSV_HEADER,
+              [table.ids] + [float_cells(getattr(table, name)) for name in _FIELDS], "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +442,8 @@ def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        perms = np.argsort(rng.random((m, n)), axis=1)
+        # each trial trains on its k smallest draws; their order is not needed
+        perms = np.argpartition(rng.random((m, n)), k - 1, axis=1)
         mask = np.zeros((m, n))
         np.put_along_axis(mask, perms[:, :k], 1.0, axis=1)
         # einsum, not BLAS matmul: a BLAS row product can change with the

@@ -193,6 +193,8 @@ _GEP_RULES: tuple[Rule, ...] = (
     ("domain_error", lambda c, eps: ~(np.isfinite(c["m_w"]) & np.isfinite(c["ay_ratio"])
                                       & np.isfinite(c["period_ratio"]))),
     ("domain_error", lambda c, eps: c["m_w"] == 0.0),
+    # a ratio no case can have: a_y >= 0, T_d >= 0, a_max > 0 and T_p > 0
+    ("domain_error", lambda c, eps: (c["ay_ratio"] < 0.0) | (c["period_ratio"] < 0.0)),
     ("pole", lambda c, eps: np.abs(c["period_ratio"] - POLE_PERIOD_RATIO) < eps),
 )
 _OPEN_UNIT_RATIO: Rule = (
@@ -388,8 +390,8 @@ def sensitivity_profile(
     held at their anchors (defaults: database means).  An anchor is a number
     or a column as long as the grid, so one call covers a family of curves.
     ``value`` is ln D (m); a grid point inside the pole neighbourhood or
-    outside the model domain (Mw = 0) has the status ``pole`` or
-    ``domain_error`` and a NaN value."""
+    outside the model domain (Mw = 0, or a negative ratio) has the status
+    ``pole`` or ``domain_error`` and a NaN value."""
     if varied not in SENSITIVITY_PARAMS:
         raise ValueError(f"unknown parameter {varied!r}; expected one of {SENSITIVITY_PARAMS}")
     base = dict(zip(SENSITIVITY_PARAMS, (MEAN_MW, MEAN_AY_RATIO, MEAN_PERIOD_RATIO)))

@@ -581,8 +581,10 @@ def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCe
     n = sweep_workers(len(configs))
     # fork, not a spawned pool: a child starts with X, y and the imported
     # engine already in memory, and the parent's share keeps its CPU busy.
-    # The engine starts no thread and calls no BLAS routine, so the child
-    # needs no lock another thread might have held at the fork
+    # The engine starts no thread of its own.  numpy's OpenBLAS worker thread
+    # may be alive at the fork (the CLI asks for none, a library caller may
+    # not), but the engine calls no BLAS routine, so the child never waits on
+    # a lock that thread might have held
     children = []  # (share, pid, pipe) of every child not yet reaped
     try:
         for share in range(1, n):

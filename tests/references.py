@@ -7,6 +7,10 @@ before the model table.  ``reference_row`` labels one row the way
 ``evaluate`` must: the first failing check sets the status, an overflow or
 a division by zero in a formula is ``domain_error``, and so is a value or a
 meter conversion that is not finite.
+
+``reference_parse_column`` and ``reference_load`` are the cell-by-cell and
+row-by-row references for the loader, and ``reference_split_ids`` is the
+one-trial-at-a-time reference for the matched split.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import csv
 import math
 
-from embgep.data import CSV_HEADER, CaseTable, DatasetError
+import numpy as np
+
+from embgep.data import CSV_HEADER, CaseTable, DatasetError, match_score
 
 
 class Pole(Exception):
@@ -57,7 +63,7 @@ def gep(m_w, x, r, eps):
     for v in (m_w, x, r):
         if not math.isfinite(v):
             raise Domain
-    if m_w == 0.0:
+    if m_w == 0.0 or x < 0.0 or r < 0.0:
         raise Domain
     if abs(r - POLE) < eps:
         raise Pole
@@ -138,6 +144,42 @@ def reference_row(model_id: str, row: dict, eps: float, cm: bool = False):
     if status != "ok":
         value = d_m = math.nan
     return value, d_m, in_range(model_id, row), status
+
+
+def reference_parse_column(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``data._parse_column`` one cell at a time: the float64 values (NaN
+    where empty), the empty cells and the cells that are not numbers."""
+    values = np.full(len(cells), np.nan)
+    empty = np.zeros(len(cells), dtype=bool)
+    unparsed = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        if not cell:
+            empty[i] = True
+            continue
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            unparsed[i] = True
+    return values, empty, unparsed
+
+
+def reference_split_ids(table: CaseTable, fraction: float, trials: int,
+                        rng: np.random.Generator) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The train and test ids of ``data.split_matched``, one trial at a time:
+    each trial draws one uniform per row, fully sorts the draws and trains
+    on the rows of the k smallest; the first trial with the least
+    ``match_score`` against the whole table wins."""
+    n = len(table)
+    k = min(max(int(math.floor(fraction * n)), 1), n - 1)
+    best = None
+    for _ in range(trials):
+        perm = np.argsort(rng.random(n))
+        train, test = np.sort(perm[:k]), np.sort(perm[k:])
+        score = match_score(table.take(train), table.take(test), table)
+        if best is None or score < best[0]:
+            best = (score, train, test)
+    return tuple(table.ids[i] for i in best[1]), tuple(table.ids[i] for i in best[2])
 
 
 def parse_float(value: str, column: str, line: int, required: bool):

@@ -565,6 +565,32 @@ class TestSensitivity:
         for r in rows[1:]:
             assert r["status"] == "ok" and math.isfinite(float(r["ln_D_m"]))
 
+    def test_most_steps_allowed(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("sensitivity", "--family", "ay_ratio", "--levels", "0.2,0.5",
+                       "--from", 5, "--to", 8, "--steps", cli.MAX_SENSITIVITY_POINTS // 2,
+                       "--out", out) == 0
+        assert len(read_rows(out / "sensitivity.csv")) == cli.MAX_SENSITIVITY_POINTS
+
+    def test_negative_ay_ratio_level_is_domain_error(self, tmp_path):
+        # a_y >= 0 and a_max > 0 in every case history, so ay/amax < 0 is no case
+        out = tmp_path / "o"
+        assert run_cli("sensitivity", "--family", "ay_ratio", "--levels=-0.5,1",
+                       "--from", 5, "--to", 8, "--steps", 3, "--out", out) == 0
+        rows = read_rows(out / "sensitivity.csv")
+        assert [(r["level"], r["ln_D_m"], r["status"]) for r in rows[:3]] == [
+            ("-0.5", "", "domain_error")] * 3
+        assert all(r["status"] == "ok" and math.isfinite(float(r["ln_D_m"])) for r in rows[3:])
+
+    def test_negative_period_ratio_is_domain_error(self, tmp_path):
+        # T_d >= 0 and T_p > 0 in every case history, so Td/Tp < 0 is no case
+        out = tmp_path / "o"
+        assert run_cli("sensitivity", "--param", "period_ratio", "--from", -2, "--to", -1,
+                       "--steps", 2, "--out", out) == 0
+        rows = read_rows(out / "sensitivity.csv")
+        assert [(r["value"], r["ln_D_m"], r["status"]) for r in rows] == [
+            ("-2.0", "", "domain_error"), ("-1.0", "", "domain_error")]
+
     def test_bad_param_exits_2(self, tmp_path):
         assert run_cli("sensitivity", "--param", "Tp", "--from", 1, "--to", 2,
                        "--steps", 3, "--out", tmp_path / "o") == 2
@@ -583,8 +609,13 @@ class TestSensitivity:
          "argument --levels: expected comma-separated numbers, e.g. 0.2,0.5,1.0, got ','"),
         (("--steps", "3", "--levels", "0.5"), "argument --levels: needs --family"),
         (("--steps", "3", "--family", "ay_ratio"), "argument --family: needs --levels"),
+        (("--steps", "10000000000000"),
+         "argument --steps: must be at most 100000, got '10000000000000'"),
+        (("--steps", "40000", "--family", "ay_ratio", "--levels", "0.2,0.5,1.0"),
+         "argument --steps: 40000 steps x 3 levels is more than 100000 grid points"),
     ], ids=["steps_negative", "steps_zero", "levels_not_a_number", "levels_empty",
-            "levels_without_family", "family_without_levels"])
+            "levels_without_family", "family_without_levels", "steps_too_many",
+            "family_points_too_many"])
     def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, options, message):
         out = tmp_path / "o"
         assert run_cli("sensitivity", "--from", 5, "--to", 8, *options, "--out", out) == 2
@@ -725,6 +756,37 @@ def test_closed_form_commands_load_no_engine(tmp_path):
     assert "embgep.cli" in loaded and not loaded & ENGINE_MODULES
     loaded = modules_after("import embgep.data")
     assert "embgep.data" in loaded and not loaded & (ENGINE_MODULES | {"embgep.metrics"})
+
+
+def blas_setting_and_threads(env_value: str | None) -> tuple[str, int | None]:
+    """``OPENBLAS_NUM_THREADS`` and the thread count (None without /proc) of
+    a fresh interpreter after ``import embgep.cli``, started with the
+    variable unset or set to ``env_value``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    code = ("import os, embgep.cli\n"
+            "status = '/proc/self/status'\n"
+            "lines = open(status).readlines() if os.path.exists(status) else ['Threads: -1']\n"
+            "threads = next(line for line in lines if line.startswith('Threads:')).split()[1]\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], threads)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    value, threads = proc.stdout.split()
+    return value, None if threads == "-1" else int(threads)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="counts threads in /proc")
+def test_cli_starts_numpy_with_one_blas_thread():
+    # no command calls a BLAS routine, so an OpenBLAS worker would only spin
+    assert blas_setting_and_threads(None) == ("1", 1)
+
+
+def test_cli_keeps_the_users_blas_thread_setting():
+    assert blas_setting_and_threads("2")[0] == "2"
 
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden_digests.json"

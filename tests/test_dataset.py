@@ -1,15 +1,19 @@
+import csv
 import dataclasses
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_table
 from embgep import data
-from references import reference_load
+from references import reference_load, reference_parse_column, reference_split_ids
 
 from embgep.data import (
     EMBANKMENT_SUMMARY,
@@ -147,6 +151,74 @@ def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
         assert load(path) == expected
 
 
+# cells that mix numbers, blanks, whitespace-only cells and non-numbers
+PARSE_CELLS = ["", " ", "\t", "  \n", "7.0", " 0.3 ", "-2", "1e-308", "5e-324", "1e308",
+               "1e500", "nan", "-inf", "1_0", "x", "R0", "0x10", "1e", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_CELLS), max_size=12))
+@example([""] * 5)
+@example(["7.0", "", "x"])
+def test_parse_column_matches_cell_by_cell_reference(cells):
+    got = data._parse_column(cells)
+    want = reference_parse_column(cells)
+    assert got[0].dtype == np.float64 and got[0].tobytes() == want[0].tobytes()
+    assert [a.tolist() for a in got[1:]] == [a.tolist() for a in want[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(PARSE_CELLS[:8] + ["0.5", "", ""]), min_size=9,
+                         max_size=9), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 4096]))
+def test_load_names_the_reference_first_bad_cell(rows, block_rows):
+    # any column may be blank, padded, out of range or not a number; the
+    # loader names the same line and column as the row-by-row reference
+    text = HEADER + "\n" + "".join(f"R{i}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "cases.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            expected = reference_load(path)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as info:
+                load(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert load(path) == expected
+
+
+# the characters a cell may need quoting for, plus spaces and non-ASCII text
+WRITE_CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", ".", "é", "Ω",
+                                       "漢", "\t"]), max_size=5)
+
+
+@st.composite
+def cell_tables(draw):
+    """A header and equal-length columns of str cells, one to four wide."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 9))
+    header = draw(st.lists(WRITE_CELLS, min_size=width, max_size=width))
+    columns = [draw(st.lists(WRITE_CELLS, min_size=rows, max_size=rows)) for _ in range(width)]
+    return header, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell_tables(), st.sampled_from(["\n", "\r\n"]), st.sampled_from([1, 2, 4096]))
+@example((["id", "D_m"], [[], []]), "\r\n", 4096)  # a header-only table
+@example(([""], [["", "a", ""]]), "\n", 2)  # the empty cell of a one-column row
+def test_write_csv_matches_csv_writer(table, lineterminator, block_rows):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        data.write_csv(ours, header, columns, lineterminator)
+        with open(theirs, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=lineterminator)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
 class TestMatrix:
     def test_equals_per_record_reference_bitwise(self, synth85):
         records = data.CaseTable.concat([synth85, case_table(
@@ -220,6 +292,15 @@ class TestSplit:
         perm = np.argsort(np.random.default_rng(9).random((1, 85)), axis=1)[0]
         expected_train = {synth85.ids[i] for i in perm[:63]}
         assert set(split.train.ids) == expected_train
+
+    @pytest.mark.parametrize("n,trials", [(85, 20), (5000, 64)])
+    def test_ids_match_the_argsort_reference(self, n, trials):
+        # at 5000 rows a chunk holds 52 trials, so 64 trials take two chunks
+        table = synthesize(EMBANKMENT_SUMMARY, n, np.random.default_rng(n))
+        for seed in range(30):
+            split = split_matched(table, 0.75, trials, rng=np.random.default_rng(seed))
+            assert (split.train.ids, split.test.ids) == reference_split_ids(
+                table, 0.75, trials, np.random.default_rng(seed))
 
     def test_more_trials_never_worse_for_same_stream(self, synth85):
         for seed in range(5):
