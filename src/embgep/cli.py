@@ -465,6 +465,10 @@ def _pole_eps(text: str) -> float:
     return value
 
 
+# grid points of one sensitivity run, over all the curves of a family
+MAX_SENSITIVITY_POINTS = 100_000
+
+
 def _positive_int(text: str) -> int:
     try:
         if int(text) >= 1:
@@ -472,17 +476,6 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-
-
-# grid points of one sensitivity run, over all the curves of a family
-MAX_SENSITIVITY_POINTS = 100_000
-
-
-def _steps(text: str) -> int:
-    steps = _positive_int(text)
-    if steps > MAX_SENSITIVITY_POINTS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SENSITIVITY_POINTS}, got {text!r}")
-    return steps
 
 
 def _levels(text: str) -> list[float]:
@@ -552,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=displacement.SENSITIVITY_PARAMS, default="Mw")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=_steps, required=True,
-                   help=f"grid points per curve, 1 to {MAX_SENSITIVITY_POINTS} over all curves")
+    p.add_argument("--steps", type=_positive_int, required=True,
+                   help=f"grid points per curve, at most {MAX_SENSITIVITY_POINTS} over all curves")
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
                    help="vary Mw at fixed levels of this parameter (needs --levels)")
     p.add_argument("--levels", type=_levels, help="comma-separated family levels")
@@ -575,13 +568,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sensitivity" and (args.family is None) != (args.levels is None):
-            parser.error("argument --family: needs --levels" if args.levels is None
-                         else "argument --levels: needs --family")
-        if args.command == "sensitivity" and args.levels and (
-                args.steps * len(args.levels) > MAX_SENSITIVITY_POINTS):
-            parser.error(f"argument --steps: {args.steps} steps x {len(args.levels)} levels is"
-                         f" more than {MAX_SENSITIVITY_POINTS} grid points")
+        if args.command == "sensitivity":
+            if (args.family is None) != (args.levels is None):
+                parser.error("argument --family: needs --levels" if args.levels is None
+                             else "argument --levels: needs --family")
+            curves = len(args.levels) if args.levels else 1
+            if args.steps * curves > MAX_SENSITIVITY_POINTS:
+                parser.error(f"argument --steps: at most {MAX_SENSITIVITY_POINTS} grid points over"
+                             f" all curves, got {args.steps} x {curves} curve(s)")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -609,10 +609,10 @@ class TestSensitivity:
          "argument --levels: expected comma-separated numbers, e.g. 0.2,0.5,1.0, got ','"),
         (("--steps", "3", "--levels", "0.5"), "argument --levels: needs --family"),
         (("--steps", "3", "--family", "ay_ratio"), "argument --family: needs --levels"),
-        (("--steps", "10000000000000"),
-         "argument --steps: must be at most 100000, got '10000000000000'"),
+        (("--steps", "10000000000000"), "argument --steps: at most 100000 grid points over all"
+         " curves, got 10000000000000 x 1 curve(s)"),
         (("--steps", "40000", "--family", "ay_ratio", "--levels", "0.2,0.5,1.0"),
-         "argument --steps: 40000 steps x 3 levels is more than 100000 grid points"),
+         "argument --steps: at most 100000 grid points over all curves, got 40000 x 3 curve(s)"),
     ], ids=["steps_negative", "steps_zero", "levels_not_a_number", "levels_empty",
             "levels_without_family", "family_without_levels", "steps_too_many",
             "family_points_too_many"])
