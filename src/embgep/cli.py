@@ -35,6 +35,9 @@ from . import data, displacement, metrics  # noqa: E402
 
 SYNTH_DEFAULT_N = 85
 
+# grid points of one sensitivity run, over all the curves of a family
+MAX_SENSITIVITY_POINTS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # small IO helpers
@@ -463,10 +466,6 @@ def _pole_eps(text: str) -> float:
     if not value > 0.0:  # 0 or NaN would turn the pole check off
         raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
     return value
-
-
-# grid points of one sensitivity run, over all the curves of a family
-MAX_SENSITIVITY_POINTS = 100_000
 
 
 def _positive_int(text: str) -> int:
