@@ -43,26 +43,6 @@ MAX_SENSITIVITY_POINTS = 100_000
 # small IO helpers
 
 
-def _cells(column) -> list[str]:
-    """The CSV cells of one column, formatted by its numpy dtype: floats as
-    ``repr`` and empty where NaN (undefined), bools as true/false, anything
-    else as ``str``.  A list or tuple of strings is written as it is, without
-    a fixed-width string array as wide as its longest item."""
-    if isinstance(column, (list, tuple)) and column and isinstance(column[0], str):
-        return list(column)
-    column = np.asarray(column)
-    if column.dtype.kind == "f":
-        return data.float_cells(column)
-    if column.dtype.kind == "b":
-        return ["true" if v else "false" for v in column.tolist()]
-    return list(map(str, column.tolist()))
-
-
-def _write_csv(path: Path, header, columns) -> None:
-    """One CSV file from equal-length columns, each formatted whole."""
-    data.write_csv(path, header, [_cells(column) for column in columns], "\n")
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -75,7 +55,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
+def _write_manifest(outdir: Path, args: argparse.Namespace,
                     inputs: list[Path], outputs: list[Path],
                     config_snapshot: dict | None = None, **run_facts) -> None:
     """``manifest.json``: the command, its options, seed and config, input
@@ -87,7 +67,7 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
         if k != "func"
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
         "seed": getattr(args, "seed", None),
         "config": config_snapshot,
@@ -100,33 +80,32 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _load_records(args, outdir: Path, rng_pool: list) -> tuple[data.CaseTable, list[Path], list[Path]]:
-    """Records from --input, or a synthetic database written to the out dir.
-
-    Always consumes one reserved stream from ``rng_pool`` so later pops see
-    the same streams whichever data source was chosen.
-    """
-    synth_rng = rng_pool.pop(0)
-    if args.input is not None:
-        path = Path(args.input)
-        records = data.load(path)
-        if not records:
-            raise data.DatasetError("empty dataset")
-        return records, [path], []
-    records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
-    synth_path = outdir / "synthetic_input.csv"
-    data.save(records, synth_path)
-    return records, [], [synth_path]
-
-
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _open_run(args, streams: int):
+    """The start of a command that reads case histories: the out dir, made
+    if missing; the table from --input, or synthesized and saved there; the
+    input paths (with the --config file, if any) and output paths so far;
+    and ``streams`` RNG streams.  The first stream of the seed is reserved
+    for synthesis, whichever data source was chosen, so the streams
+    returned are the same for both."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams)
+    if args.input is not None:
+        records = data.load(args.input)
+        if not records:
+            raise data.DatasetError("empty dataset")
+        inputs, outputs = [Path(args.input)], []
+    else:
+        records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
+        inputs, outputs = [], [outdir / "synthetic_input.csv"]
+        data.save(records, outputs[0])
+    if getattr(args, "config", None):
+        inputs.append(Path(args.config))
+    return outdir, records, inputs, outputs, rngs
 
 
 def _load_config(args):
@@ -151,36 +130,32 @@ def _load_config(args):
 
 
 def cmd_stats(args) -> int:
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 1)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
+    outdir, records, inputs, outputs, _ = _open_run(args, 0)
 
     summary = data.summarize(records)
     stats = list(summary.values())
-    _write_csv(
+    data.write_csv(
         outdir / "summary.csv",
         ("parameter", "min", "max", "mean", "sd"),
+        # the sample SD of fewer than two rows is undefined: a blank cell
         [list(summary), [s.minimum for s in stats], [s.maximum for s in stats],
-         [s.mean for s in stats], [s.sd for s in stats]],
-    )
+         [s.mean for s in stats], [np.nan if s.degenerate else s.sd for s in stats]], "\n")
 
     mat = data._matrix(records)
     columns = {name: mat[:, j] for j, name in enumerate(data.PARAMETERS)}
     names, corr = metrics.correlation_matrix(columns)
     lower = np.where(np.tri(len(names), dtype=bool), corr, np.nan)  # NaN cells are left blank
-    _write_csv(outdir / "correlations.csv", ("parameter",) + names, [names, *lower.T])
+    data.write_csv(outdir / "correlations.csv", ("parameter",) + names, [names, *lower.T], "\n")
 
     outputs += [outdir / "summary.csv", outdir / "correlations.csv"]
-    _write_manifest(outdir, "stats", args, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
 def cmd_split(args) -> int:
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 2)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
+    outdir, records, inputs, outputs, (split_rng,) = _open_run(args, 1)
 
-    split = data.split_matched(records, args.fraction, args.trials, rngs.pop(0))
+    split = data.split_matched(records, args.fraction, args.trials, split_rng)
     data.save(split.train, outdir / "train.csv")
     data.save(split.test, outdir / "test.csv")
     _write_json(
@@ -196,7 +171,7 @@ def cmd_split(args) -> int:
         },
     )
     outputs += [outdir / "train.csv", outdir / "test.csv", outdir / "split.json"]
-    _write_manifest(outdir, "split", args, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
@@ -252,26 +227,21 @@ def cmd_fit(args) -> int:
     from . import evolution, karva, kernels
 
     config = _load_config(args)
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 3)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
-    if args.config:
-        inputs.append(Path(args.config))
+    outdir, records, inputs, outputs, (split_rng, run_rng) = _open_run(args, 2)
 
-    split = data.split_matched(records, 0.75, args.trials, rngs.pop(0))
+    split = data.split_matched(records, 0.75, args.trials, split_rng)
     stages = {stage: _stage_arrays(stage, rows) for stage, rows in
               (("Training", split.train), ("Validation", split.test), ("All data", records))}
-    result = evolution.run(config, *stages["Training"], rngs.pop(0))
+    result = evolution.run(config, *stages["Training"], run_rng)
 
     best_text = karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs)
     (outdir / "best.kexpr").write_text(best_text, encoding="utf-8")
     best = result.report.per_generation_best
-    _write_csv(
+    data.write_csv(
         outdir / "history.csv",
         ("generation", "best_fitness", "mean_fitness", "evaluations", "zero_fitness"),
         [range(1, len(best) + 1), best, result.mean_history, result.evaluation_history,
-         result.zero_fitness_history],
-    )
+         result.zero_fitness_history], "\n")
 
     predicted = {stage: kernels.evaluate_codes(result.best_codes, result.best_pools, X,
                                                config.num_inputs)
@@ -279,18 +249,18 @@ def cmd_fit(args) -> int:
     stage_rows = [_stage_metrics(stage, y, predicted[stage]) for stage, (_, y) in stages.items()]
     header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
               "mae_conventional", "rmse", "scatter_index", "bias")
-    _write_csv(outdir / "metrics.csv", header, [[row[k] for row in stage_rows] for k in header])
+    data.write_csv(outdir / "metrics.csv", header,
+                   [[row[k] for row in stage_rows] for k in header], "\n")
 
     y_all, preds_all = stages["All data"][1], predicted["All data"]
     finite = np.isfinite(preds_all)
     residual_info = None
     if int(finite.sum()) >= 2:
         summary = metrics.residual_summary(metrics.PredictionSet(y_all[finite], preds_all[finite]))
-        _write_csv(
+        data.write_csv(
             outdir / "residual_histogram.csv",
             ("bin_low", "bin_high", "count"),
-            [summary.bin_edges[:-1], summary.bin_edges[1:], summary.counts],
-        )
+            [summary.bin_edges[:-1], summary.bin_edges[1:], summary.counts], "\n")
         residual_info = {
             "mean_abs": summary.mean_abs,
             "sd": summary.sd,
@@ -315,37 +285,32 @@ def cmd_fit(args) -> int:
                 outdir / "metrics.csv", outdir / "metrics.json"]
     if residual_info is not None:
         outputs.append(outdir / "residual_histogram.csv")
-    _write_manifest(outdir, "fit", args, inputs, outputs, dataclasses.asdict(config),
+    _write_manifest(outdir, args, inputs, outputs, dataclasses.asdict(config),
                     timings_s=result.timings_s)
     return 0
 
 
 def cmd_predict(args) -> int:
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 1)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
+    outdir, records, inputs, outputs, _ = _open_run(args, 0)
 
     result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
                                    args.ambraseys_cm)
     ok = result.status == "ok"
-    _write_csv(
+    data.write_csv(
         outdir / "predictions.csv",
         ("id", "model", "value", "scale", "D_m", "in_range", "status"),
         [records.ids, [args.model] * len(records), result.value,
-         np.where(ok, result.scale, ""), result.d_m, result.in_range, result.status],
-    )
+         np.where(ok, result.scale, ""), result.d_m, result.in_range, result.status], "\n")
     outputs.append(outdir / "predictions.csv")
-    _write_manifest(outdir, "predict", args, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
 def cmd_compare(args) -> int:
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 1)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
+    outdir, records, inputs, outputs, _ = _open_run(args, 0)
 
     columns = records.model_columns()
-    measured_cells = data.float_cells(records.d)  # the same cells in every model's table
+    measured_cells = data.csv_cells(records.d)  # the same cells in every model's table
     errors_by_model: dict[str, np.ndarray] = {}
     for model_id in displacement.MODEL_IDS:
         result = displacement.evaluate(model_id, columns, args.pole_eps, args.ambraseys_cm)
@@ -363,12 +328,12 @@ def cmd_compare(args) -> int:
         errors[overflow] = np.nan
         scored &= ~overflow
         path = outdir / f"relative_error_{model_id}.csv"
-        _write_csv(
+        data.write_csv(
             path,
             ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
             [[records.ids[i] for i in kept], [measured_cells[i] for i in kept], predicted,
              errors, np.select([zero, overflow], ["zero_measured", "error_overflow"], status)],
-        )
+            "\n")
         outputs.append(path)
         if scored.any():
             errors_by_model[model_id] = errors[scored]
@@ -380,18 +345,16 @@ def cmd_compare(args) -> int:
         if model_id in errors_by_model else np.full(grid.size, np.nan)
         for model_id in displacement.MODEL_IDS
     ]
-    _write_csv(
-        outdir / "cumulative_frequency.csv",
-        ("threshold_pct",) + displacement.MODEL_IDS,
-        [grid, *fractions],
-    )
+    data.write_csv(outdir / "cumulative_frequency.csv", ("threshold_pct",) + displacement.MODEL_IDS,
+                   [grid, *fractions], "\n")
     outputs.append(outdir / "cumulative_frequency.csv")
-    _write_manifest(outdir, "compare", args, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
 def cmd_sensitivity(args) -> int:
-    outdir = _outdir(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.family:
         # one Mw curve per level: the grid tiled once per level, level-major
@@ -405,9 +368,9 @@ def cmd_sensitivity(args) -> int:
         leading = [[args.param] * values.size]
     result = displacement.sensitivity_profile(varied, values, anchors, args.pole_eps)
     # ln_D_m is NaN (a blank cell) where the status is not ok
-    _write_csv(outdir / "sensitivity.csv", header,
-               [*leading, values, result.value, result.status])
-    _write_manifest(outdir, "sensitivity", args, [], [outdir / "sensitivity.csv"])
+    data.write_csv(outdir / "sensitivity.csv", header,
+                   [*leading, values, result.value, result.status], "\n")
+    _write_manifest(outdir, args, [], [outdir / "sensitivity.csv"])
     return 0
 
 
@@ -432,19 +395,14 @@ def cmd_sweep(args) -> int:
     head_grid = _parse_grid("--heads", args.heads)
     # every cell's config is checked before any data is read or written
     evolution.sweep_configs(config, gene_grid, head_grid)
-    outdir = _outdir(args)
-    rngs = _spawn_rngs(args.seed, 1)
-    records, inputs, outputs = _load_records(args, outdir, rngs)
-    if args.config:
-        inputs.append(Path(args.config))
+    outdir, records, inputs, outputs, _ = _open_run(args, 0)
     X, y = data.regression_arrays(records)
 
     cells = evolution.sweep(X, y, config, gene_grid, head_grid)
-    _write_csv(
-        outdir / "sweep.csv",
-        ("genes", "head", "fitness"),
+    data.write_csv(
+        outdir / "sweep.csv", ("genes", "head", "fitness"),
         [[c.num_genes for c in cells], [c.head_size for c in cells], [c.fitness for c in cells]],
-    )
+        "\n")
     best = max(cells, key=lambda c: c.fitness)
     _write_json(
         outdir / "sweep_argmax.json",
@@ -452,7 +410,7 @@ def cmd_sweep(args) -> int:
     )
     outputs += [outdir / "sweep.csv", outdir / "sweep_argmax.json"]
     timings = {stage: sum(c.timings_s[stage] for c in cells) for stage in evolution.STAGES}
-    _write_manifest(outdir, "sweep", args, inputs, outputs, dataclasses.asdict(config),
+    _write_manifest(outdir, args, inputs, outputs, dataclasses.asdict(config),
                     timings_s=timings, workers=evolution.sweep_workers(len(cells)))
     return 0
 
@@ -477,27 +435,22 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a number > 0 and < 1, got {text!r}")
+    return value
+
+
 def _levels(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",")]
+        levels = [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, e.g. 0.2,0.5,1.0, got {text!r}") from None
-
-
-def _add_common(sub: argparse.ArgumentParser, with_data: bool = True) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    sub.add_argument("--out", default=".", help="output directory (default .)")
-    if with_data:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--input", help="case-history CSV")
-        group.add_argument(
-            "--synth",
-            type=int,
-            nargs="?",
-            const=SYNTH_DEFAULT_N,
-            help=f"generate a synthetic database of N records (default {SYNTH_DEFAULT_N})",
-        )
+    if not np.isfinite(levels).all():
+        raise argparse.ArgumentTypeError(f"every level must be finite, got {text!r}")
+    return levels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,40 +460,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("stats", help="summary statistics and correlation table")
-    _add_common(p)
+    # options that several commands share, declared once as parent parsers
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+    common.add_argument("--out", default=".", help="output directory (default .)")
+    reads = argparse.ArgumentParser(add_help=False, parents=[common])
+    source = reads.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="case-history CSV")
+    source.add_argument("--synth", type=int, nargs="?", const=SYNTH_DEFAULT_N, help=(
+        f"generate a synthetic database of N records (default {SYNTH_DEFAULT_N})"))
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=_positive_int, default=1000, help="matched-split trials")
+    pole_eps = argparse.ArgumentParser(add_help=False)
+    pole_eps.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
+    ambraseys_cm = argparse.ArgumentParser(add_help=False)
+    ambraseys_cm.add_argument("--ambraseys-cm", action="store_true",
+                              help="treat the Ambraseys-Menu value as log10 of centimeters")
+    evolve = argparse.ArgumentParser(add_help=False)
+    evolve.add_argument("--config", help="evolution parameter file")
+    evolve.add_argument("--max-generations", type=int, default=None,
+                        help="override the config's generation budget")
+
+    p = subs.add_parser("stats", parents=[reads], help="summary statistics and correlation table")
     p.set_defaults(func=cmd_stats)
 
-    p = subs.add_parser("split", help="statistically matched train/test split")
-    _add_common(p)
-    p.add_argument("--fraction", type=float, default=0.75)
-    p.add_argument("--trials", type=int, default=1000)
+    p = subs.add_parser("split", parents=[reads, trials],
+                        help="statistically matched train/test split")
+    p.add_argument("--fraction", type=_fraction, default=0.75)
     p.set_defaults(func=cmd_split)
 
-    p = subs.add_parser("fit", help="train a GEP model on ln D targets")
-    _add_common(p)
-    p.add_argument("--config", help="evolution parameter file")
-    p.add_argument("--trials", type=int, default=1000, help="matched-split trials")
-    p.add_argument("--max-generations", type=int, default=None,
-                   help="override the config's generation budget")
+    p = subs.add_parser("fit", parents=[reads, trials, evolve],
+                        help="train a GEP model on ln D targets")
     p.set_defaults(func=cmd_fit)
 
-    p = subs.add_parser("predict", help="run one registered relationship over a dataset")
-    _add_common(p)
+    p = subs.add_parser("predict", parents=[reads, pole_eps, ambraseys_cm],
+                        help="run one registered relationship over a dataset")
     p.add_argument("--model", required=True, choices=displacement.MODEL_IDS)
-    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
-    p.add_argument("--ambraseys-cm", action="store_true",
-                   help="treat the Ambraseys-Menu value as log10 of centimeters")
     p.set_defaults(func=cmd_predict)
 
-    p = subs.add_parser("compare", help="relative errors per relationship, applied ranges only")
-    _add_common(p)
-    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
-    p.add_argument("--ambraseys-cm", action="store_true")
+    p = subs.add_parser("compare", parents=[reads, pole_eps, ambraseys_cm],
+                        help="relative errors per relationship, applied ranges only")
     p.set_defaults(func=cmd_compare)
 
-    p = subs.add_parser("sensitivity", help="ln D curves from the gep relationship")
-    _add_common(p, with_data=False)
+    p = subs.add_parser("sensitivity", parents=[common, pole_eps],
+                        help="ln D curves from the gep relationship")
     p.add_argument("--param", choices=displacement.SENSITIVITY_PARAMS, default="Mw")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
@@ -549,15 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
                    help="vary Mw at fixed levels of this parameter (needs --levels)")
     p.add_argument("--levels", type=_levels, help="comma-separated family levels")
-    p.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = subs.add_parser("sweep", help="fitness surface over gene count and head size")
-    _add_common(p)
+    p = subs.add_parser("sweep", parents=[reads, evolve],
+                        help="fitness surface over gene count and head size")
     p.add_argument("--genes", default="1:6", help="grid, e.g. 1:6 or 1,2,4")
     p.add_argument("--heads", default="4:12", help="grid, e.g. 4:12 or 5,7,9")
-    p.add_argument("--config", help="evolution parameter file")
-    p.add_argument("--max-generations", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -575,6 +535,11 @@ def main(argv=None) -> int:
             if args.steps * curves > MAX_SENSITIVITY_POINTS:
                 parser.error(f"argument --steps: at most {MAX_SENSITIVITY_POINTS} grid points over"
                              f" all curves, got {args.steps} x {curves} curve(s)")
+            with np.errstate(all="ignore"):
+                grid = np.linspace(args.start, args.stop, args.steps)
+            if not np.isfinite(grid).all():
+                parser.error(f"argument --from/--to: {args.steps} grid point(s) from {args.start!r}"
+                             f" to {args.stop!r} include a non-finite value")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

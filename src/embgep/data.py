@@ -285,21 +285,32 @@ def load(path) -> CaseTable:
     return CaseTable.concat(blocks)
 
 
-def float_cells(values: np.ndarray) -> list[str]:
-    """CSV cells of a float column: ``repr`` of each value, empty for NaN."""
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
+def csv_cells(column) -> list[str]:
+    """The CSV cells of one column, formatted by its type: floats as
+    ``repr`` and empty where NaN (undefined), bools as true/false, anything
+    else as ``str``.  A list or tuple of strings is kept as it is, without a
+    fixed-width string array as wide as its longest item."""
+    if isinstance(column, (list, tuple)) and column and isinstance(column[0], str):
+        return list(column)
+    column = np.asarray(column)
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
         cells[i] = ""
     return cells
 
 
 def write_csv(path, header, columns, lineterminator: str) -> None:
-    """One CSV file from a header and equal-length columns of str cells,
-    written as ``csv.writer`` writes it with that line terminator: a cell
-    holding a comma, a double quote or a character of the terminator is
-    quoted with its quotes doubled, and so is the empty cell of a
-    one-column row.  A column is searched for those characters once, as one
-    string, and the rows are joined and written ``_BLOCK_ROWS`` at a time."""
+    """One CSV file from a header and equal-length columns, each formatted
+    whole by ``csv_cells``, written as ``csv.writer`` writes those cells with
+    that line terminator: a cell holding a comma, a double quote or a
+    character of the terminator is quoted with its quotes doubled, and so is
+    the empty cell of a one-column row.  A column is searched for those
+    characters once, as one string, and the rows are joined and written
+    ``_BLOCK_ROWS`` at a time."""
     special = ',"' + lineterminator
 
     def quoted(column):
@@ -309,7 +320,7 @@ def write_csv(path, header, columns, lineterminator: str) -> None:
         return ['"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in special)
                 else cell for cell in column]
 
-    header, *columns = map(quoted, (header, *columns))
+    header, *columns = map(quoted, (header, *map(csv_cells, columns)))
     if len(header) == 1:
         header = [header[0] or '""']
     if len(columns) == 1:
@@ -324,8 +335,7 @@ def write_csv(path, header, columns, lineterminator: str) -> None:
 
 def save(table: CaseTable, path) -> None:
     """Write a table in the canonical schema; load(save(x)) round-trips exactly."""
-    write_csv(path, CSV_HEADER,
-              [table.ids] + [float_cells(getattr(table, name)) for name in _FIELDS], "\r\n")
+    write_csv(path, CSV_HEADER, [table.ids] + [getattr(table, name) for name in _FIELDS], "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ A chromosome is a tuple of genes combined by addition.
 Array form: the search loop holds genes as rows of integer symbol codes,
 a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
 then inputs, then pool constants), plus one row of pool constants each.
-``coding_children`` lays out a gene's coding region, and
-``kernels.gene_sum`` evaluates code rows straight from that layout; the
-package holds no other evaluator.  ``Gene``/``Chromosome`` are object views
-of one chromosome, and ``chromosome_codes`` gives a view's code rows.  The
-scalar reference decoder (expression trees, evaluated one row at a time)
-is the test oracle in ``tests/oracles.py``.
+``coding_lengths`` gives the length of each gene's coding region, and
+``kernels.gene_sum`` evaluates code rows straight from that Karva layout;
+the package holds no other evaluator.  ``Gene``/``Chromosome`` are object
+views of one chromosome, and ``chromosome_codes`` gives a view's code rows.
+The scalar reference decoder (expression trees, evaluated one row at a
+time) is the test oracle in ``tests/oracles.py``.
 
 Text form (K-expression): one gene per line, space-separated symbol tokens
 (``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
@@ -152,48 +152,28 @@ class Chromosome:
         return self.genes[0].head_length
 
 
-def coding_children(functions) -> list[tuple[int, int] | None]:
-    """Breadth-first (Karva) layout of a gene's coding region.
-
-    ``functions[i]`` says whether gene position ``i`` holds a function.
-    Entry ``i`` of the result is the index pair of coding position ``i``'s
-    children, or ``None`` for a terminal: the open argument slots of each
-    level are filled left to right by the next unread symbols, so the list's
-    length is the number of symbols read and the rest of the gene is
-    non-coding.
-    """
-    children: list[tuple[int, int] | None] = []
-    next_free = 1
-    i = 0
-    while i < next_free:
-        if not functions[i]:
-            children.append(None)
-        else:
-            if next_free + MAX_ARITY > len(functions):
-                raise ValueError("gene too short to read: a function in its tail?")
-            children.append((next_free, next_free + 1))
-            next_free += MAX_ARITY
-        i += 1
-    return children
-
-
-def consumed_length(gene: Gene) -> int:
-    """Number of leading symbols the breadth-first decoding actually reads."""
-    return len(coding_children([not sym.is_terminal for sym in gene.symbols]))
-
-
 def coding_lengths(codes: np.ndarray) -> np.ndarray:
-    """``consumed_length`` of every gene row of a code array ``(..., L)``.
+    """Number of leading symbols the breadth-first decoding reads, for
+    every gene row of a code array ``(..., L)``; 0 for a gene whose decoding
+    runs past its end, which only a function in the tail can cause.
 
     Karva position ``i`` has its children at ``1 + 2 * F_i`` and
     ``2 + 2 * F_i``, ``F_i`` being the number of functions before ``i``, so
-    the coding region ends at the first ``i`` with ``i >= 1 + 2 * F_i``;
-    one cumulative sum gives every ``F_i``.
+    the coding region ends at the first ``i`` with ``i >= 1 + 2 * F_i``, that
+    is ``i > 2 * F_i``; one cumulative sum gives every ``F_i``.
     """
     length = codes.shape[-1]
     before = np.zeros(codes.shape[:-1] + (length + 1,), dtype=np.intp)
-    np.cumsum(codes < NUM_FUNCTIONS, axis=-1, out=before[..., 1:])
-    return np.argmax(np.arange(length + 1) >= 1 + MAX_ARITY * before, axis=-1)
+    # the methods, not np.cumsum / np.argmax: ``kernels.gene_sum`` calls this
+    # once per chromosome, where the functions' dispatch cost shows
+    (codes < NUM_FUNCTIONS).cumsum(axis=-1, out=before[..., 1:])
+    return (np.arange(length + 1) > MAX_ARITY * before).argmax(axis=-1)
+
+
+def consumed_length(gene: Gene) -> int:
+    """``coding_lengths`` of a ``Gene`` view; only a function's code is
+    below ``NUM_FUNCTIONS``, whatever the input count."""
+    return int(coding_lengths(np.array([symbol_code(sym, 0) for sym in gene.symbols])))
 
 
 @functools.lru_cache(maxsize=8)

@@ -2,11 +2,12 @@
 
 A chromosome is evaluated straight from its code rows (symbol codes from
 ``karva.alphabet``, one row per gene) and their pools: each gene's coding
-region is laid out by ``karva.coding_children`` (children always after their
-parent) and run with numpy over every data row at once, one vectorised
-operation per coding node, in reverse node order.  Non-coding symbols and
-unread pool slots are never touched.  The inputs are read as contiguous
-``(inputs, rows)`` columns, so a terminal is a unit-stride row.
+region, of the length ``karva.coding_lengths`` gives, is run with numpy over
+every data row at once, one vectorised operation per coding node, in reverse
+node order, so a function's children, which Karva places after it, come
+first.  Non-coding symbols and unread pool slots are never touched.  The
+inputs are read as contiguous ``(inputs, rows)`` columns, so a terminal is a
+unit-stride row.
 
 Non-finite semantics: a division by zero, an overflow or any other
 non-finite intermediate poisons that data row to NaN, even if later
@@ -27,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .karva import DIV, KIND_INPUT, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_children
+from .karva import DIV, KIND_INPUT, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_lengths
 
 # the function codes ADD, SUB, MUL, DIV, in that order
 _OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv)
@@ -59,14 +60,19 @@ def gene_sum(codes: np.ndarray, pools: np.ndarray, columns: np.ndarray,
     total = np.zeros(rows, dtype=np.float64)
     bad = np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        for row, pool in zip(codes.tolist(), pools):
-            layout = coding_children([c < NUM_FUNCTIONS for c in row])
-            vals = [None] * len(layout)
-            for i in range(len(layout) - 1, -1, -1):
-                code, children = row[i], layout[i]
-                if children is not None:
-                    left, right = children
-                    if code == DIV and layout[right] is not None:
+        for row, pool, n in zip(codes.tolist(), pools, coding_lengths(codes).tolist()):
+            if n == 0:
+                raise ValueError("gene too short to read: a function in its tail?")
+            # the k-th function's children are at 2k+1 and 2k+2, and a
+            # coding region of n symbols holds (n - 1) // 2 functions
+            functions = (n - 1) // 2
+            vals = [None] * n
+            for i in range(n - 1, -1, -1):
+                code = row[i]
+                if code < NUM_FUNCTIONS:
+                    functions -= 1
+                    left, right = 2 * functions + 1, 2 * functions + 2
+                    if code == DIV and row[right] < NUM_FUNCTIONS:
                         bad |= np.isinf(vals[right])
                     v = _OPERATIONS[code](vals[left], vals[right])
                 elif code < first_constant:

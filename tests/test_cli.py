@@ -84,6 +84,16 @@ class TestStats:
                 else:
                     assert float(cell) == metrics.pearson_r(mat[:, i], mat[:, j])
 
+    def test_single_row_leaves_sd_and_correlations_blank(self, tmp_path):
+        # the sample SD of one row is undefined, like its correlations
+        out = tmp_path / "o"
+        assert run_cli("stats", "--input", write_cases(tmp_path, [case_row()]), "--out", out) == 0
+        rows = read_rows(out / "summary.csv")
+        assert [r["sd"] for r in rows] == [""] * len(data.PARAMETERS)
+        assert all(r["min"] == r["max"] == r["mean"] != "" for r in rows)
+        corr = read_rows(out / "correlations.csv")
+        assert all(row[name] == "" for row in corr for name in data.PARAMETERS)
+
     def test_empty_dataset_exits_2(self, tmp_path, capsys):
         path = write_cases(tmp_path, [])
         assert run_cli("stats", "--input", path, "--out", tmp_path / "o") == 2
@@ -613,9 +623,18 @@ class TestSensitivity:
          " curves, got 10000000000000 x 1 curve(s)"),
         (("--steps", "40000", "--family", "ay_ratio", "--levels", "0.2,0.5,1.0"),
          "argument --steps: at most 100000 grid points over all curves, got 40000 x 3 curve(s)"),
+        (("--steps", "3", "--family", "ay_ratio", "--levels", "nan,inf"),
+         "argument --levels: every level must be finite, got 'nan,inf'"),
+        (("--steps", "3", "--to", "inf"), "argument --from/--to: 3 grid point(s) from 5.0 to inf"
+         " include a non-finite value"),
+        (("--steps", "1", "--to", "nan"), "argument --from/--to: 1 grid point(s) from 5.0 to nan"
+         " include a non-finite value"),
+        (("--steps", "3", "--param", "period_ratio", "--from=1e308", "--to=-1e308"),
+         "argument --from/--to: 3 grid point(s) from 1e+308 to -1e+308 include a non-finite"),
     ], ids=["steps_negative", "steps_zero", "levels_not_a_number", "levels_empty",
             "levels_without_family", "family_without_levels", "steps_too_many",
-            "family_points_too_many"])
+            "family_points_too_many", "levels_not_finite", "grid_to_inf", "grid_to_nan",
+            "grid_step_overflows"])
     def test_bad_option_exits_2_naming_it(self, tmp_path, capsys, options, message):
         out = tmp_path / "o"
         assert run_cli("sensitivity", "--from", 5, "--to", 8, *options, "--out", out) == 2
@@ -673,12 +692,32 @@ class TestSweep:
     ["sweep", "--config", "bad.cfg"],
     ["fit", "--config", "bad.cfg"],
     ["fit", "--config", "missing.cfg"],
+    ["split", "--trials", "0"],
+    ["split", "--fraction", "1.5"],
+    ["fit", "--trials", "0"],
 ])
 def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     Path("bad.cfg").write_text("bad = 1\n", encoding="utf-8")
     assert run_cli(*argv, "--synth", 20, "--out", "o") == 2
     assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("argv, reads_config", [
+    (["fit", "--trials", "5"], True),
+    (["sweep", "--genes", "1", "--heads", "4"], True),
+    (["stats"], False),
+])
+def test_manifest_digests_the_input_and_config_files(tmp_path, argv, reads_config):
+    cases, cfg = tmp_path / "cases.csv", tmp_path / "run.cfg"
+    data.save(data.synthesize(data.EMBANKMENT_SUMMARY, 20, np.random.default_rng(0)), cases)
+    cfg.write_text("number_of_chromosomes = 6\nmax_generations = 1\n", encoding="utf-8")
+    options = ["--config", cfg] if reads_config else []
+    assert run_cli(*argv, *options, "--input", cases, "--out", tmp_path / "o") == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    read = [cases, cfg] if reads_config else [cases]
+    assert manifest["inputs"] == {str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in read}
 
 
 @pytest.mark.parametrize("option, text, message", [

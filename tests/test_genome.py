@@ -68,7 +68,7 @@ def test_kexpr_round_trip_is_identity(arrays):
 def test_cumsum_coding_lengths_match_the_decoder(arrays):
     num_inputs, codes, pools = arrays
     chrom = oracles.chromosome_from_codes(codes, pools, num_inputs)
-    expected = [karva.consumed_length(gene) for gene in chrom.genes]
+    expected = [oracles.decode(gene).size for gene in chrom.genes]
     assert karva.coding_lengths(codes).tolist() == expected
     # the same rule over a whole population at once
     stacked = np.stack([codes, codes[::-1]])

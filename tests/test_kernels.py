@@ -112,6 +112,21 @@ def test_missing_input_column_is_named():
     assert kernels.evaluate_chromosome_batch(Chromosome((gene,)), np.ones((2, 3))).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("row", [
+    [karva.ADD, 4, karva.ADD],  # + d0 +
+    [karva.MUL, karva.ADD, 4, 4, karva.SUB],  # * + d0 d0 -
+])
+def test_decoding_that_reaches_a_function_in_the_tail_is_rejected(row):
+    # kexpr_codes refuses such a gene, so it is built as codes over one input
+    codes = np.array([[4] * len(row), row], dtype=karva.code_dtype(1))  # d0 d0 ..., then row
+    with pytest.raises(ValueError, match="function in its tail"):
+        kernels.evaluate_codes(codes, np.zeros((2, karva.POOL_SIZE)), np.ones((2, 1)), 1)
+    # a function in the tail that the decoding never reaches is non-coding
+    unread = np.array([[4] + row[1:]], dtype=codes.dtype)
+    assert kernels.evaluate_codes(unread, np.zeros((1, karva.POOL_SIZE)), np.ones((2, 1)),
+                                  1).tolist() == [1.0, 1.0]
+
+
 def codes_of(*genes):
     """Population holding one one-gene chromosome per gene."""
     arrays = [karva.chromosome_codes(Chromosome((g,)), NUM_INPUTS) for g in genes]
