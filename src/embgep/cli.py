@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 internal error, 2 input/validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -61,15 +62,10 @@ def _write_manifest(outdir: Path, args: argparse.Namespace,
     """``manifest.json``: the command, its options, seed and config, input
     and output digests, and facts of this run that vary between hosts or
     reruns: the time, the Python and numpy versions, and ``run_facts``."""
-    options = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
     manifest = {
         "command": args.command,
-        "options": options,
-        "seed": getattr(args, "seed", None),
+        "options": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": args.seed,
         "config": config_snapshot,
         "inputs": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
         "outputs": {p.name: f"sha256:{_sha256(p)}" for p in sorted(outputs)},
@@ -85,14 +81,13 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _open_run(args, streams: int):
-    """The start of a command that reads case histories: the out dir, made
-    if missing; the table from --input, or synthesized and saved there; the
-    input paths (with the --config file, if any) and output paths so far;
-    and ``streams`` RNG streams.  The first stream of the seed is reserved
-    for synthesis, whichever data source was chosen, so the streams
-    returned are the same for both."""
+    """The start of a command that reads case histories: the table from
+    --input, or synthesized; the out dir, made only once the table is in
+    hand, holding the synthesized table; the input paths (with the --config
+    file, if any) and output paths so far; and ``streams`` RNG streams.  The
+    first stream of the seed is reserved for synthesis, whichever data
+    source was chosen, so the streams returned are the same for both."""
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams)
     if args.input is not None:
         records = data.load(args.input)
@@ -102,6 +97,8 @@ def _open_run(args, streams: int):
     else:
         records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
         inputs, outputs = [], [outdir / "synthetic_input.csv"]
+    outdir.mkdir(parents=True, exist_ok=True)
+    if args.input is None:
         data.save(records, outputs[0])
     if getattr(args, "config", None):
         inputs.append(Path(args.config))
@@ -111,7 +108,7 @@ def _open_run(args, streams: int):
 def _load_config(args):
     from . import evolution
 
-    if getattr(args, "config", None):
+    if args.config:
         config = evolution.read_config_file(args.config)
     else:
         config = evolution.GepConfig()
@@ -120,7 +117,7 @@ def _load_config(args):
             f"number_of_inputs = {config.num_inputs}: the CLI fits 3 features (Mw, ay/amax, Td/Tp)"
         )
     config = dataclasses.replace(config, rng_seed=args.seed)
-    if getattr(args, "max_generations", None) is not None:
+    if args.max_generations is not None:
         config = dataclasses.replace(config, max_generations=args.max_generations)
     return config
 
@@ -419,27 +416,23 @@ def cmd_sweep(args) -> int:
 # parser
 
 
-def _pole_eps(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:  # 0 or NaN would turn the pole check off
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
-    return value
+def _option(convert, accepts, rule: str):
+    """An argparse type: ``convert(text)`` when ``accepts`` holds of it,
+    else, also when ``text`` does not convert, an error stating ``rule``."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if accepts(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a number > 0 and < 1, got {text!r}")
-    return value
+_COUNT = _option(int, lambda n: n >= 1, "an integer >= 1")
+_NON_NEGATIVE = _option(int, lambda n: n >= 0, "an integer >= 0")
+_SYNTH = _option(int, lambda n: n >= 2, "an integer >= 2")
+# a NaN fails both number rules; a zero or NaN --pole-eps would turn the pole check off
+_FRACTION = _option(float, lambda x: 0.0 < x < 1.0, "a number > 0 and < 1")
+_POLE_EPS = _option(float, lambda x: x > 0.0, "a number > 0")
 
 
 def _levels(text: str) -> list[float]:
@@ -462,23 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options that several commands share, declared once as parent parsers
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+    common.add_argument("--seed", type=_NON_NEGATIVE, default=0,
+                        help="master RNG seed, an integer >= 0 (default 0)")
     common.add_argument("--out", default=".", help="output directory (default .)")
     reads = argparse.ArgumentParser(add_help=False, parents=[common])
     source = reads.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="case-history CSV")
-    source.add_argument("--synth", type=int, nargs="?", const=SYNTH_DEFAULT_N, help=(
-        f"generate a synthetic database of N records (default {SYNTH_DEFAULT_N})"))
+    source.add_argument("--synth", type=_SYNTH, nargs="?", const=SYNTH_DEFAULT_N, help=(
+        f"generate a synthetic database of N >= 2 records (default {SYNTH_DEFAULT_N})"))
     trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=_positive_int, default=1000, help="matched-split trials")
+    trials.add_argument("--trials", type=_COUNT, default=1000, help="matched-split trials")
     pole_eps = argparse.ArgumentParser(add_help=False)
-    pole_eps.add_argument("--pole-eps", type=_pole_eps, default=displacement.DEFAULT_POLE_EPS)
+    pole_eps.add_argument("--pole-eps", type=_POLE_EPS, default=displacement.DEFAULT_POLE_EPS)
     ambraseys_cm = argparse.ArgumentParser(add_help=False)
     ambraseys_cm.add_argument("--ambraseys-cm", action="store_true",
                               help="treat the Ambraseys-Menu value as log10 of centimeters")
     evolve = argparse.ArgumentParser(add_help=False)
     evolve.add_argument("--config", help="evolution parameter file")
-    evolve.add_argument("--max-generations", type=int, default=None,
+    evolve.add_argument("--max-generations", type=_NON_NEGATIVE, default=None,
                         help="override the config's generation budget")
 
     p = subs.add_parser("stats", parents=[reads], help="summary statistics and correlation table")
@@ -486,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("split", parents=[reads, trials],
                         help="statistically matched train/test split")
-    p.add_argument("--fraction", type=_fraction, default=0.75)
+    p.add_argument("--fraction", type=_FRACTION, default=0.75)
     p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("fit", parents=[reads, trials, evolve],
@@ -507,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=displacement.SENSITIVITY_PARAMS, default="Mw")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--steps", type=_positive_int, required=True,
+    p.add_argument("--steps", type=_COUNT, required=True,
                    help=f"grid points per curve, at most {MAX_SENSITIVITY_POINTS} over all curves")
     p.add_argument("--family", choices=("ay_ratio", "period_ratio"),
                    help="vary Mw at fixed levels of this parameter (needs --levels)")

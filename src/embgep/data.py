@@ -207,7 +207,10 @@ def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> Cas
     for i, rec_id in enumerate(ids):
         duplicate[i] = rec_id in seen
         seen.add(rec_id)
+    # an id's "\r" would end its row in the "\n"-terminated artifacts, unquoted there
     checks = [_check(np.array([not rec_id for rec_id in ids], dtype=bool), "empty id"),
+              _check(np.array(["\r" in rec_id for rec_id in ids], dtype=bool),
+                     "id {!r} holds a carriage return", ids),
               _check(duplicate, "duplicate id {!r}", ids)]
     values, empty = {}, {}
     for (column, required), column_cells in zip(_NUMERIC, cells[1:]):

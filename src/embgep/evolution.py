@@ -383,8 +383,9 @@ def apply_operators(population: Population, config: GepConfig,
     return Population(codes, pools, population.num_inputs)
 
 
-def canonical_keys(population: Population) -> np.ndarray:
-    """Canonical bytes of every gene, as a ``(P, G, width)`` uint8 array.
+def canonical_keys(population: Population, lengths: np.ndarray) -> np.ndarray:
+    """Canonical bytes of every gene, as a ``(P, G, width)`` uint8 array;
+    ``lengths`` is the population's ``coding_lengths``.
 
     Two genes get equal rows exactly when they read the same symbols and
     pool values in their coding regions: a row is the gene's codes with
@@ -394,7 +395,7 @@ def canonical_keys(population: Population) -> np.ndarray:
     """
     codes, pools = population.codes, population.constants
     first_constant = NUM_FUNCTIONS + population.num_inputs
-    noncoding = np.arange(codes.shape[2]) >= coding_lengths(codes)[..., None]
+    noncoding = np.arange(codes.shape[2]) >= lengths[..., None]
     masked = np.where(noncoding, first_constant + POOL_SIZE, codes).astype(codes.dtype)
     p, g, i = np.nonzero(~noncoding & (codes >= first_constant))
     read = np.zeros(pools.shape, dtype=bool)
@@ -409,18 +410,20 @@ def _evaluate_population(pop, columns, y, prev_cache, timings):
     The cache maps chromosome key (see ``canonical_keys``) -> report for
     the previous and the current generation only; ``prev_cache`` is the
     map returned for the previous generation (None for the first).  A
-    missed chromosome is scored straight from its code rows by
-    ``kernels.gene_sum`` over ``columns``, the inputs as a C-contiguous
-    ``(inputs, rows)`` array.  Adds the seconds spent on keys and on scoring
-    to ``timings``.  Returns the reports, the new map and the number of
-    chromosomes evaluated.
+    missed chromosome is scored by ``kernels.gene_sum`` over ``columns``,
+    the inputs as a C-contiguous ``(inputs, rows)`` array; the keys and
+    the scores share one ``coding_lengths`` of the population.  Adds the
+    seconds spent on keys and on scoring to ``timings``.  Returns the
+    reports, the new map and the number of chromosomes evaluated.
     """
     prev_reports = prev_cache or {}
     reports_by_key = {}
     reports = []
     evaluations = 0
     start = perf_counter()
-    blocks = canonical_keys(pop)
+    lengths = coding_lengths(pop.codes)
+    blocks = canonical_keys(pop, lengths)
+    gene_lengths = lengths.tolist()
     keyed = perf_counter()
     size = blocks[0].size
     raw = blocks.tobytes()
@@ -428,7 +431,8 @@ def _evaluate_population(pop, columns, y, prev_cache, timings):
         key = raw[p * size : (p + 1) * size]
         report = reports_by_key.get(key) or prev_reports.get(key)
         if report is None:
-            total, bad = gene_sum(pop.codes[p], pop.constants[p], columns, pop.num_inputs)
+            total, bad = gene_sum(pop.codes[p], pop.constants[p], gene_lengths[p], columns,
+                                  pop.num_inputs)
             report = _report(total, bad, y)
             evaluations += 1
         reports_by_key[key] = report

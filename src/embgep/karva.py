@@ -9,7 +9,7 @@ A chromosome is a tuple of genes combined by addition.
 Array form: the search loop holds genes as rows of integer symbol codes,
 a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
 then inputs, then pool constants), plus one row of pool constants each.
-``coding_lengths`` gives the length of each gene's coding region, and
+``coding_lengths`` gives every gene's coding length in one call, and
 ``kernels.gene_sum`` evaluates code rows straight from that Karva layout;
 the package holds no other evaluator.  ``Gene``/``Chromosome`` are object
 views of one chromosome, and ``chromosome_codes`` gives a view's code rows.
@@ -164,8 +164,6 @@ def coding_lengths(codes: np.ndarray) -> np.ndarray:
     """
     length = codes.shape[-1]
     before = np.zeros(codes.shape[:-1] + (length + 1,), dtype=np.intp)
-    # the methods, not np.cumsum / np.argmax: ``kernels.gene_sum`` calls this
-    # once per chromosome, where the functions' dispatch cost shows
     (codes < NUM_FUNCTIONS).cumsum(axis=-1, out=before[..., 1:])
     return (np.arange(length + 1) > MAX_ARITY * before).argmax(axis=-1)
 

@@ -1,13 +1,13 @@
 """Batch evaluation of chromosomes over a data matrix.
 
 A chromosome is evaluated straight from its code rows (symbol codes from
-``karva.alphabet``, one row per gene) and their pools: each gene's coding
-region, of the length ``karva.coding_lengths`` gives, is run with numpy over
-every data row at once, one vectorised operation per coding node, in reverse
-node order, so a function's children, which Karva places after it, come
-first.  Non-coding symbols and unread pool slots are never touched.  The
-inputs are read as contiguous ``(inputs, rows)`` columns, so a terminal is a
-unit-stride row.
+``karva.alphabet``, one row per gene), their pools and the lengths of their
+coding regions, which the caller takes from ``karva.coding_lengths``: each
+coding region is run with numpy over every data row at once, one vectorised
+operation per coding node, in reverse node order, so a function's children,
+which Karva places after it, come first.  Non-coding symbols and unread
+pool slots are never touched.  The inputs are read as contiguous
+``(inputs, rows)`` columns, so a terminal is a unit-stride row.
 
 Non-finite semantics: a division by zero, an overflow or any other
 non-finite intermediate poisons that data row to NaN, even if later
@@ -44,23 +44,24 @@ def compile_chromosome(chrom: Chromosome) -> tuple[np.ndarray, np.ndarray, int]:
     return codes, pools, num_inputs
 
 
-def gene_sum(codes: np.ndarray, pools: np.ndarray, columns: np.ndarray,
+def gene_sum(codes: np.ndarray, pools: np.ndarray, lengths: list[int], columns: np.ndarray,
              num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum of the genes per data row, unmasked, and the rows it flags.
 
     ``codes`` and ``pools`` are ``(G, L)`` code rows over
-    ``alphabet(num_inputs)`` and ``(G, 10)`` pools; ``columns`` holds the
-    inputs as a C-contiguous ``(inputs, rows)`` array.  Returns a new
-    ``total`` array and ``bad``, true where a computed divisor is infinite.
-    A row is non-finite in the sense of the module docstring exactly where
-    ``bad`` holds or ``total`` is not finite.
+    ``alphabet(num_inputs)`` and ``(G, 10)`` pools, and ``lengths`` is their
+    ``coding_lengths`` as G ints; ``columns`` holds the inputs as a
+    C-contiguous ``(inputs, rows)`` array.  Returns a new ``total`` array
+    and ``bad``, true where a computed divisor is infinite.  A row is
+    non-finite in the sense of the module docstring exactly where ``bad``
+    holds or ``total`` is not finite.
     """
     first_constant = NUM_FUNCTIONS + num_inputs
     num_columns, rows = columns.shape
     total = np.zeros(rows, dtype=np.float64)
     bad = np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
-        for row, pool, n in zip(codes.tolist(), pools, coding_lengths(codes).tolist()):
+        for row, pool, n in zip(codes.tolist(), pools, lengths):
             if n == 0:
                 raise ValueError("gene too short to read: a function in its tail?")
             # the k-th function's children are at 2k+1 and 2k+2, and a
@@ -94,7 +95,7 @@ def evaluate_codes(codes: np.ndarray, pools: np.ndarray, X: np.ndarray,
     ``gene_sum`` of its code rows and pools, NaN where any coding node or
     the sum is non-finite."""
     columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-    total, bad = gene_sum(codes, pools, columns, num_inputs)
+    total, bad = gene_sum(codes, pools, coding_lengths(codes).tolist(), columns, num_inputs)
     total[bad | ~np.isfinite(total)] = np.nan
     return total
 

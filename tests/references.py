@@ -217,6 +217,8 @@ def reference_load(path) -> CaseTable:
             rec_id = row[0].strip()
             if not rec_id:
                 raise DatasetError(f"line {line}: empty id")
+            if "\r" in rec_id:
+                raise DatasetError(f"line {line}: id {rec_id!r} holds a carriage return")
             if rec_id in seen_ids:
                 raise DatasetError(f"line {line}: duplicate id {rec_id!r}")
             seen_ids.add(rec_id)

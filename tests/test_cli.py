@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -114,7 +115,7 @@ class TestStats:
 
     def test_synth_zero_is_zero_rows(self, tmp_path, capsys):
         assert run_cli("stats", "--synth", 0, "--out", tmp_path / "o") == 2
-        assert "n must be >= 2, got 0" in capsys.readouterr().err
+        assert "argument --synth: must be an integer >= 2, got '0'" in capsys.readouterr().err
         # a bare --synth still means the default size
         assert run_cli("stats", "--synth", "--out", tmp_path / "d") == 0
         assert len(data.load(tmp_path / "d" / "synthetic_input.csv")) == 85
@@ -701,6 +702,74 @@ def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, a
     Path("bad.cfg").write_text("bad = 1\n", encoding="utf-8")
     assert run_cli(*argv, "--synth", 20, "--out", "o") == 2
     assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--synth", "1"], "argument --synth: must be an integer >= 2, got '1'"),
+    (["split", "--synth", "-5"], "argument --synth: must be an integer >= 2, got '-5'"),
+    (["stats", "--synth", "10", "--seed", "-1"],
+     "argument --seed: must be an integer >= 0, got '-1'"),
+    (["split", "--synth", "10", "--fraction", "x"],
+     "argument --fraction: must be a number > 0 and < 1, got 'x'"),
+    (["predict", "--model", "gep", "--synth", "10", "--pole-eps", "x"],
+     "argument --pole-eps: must be a number > 0, got 'x'"),
+    (["fit", "--synth", "10", "--max-generations", "-1"],
+     "argument --max-generations: must be an integer >= 0, got '-1'"),
+    (["stats", "--input", "missing.csv"], "No such file or directory: 'missing.csv'"),
+    (["stats", "--input", "bad_header.csv"], "bad header (missing column(s): Vs_mps)"),
+    (["predict", "--model", "gep", "--input", "return_id.csv"],
+     "line 4: id 'B\\rB' holds a carriage return"),
+], ids=["synth_one", "synth_negative", "seed_negative", "fraction_not_a_number",
+        "pole_eps_not_a_number", "max_generations_negative", "input_missing",
+        "input_bad_header", "input_carriage_return_id"])
+def test_bad_option_or_input_exits_2_before_making_the_out_dir(tmp_path, monkeypatch, capsys,
+                                                              argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("bad_header.csv").write_text(HEADER.rpartition(",")[0] + "\n", encoding="utf-8")
+    write_cases(tmp_path, [case_row("A"), case_row('"B\rB"')], name="return_id.csv")
+    assert run_cli(*argv, "--out", "o") == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # a bad option is argparse's error, with its usage line
+    assert ("usage:" in err) == message.startswith("argument ")
+    assert not Path("o").exists()
+
+
+def test_every_checked_option_names_itself_on_text_that_is_not_a_number(tmp_path, capsys):
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    checked = set()
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if not getattr(action.type, "__qualname__", "").startswith("_option."):
+                continue
+            option = action.option_strings[0]
+            out = tmp_path / command / option
+            # argparse converts an option's value as it reads it, so the
+            # command's other required options need not be given
+            assert run_cli(command, option, "x", "--out", out) == 2
+            err = capsys.readouterr().err
+            assert f"argument {option}: must be " in err and "got 'x'" in err
+            assert "usage:" in err and "invalid _" not in err
+            assert not out.exists()
+            checked.add(option)
+    assert checked == {"--seed", "--synth", "--trials", "--fraction", "--pole-eps",
+                       "--max-generations", "--steps"}
+
+
+def test_ids_with_commas_quotes_and_line_feeds_read_back_from_every_table(tmp_path):
+    ids = ("plain", "a,b", 'say "hi"', "two\nlines", ',"\n""')
+    table = data.synthesize(data.EMBANKMENT_SUMMARY, len(ids), np.random.default_rng(3))
+    cases = tmp_path / "cases.csv"
+    data.save(dataclasses.replace(table, ids=ids), cases)
+    assert run_cli("predict", "--model", "gep", "--input", cases, "--out", tmp_path / "p") == 0
+    assert run_cli("compare", "--input", cases, "--out", tmp_path / "c") == 0
+    for path in (tmp_path / "p" / "predictions.csv", tmp_path / "c" / "relative_error_gep.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[0] == "id"
+        assert [row[0] for row in rows] == list(ids)
+        assert {len(row) for row in rows} == {len(header)}
 
 
 @pytest.mark.parametrize("argv, reads_config", [

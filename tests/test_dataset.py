@@ -133,6 +133,7 @@ BLOCK_BODIES = {
     "zero_tp": f"A,{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0,0.6,0.1,0.5,,,\n",
     "zero_height": f"A,{OK_ROW}\nB,7.0,0.3,0.4,,0.1,0.5,,0,200\n",
     "quoted_multiline_id": f'"A\nA",{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,0.6,,0.5,,,\n',
+    "carriage_return_id": f'A,{OK_ROW}\n"B\nB",{OK_ROW}\n"C\rC",{OK_ROW}\nD,7.0,x,,,,,,,\n',
 }
 
 

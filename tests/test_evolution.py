@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_sound_codes, child_pids, random_chromosome
-from embgep import evolution, karva
+from embgep import evolution, karva, kernels
 from embgep.evolution import (
     ConfigError,
     GepConfig,
@@ -318,6 +318,25 @@ class TestRun:
         result = run(config, X, X[:, 0])
         assert len(result.report.per_generation_best) == 10
         assert result.evaluations <= 12
+
+    def test_each_generation_is_laid_out_once(self, monkeypatch):
+        # the cache keys and every scored chromosome share one coding_lengths
+        # call per generation, over the whole population
+        layouts = []
+
+        def counted(codes):
+            layouts.append(codes.shape)
+            return karva.coding_lengths(codes)
+
+        monkeypatch.setattr(evolution, "coding_lengths", counted)
+        monkeypatch.setattr(kernels, "coding_lengths", counted)
+        X = np.random.default_rng(4).uniform(-2.0, 2.0, (20, 3))
+        config = GepConfig(num_chromosomes=12, max_generations=15, stagnation_limit=15,
+                           rng_seed=8)
+        result = run(config, X, X[:, 0] * X[:, 1])
+        assert len(result.report.per_generation_best) == 15
+        assert result.evaluations > 16  # some chromosome was scored after the first generation
+        assert layouts == [(12, config.num_genes, config.gene_length)] * 16
 
     def test_stagnation_stops_early(self):
         X = np.linspace(0, 1, 10).reshape(-1, 1)

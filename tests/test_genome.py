@@ -113,7 +113,7 @@ def valued_tree(gene):
 @settings(max_examples=500, deadline=None)
 @given(gene_pairs())
 def test_equal_keys_exactly_when_programs_are_equal(pop):
-    keys = canonical_keys(pop)
+    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
     assert keys.shape[:2] == (2, 1)
     same_key = keys[0].tobytes() == keys[1].tobytes()
     views = oracles.population_views(pop)

@@ -160,7 +160,8 @@ def test_noncoding_edits_keep_the_program(gene, data, X):
             for j, c in enumerate(gene.constants)]
     h = gene.head_length
     edited = Gene(tuple(edited_symbols[:h]), tuple(edited_symbols[h:]), tuple(pool))
-    keys = canonical_keys(codes_of(gene, edited))
+    pop = codes_of(gene, edited)
+    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
     assert keys[0].tobytes() == keys[1].tobytes()
     before = kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
     after = kernels.evaluate_chromosome_batch(Chromosome((edited,)), X)
@@ -176,7 +177,8 @@ def test_read_constant_edit_changes_the_program(gene, data):
     pool = list(gene.constants)
     pool[slot] = data.draw(values.filter(lambda v: v != gene.constants[slot]))
     edited = Gene(gene.head, gene.tail, tuple(pool))
-    keys = canonical_keys(codes_of(gene, edited))
+    pop = codes_of(gene, edited)
+    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
     assert keys[0].tobytes() != keys[1].tobytes()
 
 
@@ -231,7 +233,8 @@ def test_fitness_path_flags_nonfinite_intermediate_even_if_final_finite():
     assert_fitness_matches_oracle(Chromosome((gene,)), X, np.zeros(2))
     assert_fitness_matches_oracle(Chromosome((gene,)), X[1:], np.zeros(1))
     codes, pools = karva.chromosome_codes(Chromosome((gene,)), NUM_INPUTS)
-    total, bad = kernels.gene_sum(codes, pools, np.ascontiguousarray(X.T), NUM_INPUTS)
+    total, bad = kernels.gene_sum(codes, pools, karva.coding_lengths(codes).tolist(),
+                                  np.ascontiguousarray(X.T), NUM_INPUTS)
     assert total.tolist() == [0.0, 1.0] and bad.tolist() == [True, False]
 
 
