@@ -45,7 +45,10 @@ MAX_SENSITIVITY_POINTS = 100_000
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # streamed, so a list of ids is never held again as one string
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sha256(path: Path) -> str:
@@ -82,12 +85,12 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 def _open_run(args, streams: int):
     """The start of a command that reads case histories: the table from
-    --input, or synthesized; the out dir, made only once the table is in
-    hand, holding the synthesized table; the input paths (with the --config
-    file, if any) and output paths so far; and ``streams`` RNG streams.  The
-    first stream of the seed is reserved for synthesis, whichever data
-    source was chosen, so the streams returned are the same for both."""
-    outdir = Path(args.out)
+    --input, or synthesized; the input paths (with the --config file, if
+    any) and output paths so far; and ``streams`` RNG streams.  The first
+    stream of the seed is reserved for synthesis, whichever data source was
+    chosen, so the streams returned are the same for both.  Nothing is
+    written: the command calls ``_start_output`` once its own checks of the
+    table have passed."""
     synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams)
     if args.input is not None:
         records = data.load(args.input)
@@ -96,13 +99,20 @@ def _open_run(args, streams: int):
         inputs, outputs = [Path(args.input)], []
     else:
         records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
-        inputs, outputs = [], [outdir / "synthetic_input.csv"]
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.input is None:
-        data.save(records, outputs[0])
+        inputs, outputs = [], [Path(args.out) / "synthetic_input.csv"]
     if getattr(args, "config", None):
         inputs.append(Path(args.config))
-    return outdir, records, inputs, outputs, rngs
+    return records, inputs, outputs, rngs
+
+
+def _start_output(args, records) -> Path:
+    """The out dir, made once the command has checked its table, holding
+    the synthesized table when there is one."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if args.input is None:
+        data.save(records, outdir / "synthetic_input.csv")
+    return outdir
 
 
 def _load_config(args):
@@ -127,9 +137,12 @@ def _load_config(args):
 
 
 def cmd_stats(args) -> int:
-    outdir, records, inputs, outputs, _ = _open_run(args, 0)
+    records, inputs, outputs, _ = _open_run(args, 0)
 
-    summary = data.summarize(records)
+    # the parameter columns of both tables: the records' own arrays and two ratios
+    columns = records.parameter_columns()
+    summary = data.summarize(columns)
+    outdir = _start_output(args, records)
     stats = list(summary.values())
     data.write_csv(
         outdir / "summary.csv",
@@ -138,8 +151,6 @@ def cmd_stats(args) -> int:
         [list(summary), [s.minimum for s in stats], [s.maximum for s in stats],
          [s.mean for s in stats], [np.nan if s.degenerate else s.sd for s in stats]], "\n")
 
-    mat = data._matrix(records)
-    columns = {name: mat[:, j] for j, name in enumerate(data.PARAMETERS)}
     names, corr = metrics.correlation_matrix(columns)
     lower = np.where(np.tri(len(names), dtype=bool), corr, np.nan)  # NaN cells are left blank
     data.write_csv(outdir / "correlations.csv", ("parameter",) + names, [names, *lower.T], "\n")
@@ -150,9 +161,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
-    outdir, records, inputs, outputs, (split_rng,) = _open_run(args, 1)
+    records, inputs, outputs, (split_rng,) = _open_run(args, 1)
 
     split = data.split_matched(records, args.fraction, args.trials, split_rng)
+    outdir = _start_output(args, records)
     data.save(split.train, outdir / "train.csv")
     data.save(split.test, outdir / "test.csv")
     _write_json(
@@ -224,11 +236,12 @@ def cmd_fit(args) -> int:
     from . import evolution, karva, kernels
 
     config = _load_config(args)
-    outdir, records, inputs, outputs, (split_rng, run_rng) = _open_run(args, 2)
+    records, inputs, outputs, (split_rng, run_rng) = _open_run(args, 2)
 
     split = data.split_matched(records, 0.75, args.trials, split_rng)
     stages = {stage: _stage_arrays(stage, rows) for stage, rows in
               (("Training", split.train), ("Validation", split.test), ("All data", records))}
+    outdir = _start_output(args, records)
     result = evolution.run(config, *stages["Training"], run_rng)
 
     best_text = karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs)
@@ -288,10 +301,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    outdir, records, inputs, outputs, _ = _open_run(args, 0)
+    records, inputs, outputs, _ = _open_run(args, 0)
 
     result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
                                    args.ambraseys_cm)
+    outdir = _start_output(args, records)
     ok = result.status == "ok"
     data.write_csv(
         outdir / "predictions.csv",
@@ -304,17 +318,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    outdir, records, inputs, outputs, _ = _open_run(args, 0)
+    records, inputs, outputs, _ = _open_run(args, 0)
+    outdir = _start_output(args, records)
 
     columns = records.model_columns()
-    measured_cells = data.csv_cells(records.d)  # the same cells in every model's table
+    ids = np.array(records.ids, dtype=object)  # references to the ids, 8 bytes a row
     errors_by_model: dict[str, np.ndarray] = {}
     for model_id in displacement.MODEL_IDS:
         result = displacement.evaluate(model_id, columns, args.pole_eps, args.ambraseys_cm)
         keep = np.flatnonzero(result.in_range)  # each model is compared in its applied range
-        kept = keep.tolist()
-        measured, predicted = records.d[keep], result.d_m[keep]
-        status = result.status[keep]
+        measured, predicted, status = records.d[keep], result.d_m[keep], result.status[keep]
+        del result  # its full-length columns are not needed while the table is written
         ok = status == "ok"
         zero = ok & (measured == 0.0)
         scored = ok & ~zero
@@ -328,15 +342,16 @@ def cmd_compare(args) -> int:
         data.write_csv(
             path,
             ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
-            [[records.ids[i] for i in kept], [measured_cells[i] for i in kept], predicted,
-             errors, np.select([zero, overflow], ["zero_measured", "error_overflow"], status)],
+            [ids[keep], measured, predicted, errors,
+             np.select([zero, overflow], ["zero_measured", "error_overflow"], status)],
             "\n")
         outputs.append(path)
         if scored.any():
             errors_by_model[model_id] = errors[scored]
 
-    pooled = np.concatenate([np.empty(0), *errors_by_model.values()])
-    grid = np.linspace(pooled.min(), pooled.max(), 101) if pooled.size else np.empty(0)
+    scored_errors = errors_by_model.values()
+    grid = (np.linspace(min(e.min() for e in scored_errors), max(e.max() for e in scored_errors),
+                        101) if errors_by_model else np.empty(0))
     fractions = [
         metrics.cumulative_frequency(errors_by_model[model_id], grid)
         if model_id in errors_by_model else np.full(grid.size, np.nan)
@@ -392,8 +407,9 @@ def cmd_sweep(args) -> int:
     head_grid = _parse_grid("--heads", args.heads)
     # every cell's config is checked before any data is read or written
     evolution.sweep_configs(config, gene_grid, head_grid)
-    outdir, records, inputs, outputs, _ = _open_run(args, 0)
+    records, inputs, outputs, _ = _open_run(args, 0)
     X, y = data.regression_arrays(records)
+    outdir = _start_output(args, records)
 
     cells = evolution.sweep(X, y, config, gene_grid, head_grid)
     data.write_csv(

@@ -1,7 +1,8 @@
 """Case-history ingestion, summaries, matched train/test splitting and
 synthetic-database generation.
 
-CSV schema (header required, UTF-8, '.' decimal separator)::
+CSV schema (header required, UTF-8 with or without a byte-order mark, '.'
+decimal separator)::
 
     id,Mw,amax_g,Tp_s,Td_s,ay_g,D_m,Tm_s,H_m,Vs_mps
 
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import DEFAULT_POLE_EPS, POLE_PERIOD_RATIO, evaluate
+from .displacement import _BLOCK_ROWS, DEFAULT_POLE_EPS, POLE_PERIOD_RATIO, evaluate
 from .displacement import INVARIANTS as INPUT_INVARIANTS
 # re-exported only for the per-layer benchmark tracer, which binds data.gep_ln_displacement
 from .displacement import gep_ln_displacement  # noqa: F401
@@ -107,6 +108,11 @@ class CaseTable:
         with np.errstate(over="ignore"):
             return self.t_d / self.t_p
 
+    def parameter_columns(self) -> dict[str, np.ndarray]:
+        """The column of each of the summary ``PARAMETERS``, by name: the
+        table's own arrays, and the two ratios computed once."""
+        return {name: getattr(self, field) for name, field in _PARAMETER_FIELDS.items()}
+
     def model_columns(self) -> dict[str, np.ndarray]:
         """The input columns of ``displacement.evaluate``."""
         return {"m_w": self.m_w, "a_max": self.a_max, "a_y": self.a_y,
@@ -137,15 +143,11 @@ EMBANKMENT_SUMMARY: dict[str, ParamStats] = {
 
 def _matrix(table: CaseTable) -> np.ndarray:
     """(n, 8) float64 matrix of PARAMETERS, one row per record."""
-    return np.column_stack([getattr(table, field) for field in _PARAMETER_FIELDS.values()])
+    return np.column_stack(list(table.parameter_columns().values()))
 
 
 # ---------------------------------------------------------------------------
 # CSV I/O
-
-# rows per block of load: a block's cells are the only per-row Python objects
-# alive at once, so memory does not grow with a list of every row
-_BLOCK_ROWS = 4096
 
 # (column, required) of the numeric cells, in file order after the id
 _NUMERIC = (("Mw", True), ("amax_g", True), ("Tp_s", True), ("Td_s", False), ("ay_g", True),
@@ -247,9 +249,11 @@ def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> Cas
 
 def load(path) -> CaseTable:
     """Parse a case-history CSV in blocks of ``_BLOCK_ROWS`` rows; empty and
-    header-only files give an empty table.  An error names the line and the
-    column of the first bad cell."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    header-only files give an empty table, and a UTF-8 byte-order mark
+    before the header is skipped.  An error names the line and the column
+    of the first bad cell.  Each column is joined from its blocks as they
+    are dropped, so the table is never held twice."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -267,25 +271,45 @@ def load(path) -> CaseTable:
             if not parts:
                 parts.append("columns are out of order")
             raise DatasetError(f"bad header ({'; '.join(parts)}); expected {','.join(CSV_HEADER)}")
-        blocks = []
-        rows, lines = [], []
-        seen: set[str] = set()
-        try:
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    blocks.append(_parse_block(rows, lines, seen))
-                    rows, lines = [], []
-        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            if rows:
-                _parse_block(rows, lines, seen)  # a bad cell on an earlier line comes first
-            raise DatasetError(f"line {reader.line_num}: {exc}") from None
+        ids: list[str] = []
+        columns: dict[str, list[np.ndarray]] = {name: [] for name in _FIELDS}
+        for block in _blocks(reader):
+            ids.extend(block.ids)
+            for name in _FIELDS:
+                columns[name].append(getattr(block, name))
+    return CaseTable(tuple(ids), *(_joined(columns[name]) for name in _FIELDS))
+
+
+def _blocks(reader) -> Iterator[CaseTable]:
+    """The rows after the header, parsed ``_BLOCK_ROWS`` at a time; blank
+    lines are skipped.  The set of ids seen, which finds a duplicate across
+    blocks, is freed once the last block is parsed, before ``load`` joins
+    the columns."""
+    rows, lines = [], []
+    seen: set[str] = set()
+    try:
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _BLOCK_ROWS:
+                yield _parse_block(rows, lines, seen)
+                rows, lines = [], []
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         if rows:
-            blocks.append(_parse_block(rows, lines, seen))
-    return CaseTable.concat(blocks)
+            _parse_block(rows, lines, seen)  # a bad cell on an earlier line comes first
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
+    if rows:
+        yield _parse_block(rows, lines, seen)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """One column from its blocks, which are dropped from ``parts``: a
+    column's blocks and its whole are the only copy of it alive at once."""
+    whole = np.concatenate(parts) if parts else np.empty(0)
+    parts.clear()
+    return whole
 
 
 def csv_cells(column) -> list[str]:
@@ -307,33 +331,34 @@ def csv_cells(column) -> list[str]:
 
 
 def write_csv(path, header, columns, lineterminator: str) -> None:
-    """One CSV file from a header and equal-length columns, each formatted
-    whole by ``csv_cells``, written as ``csv.writer`` writes those cells with
-    that line terminator: a cell holding a comma, a double quote or a
-    character of the terminator is quoted with its quotes doubled, and so is
-    the empty cell of a one-column row.  A column is searched for those
-    characters once, as one string, and the rows are joined and written
-    ``_BLOCK_ROWS`` at a time."""
+    """One CSV file from a header and equal-length columns, written as
+    ``csv.writer`` writes their ``csv_cells`` with that line terminator: a
+    cell holding a comma, a double quote or a character of the terminator
+    is quoted with its quotes doubled, and so is the empty cell of a
+    one-column row.  The rows are formatted, searched for those characters
+    and written ``_BLOCK_ROWS`` at a time, each block of a column searched
+    once as one string, so no cell list is longer than a block.  A column
+    is formatted by the type of each block, so it must hold one type."""
     special = ',"' + lineterminator
 
-    def quoted(column):
-        text = "".join(column)
+    def quoted(cells):
+        text = "".join(cells)
         if not any(ch in text for ch in special):
-            return column
+            return cells
         return ['"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in special)
-                else cell for cell in column]
+                else cell for cell in cells]
 
-    header, *columns = map(quoted, (header, *map(csv_cells, columns)))
+    header = quoted(header)
     if len(header) == 1:
         header = [header[0] or '""']
-    if len(columns) == 1:
-        columns = [[cell or '""' for cell in columns[0]]]
     n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + lineterminator)
         for start in range(0, n, _BLOCK_ROWS):
-            rows = zip(*(column[start:start + _BLOCK_ROWS] for column in columns))
-            fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
+            cells = [quoted(csv_cells(column[start:start + _BLOCK_ROWS])) for column in columns]
+            if len(cells) == 1:
+                cells = [[cell or '""' for cell in cells[0]]]
+            fh.write(lineterminator.join(map(",".join, zip(*cells))) + lineterminator)
 
 
 def save(table: CaseTable, path) -> None:
@@ -345,29 +370,27 @@ def save(table: CaseTable, path) -> None:
 # summaries
 
 
-def _centred_columns(mat: np.ndarray, context: str) -> np.ndarray:
-    """The columns of ``mat`` less their means.  Raises ``DatasetError``
-    naming every column whose centred squares (or their sum) overflow: such
-    a column has no usable mean, SD or correlation."""
+def _check_centred(centred, context: str) -> None:
+    """Raises ``DatasetError`` naming every parameter whose centred squares
+    (or their sum) overflow: such a parameter has no usable mean, SD or
+    correlation.  ``centred`` yields (parameter, centred column) pairs, and
+    each column is squared on its own."""
     with np.errstate(over="ignore", invalid="ignore"):
-        centred = mat - mat.mean(axis=0)
-        overflow = ~np.isfinite(np.square(centred).sum(axis=0))
-    if overflow.any():
-        names = ", ".join(np.array(PARAMETERS)[overflow])
-        raise DatasetError(f"{context}: {names} too large to score (their centred squares overflow)")
-    return centred
+        names = [name for name, column in centred if not np.isfinite(np.square(column).sum())]
+    if names:
+        raise DatasetError(f"{context}: {', '.join(names)} too large to score (their centred"
+                           " squares overflow)")
 
 
-def summarize(table: CaseTable) -> dict[str, ParamStats]:
-    """Min/max/mean/sample-SD for the eight summary parameters."""
-    if not table:
+def summarize(columns: dict[str, np.ndarray]) -> dict[str, ParamStats]:
+    """Min/max/mean/sample-SD of each column of
+    ``CaseTable.parameter_columns``, read in place: no parameter matrix."""
+    n = len(columns[PARAMETERS[0]])
+    if not n:
         raise DatasetError("empty dataset")
-    mat = _matrix(table)
-    _centred_columns(mat, "summary")
-    n = mat.shape[0]
+    _check_centred(((name, col - col.mean()) for name, col in columns.items()), "summary")
     out = {}
-    for j, name in enumerate(PARAMETERS):
-        col = mat[:, j]
+    for name, col in columns.items():
         sd = float(np.std(col, ddof=1)) if n >= 2 else 0.0
         out[name] = ParamStats(float(col.min()), float(col.max()), float(col.mean()), sd,
                                degenerate=n < 2)
@@ -388,8 +411,9 @@ class Split:
     score: float
 
 
-# one (trials, rows) float64 array of a split_matched chunk stays under this
-_SPLIT_CHUNK_BYTES = 2 * 2**20
+# the (trials, rows) float64 buffer of a split_matched chunk stays under this;
+# 1 MiB times the same as 2 MiB on 20 000 rows, and 256 KiB is slower
+_SPLIT_CHUNK_BYTES = 2**20
 
 
 def _gap_score(train: np.ndarray, test: np.ndarray, ranges: np.ndarray) -> float:
@@ -422,9 +446,13 @@ def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
     Trials are screened in chunks without gathering rows: a 0/1 mask of each
     trial's training rows times the column-centred matrix and its squares
     gives the training sums, the column totals less those give the test
-    sums, and the moments follow.  The winner is rescored with
-    ``match_score``'s formula on its rows in sorted order, so ``score``
-    equals ``match_score(split.train, split.test)`` exactly.
+    sums, and the moments follow.  One ``(trials, rows)`` buffer of at most
+    ``_SPLIT_CHUNK_BYTES`` holds a chunk's draws and then, once they are
+    partitioned, its mask.  The winner is rescored with ``match_score``'s
+    formula on its two sides' rows of the parameter matrix, which are the
+    rows of the two tables it returns, so ``score`` equals
+    ``match_score(split.train, split.test)`` exactly.  The screen, the
+    rescore and the two tables are never alive at once.
     """
     n = len(table)
     if n < 4:
@@ -437,50 +465,82 @@ def split_matched(table: CaseTable, fraction: float = 0.75, trials: int = 1,
         rng = np.random.default_rng(0)
     k = int(math.floor(fraction * n))
     k = min(max(k, 1), n - 1)
+    chosen, ranges = _best_trial(table, k, trials, rng)
+    score = _split_score(table, chosen, ranges)
+    return Split(table.take(np.flatnonzero(chosen)), table.take(np.flatnonzero(~chosen)), score)
+
+
+def _split_score(table: CaseTable, chosen: np.ndarray, ranges: np.ndarray) -> float:
+    """``_gap_score`` of the training rows ``chosen`` of the parameter
+    matrix against the other rows: the rows, in table order, of the two
+    tables of the split."""
     mat = _matrix(table)
-    centred = _centred_columns(mat, "matched split")
+    train, test = mat[chosen], mat[~chosen]
+    del mat  # the score reads only the two sides' rows
+    return _gap_score(train, test, ranges)
+
+
+def _best_trial(table: CaseTable, k: int, trials: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The training rows of ``split_matched``'s best trial, as a row mask,
+    and the range of every parameter.  The parameter matrix is centred in
+    place and lives only until its columns with a positive range are
+    copied out; nothing of the screen outlives the call."""
+    n = len(table)
+    mat = _matrix(table)
     ranges = mat.max(axis=0) - mat.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat -= mat.mean(axis=0)
+    _check_centred(zip(PARAMETERS, mat.T), "matched split")
     valid = ranges > 0
-    width = int(valid.sum())
-    sums = np.empty((n, 2 * width))  # centred columns, then their squares
-    sums[:, :width] = centred[:, valid]
-    np.square(sums[:, :width], out=sums[:, width:])
-    totals = sums.sum(axis=0)
+    centred = mat[:, valid]
+    del mat
+    squares = np.square(centred)
+    centred_total, squares_total = centred.sum(axis=0), squares.sum(axis=0)
     use_sd = k >= 2 and n - k >= 2
     scale = ranges[valid]
 
     best_score = math.inf
-    best_perm = None
+    best = None
     chunk = max(1, _SPLIT_CHUNK_BYTES // (8 * n))
+    buffer = np.empty((min(chunk, trials), n))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        # each trial trains on its k smallest draws; their order is not needed
-        perms = np.argpartition(rng.random((m, n)), k - 1, axis=1)
-        mask = np.zeros((m, n))
-        np.put_along_axis(mask, perms[:, :k], 1.0, axis=1)
+        mask = buffer[:m]
+        _fill_training_mask(mask, k, rng)
         # einsum, not BLAS matmul: a BLAS row product can change with the
         # number of rows in the chunk, and the pick must not depend on it
-        train = np.einsum("tn,nc->tc", mask, sums)
-        test = totals - train
-        mean_tr = train[:, :width] / k
-        mean_te = test[:, :width] / (n - k)
+        train_sum = np.einsum("tn,nc->tc", mask, centred)
+        test_sum = centred_total - train_sum
+        mean_tr = train_sum / k
+        mean_te = test_sum / (n - k)
         gaps = np.abs(mean_tr - mean_te)
         if use_sd:
-            var_tr = (train[:, width:] - train[:, :width] * mean_tr) / (k - 1)
-            var_te = (test[:, width:] - test[:, :width] * mean_te) / (n - k - 1)
+            train_sq = np.einsum("tn,nc->tc", mask, squares)
+            test_sq = squares_total - train_sq
+            var_tr = (train_sq - train_sum * mean_tr) / (k - 1)
+            var_te = (test_sq - test_sum * mean_te) / (n - k - 1)
             gaps += np.abs(np.sqrt(np.maximum(var_tr, 0.0)) - np.sqrt(np.maximum(var_te, 0.0)))
         scores = (gaps / scale).sum(axis=1)
         i = int(np.argmin(scores))
         if scores[i] < best_score:
             best_score = float(scores[i])
-            best_perm = perms[i].copy()
+            best = mask[i] == 1.0
         done += m
+    return best, ranges
 
-    train_idx = np.sort(best_perm[:k])
-    test_idx = np.sort(best_perm[k:])
-    return Split(table.take(train_idx), table.take(test_idx),
-                 _gap_score(mat[train_idx], mat[test_idx], ranges))
+
+def _fill_training_mask(mask: np.ndarray, k: int, rng: np.random.Generator) -> None:
+    """Draw ``mask``'s (trials, rows) uniforms, then make it each trial's
+    0/1 training mask: 1.0 at the rows of its k smallest draws.  A trial is
+    partitioned at a time, so the only index array is one row long."""
+    rng.random(out=mask)
+    for trial in mask:
+        # a trial trains on its k smallest draws; their order is not needed
+        rows = np.argpartition(trial, k - 1)[:k]
+        trial.fill(0.0)
+        trial[rows] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ MODEL_IDS = tuple(MODELS)
 
 STATUSES = ("ok", "pole", "domain_error", "missing_input")
 _DOMAIN_ERROR = STATUSES.index("domain_error")
+# a status column holds references to these four strings, 8 bytes a row
+_STATUS_LABELS = np.array(STATUSES, dtype=object)
 
 
 def _model(model_id: str) -> Model:
@@ -255,6 +257,12 @@ def _model(model_id: str) -> Model:
         return MODELS[model_id]
     except KeyError:
         raise ValueError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}") from None
+
+
+# rows per block of the table layer (``evaluate`` here, ``data.load`` and
+# ``data.write_csv``): a block's Python objects and temporaries are the only
+# per-row ones alive at once, so they do not grow with the table
+_BLOCK_ROWS = 1024
 
 
 def _each(fn: Callable[..., float], args: list[list[float]]) -> list[float]:
@@ -276,8 +284,9 @@ def _guarded(fn: Callable[..., float], row) -> float:
 @dataclass(frozen=True)
 class Evaluation:
     """One relationship over n rows.  ``value`` (on the ``scale``) and
-    ``d_m`` (meters) are NaN unless the row's ``status`` is ``ok``;
-    ``in_range`` is the applicability verdict whatever the status."""
+    ``d_m`` (meters) are NaN unless the row's ``status`` (an object array
+    of ``STATUSES`` labels) is ``ok``; ``in_range`` is the applicability
+    verdict whatever the status."""
 
     scale: str
     value: np.ndarray
@@ -297,30 +306,46 @@ def evaluate(model_id: str, columns: dict, pole_eps: float = DEFAULT_POLE_EPS,
     only when no domain rule marks it and both its value and its meter
     conversion are finite; a formula that overflows or divides by zero
     gives ``domain_error``.  ``ambraseys_cm`` reads the Ambraseys-Menu value
-    as log10 of centimeters.
+    as log10 of centimeters.  The rules and the formula run over
+    ``_BLOCK_ROWS`` rows at a time, the formula on Python floats, so every
+    transient is the size of one block.
     """
     model = _model(model_id)
     if not pole_eps > 0.0:  # 0 or NaN would turn the pole check off
         raise ValueError(f"pole_eps must be a number > 0, got {pole_eps!r}")
     cols = {name: np.asarray(col, dtype=np.float64) for name, col in columns.items()}
     n = len(cols[model.inputs[0]])
-    code = np.zeros(n, dtype=np.int8)  # index into STATUSES
+    scale = "log10_D_cm" if ambraseys_cm and model_id == "ambraseys_menu" else model.scale
+    in_range = np.ones(n, dtype=bool)
+    value = np.full(n, np.nan)
+    d_m = np.full(n, np.nan)
+    status = np.empty(n, dtype=object)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = {name: col[rows] for name, col in cols.items()}
+        status[rows] = _evaluate_block(model, scale, block, pole_eps, in_range[rows], value[rows],
+                                       d_m[rows])
+    return Evaluation(scale, value, d_m, in_range, status)
+
+
+def _evaluate_block(model: Model, scale: str, cols: dict[str, np.ndarray], pole_eps: float,
+                    in_range: np.ndarray, value: np.ndarray, d_m: np.ndarray) -> np.ndarray:
+    """``evaluate`` on one block of rows: fills its slices of the
+    applicability verdicts (all true on entry), the values and the meters
+    (all NaN), and returns the block's status labels."""
+    code = np.zeros(len(value), dtype=np.int8)  # index into STATUSES
     for status, rule in model.rules:
         code[(code == 0) & rule(cols, pole_eps)] = STATUSES.index(status)
-    in_range = np.ones(n, dtype=bool)
     for *_, beyond in model.applicability.breaches(cols):
         in_range &= ~beyond
-    scale = "log10_D_cm" if ambraseys_cm and model_id == "ambraseys_menu" else model.scale
     todo = np.flatnonzero(code == 0)
-    value = np.full(n, np.nan)
     value[todo] = _each(model.formula, [cols[name][todo].tolist() for name in model.inputs])
-    d_m = np.full(n, np.nan)
     d_m[todo] = _each(_TO_METERS[scale], [value[todo].tolist()])
     code[todo[~(np.isfinite(value[todo]) & np.isfinite(d_m[todo]))]] = _DOMAIN_ERROR
     rejected = code != 0
     value[rejected] = np.nan
     d_m[rejected] = np.nan
-    return Evaluation(scale, value, d_m, in_range, np.array(STATUSES)[code])
+    return _STATUS_LABELS[code]
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,9 @@ def parse_float(value: str, column: str, line: int, required: bool):
 def reference_load(path) -> CaseTable:
     """The case-history CSV parsed one row at a time, each cell checked in
     column order and then the row invariants (a_max, T_p > 0; T_d, a_y,
-    D >= 0); the reference for ``data.load``'s table and messages."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    D >= 0); the reference for ``data.load``'s table and messages.  A
+    UTF-8 byte-order mark before the header is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, CSV_HEADER)) != CSV_HEADER:
             raise ValueError("reference_load reads the canonical header only")

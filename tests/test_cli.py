@@ -719,9 +719,14 @@ def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, a
     (["stats", "--input", "bad_header.csv"], "bad header (missing column(s): Vs_mps)"),
     (["predict", "--model", "gep", "--input", "return_id.csv"],
      "line 4: id 'B\\rB' holds a carriage return"),
+    # a synthesized table too small for the command is not written either
+    (["split", "--synth", "3"], "need at least 4 records to split, got 3"),
+    (["fit", "--synth", "4", "--trials", "5", "--max-generations", "1"],
+     "Validation: the set has 1 row(s), at least 2 are needed to score it"),
 ], ids=["synth_one", "synth_negative", "seed_negative", "fraction_not_a_number",
         "pole_eps_not_a_number", "max_generations_negative", "input_missing",
-        "input_bad_header", "input_carriage_return_id"])
+        "input_bad_header", "input_carriage_return_id", "split_synth_too_small",
+        "fit_synth_too_small"])
 def test_bad_option_or_input_exits_2_before_making_the_out_dir(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     monkeypatch.chdir(tmp_path)

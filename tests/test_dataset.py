@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_table
-from embgep import data
+from embgep import data, displacement
 from references import reference_load, reference_parse_column, reference_split_ids
 
 from embgep.data import (
@@ -106,6 +107,15 @@ class TestLoad:
             assert t.ay_ratio[i] * t.a_max[i] == pytest.approx(t.a_y[i], abs=1e-12)
             assert t.period_ratio[i] * t.t_p[i] == pytest.approx(t.t_d[i], abs=1e-12)
 
+    def test_byte_order_mark_before_header_is_read_and_never_written(self, tmp_path, synth85):
+        # a spreadsheet may save UTF-8 with a BOM; the header still matches
+        plain = tmp_path / "plain.csv"
+        save(synth85, plain)
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load(marked) == synth85 == reference_load(marked)
+
     def test_save_load_round_trip_exact(self, tmp_path, synth85):
         path = tmp_path / "synth.csv"
         save(synth85, path)
@@ -134,6 +144,8 @@ BLOCK_BODIES = {
     "zero_height": f"A,{OK_ROW}\nB,7.0,0.3,0.4,,0.1,0.5,,0,200\n",
     "quoted_multiline_id": f'"A\nA",{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,0.6,,0.5,,,\n',
     "carriage_return_id": f'A,{OK_ROW}\n"B\nB",{OK_ROW}\n"C\rC",{OK_ROW}\nD,7.0,x,,,,,,,\n',
+    # a body that starts with a byte-order mark brings its own header
+    "bom_header": f"\ufeff{HEADER}\nA,{OK_ROW}\nB,{OK_ROW}\nC,7.0,0.3,0.4,0.6,0.1,-1,,,\n",
 }
 
 
@@ -141,7 +153,7 @@ BLOCK_BODIES = {
 @pytest.mark.parametrize("body", BLOCK_BODIES.values(), ids=BLOCK_BODIES)
 def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
     monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
-    path = write_csv(tmp_path, HEADER + "\n" + body)
+    path = write_csv(tmp_path, body if body.startswith("\ufeff") else HEADER + "\n" + body)
     try:
         expected = reference_load(path)
     except DatasetError as exc:
@@ -242,7 +254,7 @@ class TestMatrix:
 
 class TestSummarize:
     def test_single_record_degenerate(self):
-        stats = summarize(case_table(("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.5)))
+        stats = summarize(case_table(("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.5)).parameter_columns())
         s = stats["Mw"]
         assert s.minimum == s.maximum == s.mean == 7.0
         assert s.sd == 0.0
@@ -253,16 +265,16 @@ class TestSummarize:
             ("A", 7.0, 0.3, 0.4, 0.6, 0.1, 1.0),
             ("B", 7.0, 0.3, 0.4, 0.6, 0.1, 3.0),
         )
-        s = summarize(recs)["D"]
+        s = summarize(recs.parameter_columns())["D"]
         assert s.mean == 2.0
         assert s.sd == pytest.approx(math.sqrt(2.0))
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            summarize(case_table())
+            summarize(case_table().parameter_columns())
 
     def test_synthetic_round_trip_within_declared_tolerance(self, synth85):
-        stats = summarize(synth85)
+        stats = summarize(synth85.parameter_columns())
         for name, tol in GENERATION_TOLERANCE.items():
             target = EMBANKMENT_SUMMARY[name]
             # small-sample run: allow 4x the asymptotic tolerance
@@ -296,7 +308,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("n,trials", [(85, 20), (5000, 64)])
     def test_ids_match_the_argsort_reference(self, n, trials):
-        # at 5000 rows a chunk holds 52 trials, so 64 trials take two chunks
+        # at 5000 rows a chunk holds 26 trials, so 64 trials take three chunks
         table = synthesize(EMBANKMENT_SUMMARY, n, np.random.default_rng(n))
         for seed in range(30):
             split = split_matched(table, 0.75, trials, rng=np.random.default_rng(seed))
@@ -331,7 +343,8 @@ class TestSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # the centred columns and their squares (2.4 MiB) and a 1 MiB chunk buffer
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_bad_fraction_and_small_n(self, synth85):
         with pytest.raises(DatasetError):
@@ -346,7 +359,7 @@ class TestSplit:
 
 class TestSynthesize:
     def test_values_inside_published_bounds(self, synth85):
-        stats = summarize(synth85)
+        stats = summarize(synth85.parameter_columns())
         for name in data.PARAMETERS:
             target = EMBANKMENT_SUMMARY[name]
             assert stats[name].minimum >= target.minimum - 1e-12
@@ -359,7 +372,7 @@ class TestSynthesize:
 
     def test_large_sample_means_track_targets(self):
         records = synthesize(EMBANKMENT_SUMMARY, 10_000, np.random.default_rng(6))
-        stats = summarize(records)
+        stats = summarize(records.parameter_columns())
         for name, tol in GENERATION_TOLERANCE.items():
             target = EMBANKMENT_SUMMARY[name]
             assert abs(stats[name].mean - target.mean) <= tol * abs(target.mean), name
@@ -417,3 +430,60 @@ class TestRegressionArrays:
     def test_zero_displacement_rejected(self):
         with pytest.raises(DatasetError):
             regression_arrays(case_table(("A", 7.0, 0.3, 0.4, 0.6, 0.1, 0.0)))
+
+
+def _traced(call):
+    """``call()``'s result, its tracemalloc peak and what it leaves
+    allocated (what it returns), in bytes above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, current - base
+
+
+# how far the transient of a call may grow from N rows to 4N rows: a
+# transient the size of one block does not grow, one the size of the table
+# grows fourfold
+MEMORY_GROWTH_BOUND = 1.5
+
+
+@pytest.mark.parametrize("call", ["load", "evaluate", "write_csv", "split_matched"])
+def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
+    # the transient is the tracemalloc peak less what the call returns and
+    # what it holds by design: load's set of the ids seen so far, which the
+    # duplicate check needs, and the split screen's centred parameter
+    # columns and their squares (two n x 8 float64 arrays), which are freed
+    # before the two tables it returns are made
+    def transient(n):
+        table = synthesize(EMBANKMENT_SUMMARY, n, np.random.default_rng(n))
+        path = tmp_path / f"cases_{n}.csv"
+        save(table, path)
+        columns = table.model_columns()
+        if call == "load":
+            loaded, peak, kept = _traced(lambda: load(path))
+            assert loaded == table
+            return peak - kept - sys.getsizeof(set(table.ids))
+        if call == "evaluate":
+            _, peak, kept = _traced(lambda: displacement.evaluate("tsai_chien", columns))
+            return peak - kept
+        if call == "write_csv":
+            result = displacement.evaluate("gep", columns)
+            cells = [table.ids, result.value, result.d_m, result.in_range, result.status]
+            _, peak, _ = _traced(lambda: data.write_csv(
+                tmp_path / "out.csv", ("id", "value", "D_m", "in_range", "status"), cells, "\n"))
+            return peak
+        _, peak, _ = _traced(
+            lambda: split_matched(table, 0.75, trials=16, rng=np.random.default_rng(0)))
+        return peak - 2 * 8 * 8 * n
+
+    # at 19 000 and 76 000 rows the set of ids fills its hash table most (28
+    # bytes a row), so a second copy of the float columns (72) would show
+    n = 19_000
+    assert n >= 4 * data._BLOCK_ROWS
+    small, large = transient(n), transient(4 * n)
+    assert 0 < small and large <= MEMORY_GROWTH_BOUND * small, (
+        f"transient {small / 2**20:.2f} MiB at {n} rows, {large / 2**20:.2f} MiB at {4 * n}")

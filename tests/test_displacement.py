@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,6 +411,20 @@ class TestModelTable:
                 assert own_status == status
                 if status == "ok":
                     assert bits(own) == bits(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(model_inputs(), min_size=1, max_size=8),
+           st.sampled_from(displacement.MODEL_IDS), st.sampled_from([1, 2, 3]))
+    def test_blocks_of_rows_change_no_result(self, inputs, model_id, block_rows):
+        # a row that overflows sends only its own block down the guarded
+        # path, and every row reads the same whatever the block layout
+        columns = input_columns(inputs)
+        whole = evaluate(model_id, columns)
+        with mock.patch.object(displacement, "_BLOCK_ROWS", block_rows):
+            blocks = evaluate(model_id, columns)
+        for field in ("value", "d_m", "in_range"):
+            assert getattr(blocks, field).tobytes() == getattr(whole, field).tobytes()
+        assert blocks.status.tolist() == whole.status.tolist()
 
     def test_overflowing_formula_is_domain_error(self):
         # ay/amax = 9e197: x**2 overflows in the polynomial models
