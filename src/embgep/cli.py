@@ -306,12 +306,13 @@ def cmd_predict(args) -> int:
     result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
                                    args.ambraseys_cm)
     outdir = _start_output(args, records)
-    ok = result.status == "ok"
+    scale = np.full(len(records), "", dtype=object)  # like status, 8 bytes a row
+    scale[result.status == "ok"] = result.scale
     data.write_csv(
         outdir / "predictions.csv",
         ("id", "model", "value", "scale", "D_m", "in_range", "status"),
-        [records.ids, [args.model] * len(records), result.value,
-         np.where(ok, result.scale, ""), result.d_m, result.in_range, result.status], "\n")
+        [records.ids, [args.model] * len(records), result.value, scale, result.d_m,
+         result.in_range, result.status], "\n")
     outputs.append(outdir / "predictions.csv")
     _write_manifest(outdir, args, inputs, outputs)
     return 0

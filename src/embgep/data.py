@@ -488,8 +488,8 @@ def _best_trial(table: CaseTable, k: int, trials: int,
     copied out; nothing of the screen outlives the call."""
     n = len(table)
     mat = _matrix(table)
-    ranges = mat.max(axis=0) - mat.min(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
+        ranges = mat.max(axis=0) - mat.min(axis=0)
         mat -= mat.mean(axis=0)
     _check_centred(zip(PARAMETERS, mat.T), "matched split")
     valid = ranges > 0

@@ -1,9 +1,11 @@
 """GEP search loop: initialisation, fitness, roulette selection with elitism,
 the full genetic operator suite and the generation loop.
 
-The population is a ``Population`` of code and pool arrays; every operator
-writes those arrays, and the fitness cache keys each chromosome by the
-canonical bytes of its coding regions (``canonical_keys``).
+The population is two arrays: ``codes[p, g, i]``, the symbol code (see
+``karva.alphabet``) at position ``i`` of gene ``g`` of chromosome ``p``, and
+``pools[p, g]``, that gene's constant pool.  Every operator writes those
+arrays in place, and the fitness cache keys each chromosome by the canonical
+bytes of its coding regions (``canonical_keys``).
 
 Rate conventions: the three mutation variants are per-site probabilities
 (symbol positions, or pool slots for constant mutation); permutation,
@@ -122,26 +124,6 @@ class RunResult:
     timings_s: dict[str, float]
 
 
-@dataclass(frozen=True, eq=False)
-class Population:
-    """Chromosomes as arrays.
-
-    ``codes[p, g, i]`` is the symbol code (see ``karva.alphabet``) at
-    position ``i`` of gene ``g`` of chromosome ``p``, and ``constants[p, g]``
-    is that gene's pool.
-    """
-
-    codes: np.ndarray
-    constants: np.ndarray
-    num_inputs: int
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def take(self, rows) -> "Population":
-        return Population(self.codes[rows], self.constants[rows], self.num_inputs)
-
-
 def _as_dataset(X, y):
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -177,16 +159,17 @@ def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
     return _report(preds, np.isnan(preds), y)
 
 
-def initialize(config: GepConfig, rng: np.random.Generator) -> Population:
-    """Random population: heads uniform over the whole alphabet, tails
-    uniform over the terminals, pool constants uniform in [-10, 10]."""
+def initialize(config: GepConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random population ``(codes, pools)``: heads uniform over the whole
+    alphabet, tails uniform over the terminals, pool constants uniform in
+    [-10, 10]."""
     shape = (config.num_chromosomes, config.num_genes)
     n_symbols = len(alphabet(config.num_inputs))
     heads = rng.integers(0, n_symbols, size=shape + (config.head_size,))
     tails = rng.integers(NUM_FUNCTIONS, n_symbols, size=shape + (tail_length(config.head_size),))
     codes = np.concatenate((heads, tails), axis=2).astype(code_dtype(config.num_inputs))
-    constants = rng.uniform(-10.0, 10.0, size=shape + (POOL_SIZE,))
-    return Population(codes, constants, config.num_inputs)
+    pools = rng.uniform(-10.0, 10.0, size=shape + (POOL_SIZE,))
+    return codes, pools
 
 
 def select(fitnesses, rng: np.random.Generator) -> np.ndarray:
@@ -328,10 +311,12 @@ def _gene_recombination(codes, pools, first, rng):
                 np.arange(genes) == gene)
 
 
-def apply_operators(population: Population, config: GepConfig,
-                    rng: np.random.Generator) -> Population:
-    """One generation of variation, stage by stage in fixed order; returns
-    a new population.
+def apply_operators(codes: np.ndarray, pools: np.ndarray, config: GepConfig,
+                    rng: np.random.Generator) -> None:
+    """One generation of variation of the C-contiguous population arrays
+    ``codes`` and ``pools``, stage by stage in fixed order.  The arrays are
+    varied in place: the caller owns them, and copies first whatever it
+    must keep.
 
     Each mutation stage draws one binomial count of sites over the whole
     population and writes them at once.  The structural stages fire per
@@ -340,10 +325,8 @@ def apply_operators(population: Population, config: GepConfig,
     in another.  Every output chromosome keeps the input geometry and the
     tail-terminal rule by construction.
     """
-    codes = population.codes.copy()
-    pools = population.constants.copy()
     rates = config.rates
-    n_symbols = len(alphabet(population.num_inputs))
+    n_symbols = len(alphabet(config.num_inputs))
     length = codes.shape[2]
     symbols = codes.reshape(-1)
 
@@ -380,10 +363,8 @@ def apply_operators(population: Population, config: GepConfig,
     for stage in np.flatnonzero(triggers.any(axis=1)):
         stages[stage][0](codes, pools, first[triggers[stage]], rng)
 
-    return Population(codes, pools, population.num_inputs)
 
-
-def canonical_keys(population: Population, lengths: np.ndarray) -> np.ndarray:
+def canonical_keys(codes, pools, lengths, num_inputs: int) -> np.ndarray:
     """Canonical bytes of every gene, as a ``(P, G, width)`` uint8 array;
     ``lengths`` is the population's ``coding_lengths``.
 
@@ -393,8 +374,7 @@ def canonical_keys(population: Population, lengths: np.ndarray) -> np.ndarray:
     bytes of its pool with every slot no coding position reads set to 0.
     A chromosome's key is the bytes of its ``(G, width)`` block.
     """
-    codes, pools = population.codes, population.constants
-    first_constant = NUM_FUNCTIONS + population.num_inputs
+    first_constant = NUM_FUNCTIONS + num_inputs
     noncoding = np.arange(codes.shape[2]) >= lengths[..., None]
     masked = np.where(noncoding, first_constant + POOL_SIZE, codes).astype(codes.dtype)
     p, g, i = np.nonzero(~noncoding & (codes >= first_constant))
@@ -404,8 +384,9 @@ def canonical_keys(population: Population, lengths: np.ndarray) -> np.ndarray:
     return np.concatenate((masked.view(np.uint8), kept.view(np.uint8)), axis=2)
 
 
-def _evaluate_population(pop, columns, y, prev_cache, timings):
-    """Fitness per chromosome, evaluating each canonical key once.
+def _evaluate_population(codes, pools, num_inputs, columns, y, prev_cache, timings):
+    """Fitness per chromosome of the population arrays ``(codes, pools)``,
+    evaluating each canonical key once.
 
     The cache maps chromosome key (see ``canonical_keys``) -> report for
     the previous and the current generation only; ``prev_cache`` is the
@@ -421,18 +402,17 @@ def _evaluate_population(pop, columns, y, prev_cache, timings):
     reports = []
     evaluations = 0
     start = perf_counter()
-    lengths = coding_lengths(pop.codes)
-    blocks = canonical_keys(pop, lengths)
+    lengths = coding_lengths(codes)
+    blocks = canonical_keys(codes, pools, lengths, num_inputs)
     gene_lengths = lengths.tolist()
     keyed = perf_counter()
     size = blocks[0].size
     raw = blocks.tobytes()
-    for p in range(len(pop)):
+    for p in range(len(codes)):
         key = raw[p * size : (p + 1) * size]
         report = reports_by_key.get(key) or prev_reports.get(key)
         if report is None:
-            total, bad = gene_sum(pop.codes[p], pop.constants[p], gene_lengths[p], columns,
-                                  pop.num_inputs)
+            total, bad = gene_sum(codes[p], pools[p], gene_lengths[p], columns, num_inputs)
             report = _report(total, bad, y)
             evaluations += 1
         reports_by_key[key] = report
@@ -451,11 +431,13 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
     timings = dict.fromkeys(STAGES, 0.0)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    pop = initialize(config, rng)
-    reports, cache, evaluations = _evaluate_population(pop, columns, y, None, timings)
+    num_inputs = config.num_inputs
+    codes, pools = initialize(config, rng)
+    reports, cache, evaluations = _evaluate_population(codes, pools, num_inputs, columns, y,
+                                                       None, timings)
     fits = np.array([r.fitness for r in reports])
     best_i = int(np.argmax(fits))
-    best_codes, best_pools = pop.codes[best_i], pop.constants[best_i]
+    best_codes, best_pools = codes[best_i], pools[best_i]
     best_rep = reports[best_i]
 
     best_history: list[float] = []
@@ -469,13 +451,15 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
         start = perf_counter()
         idx = select(fits, rng)
         selected = perf_counter()
-        children = apply_operators(pop.take(idx[1:]), config, rng)
-        pop = Population(np.concatenate((pop.codes[idx[:1]], children.codes)),
-                         np.concatenate((pop.constants[idx[:1]], children.constants)),
-                         pop.num_inputs)
+        # one gather makes this generation's own arrays, so an earlier
+        # generation's rows (best_codes among them) stay as they were scored;
+        # the elite in slot 0 is never varied
+        codes, pools = codes[idx], pools[idx]
+        apply_operators(codes[1:], pools[1:], config, rng)
         timings["selection"] += selected - start
         timings["operators"] += perf_counter() - selected
-        reports, cache, count = _evaluate_population(pop, columns, y, cache, timings)
+        reports, cache, count = _evaluate_population(codes, pools, num_inputs, columns, y, cache,
+                                                     timings)
         evaluations += count
         fits = np.array([r.fitness for r in reports])
         gen_i = int(np.argmax(fits))
@@ -484,7 +468,7 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
         evaluation_history.append(count)
         zero_history.append(int(np.count_nonzero(fits == 0.0)))
         if reports[gen_i].fitness > best_rep.fitness:
-            best_codes, best_pools = pop.codes[gen_i], pop.constants[gen_i]
+            best_codes, best_pools = codes[gen_i], pools[gen_i]
             best_rep = reports[gen_i]
             stagnant = 0
         else:

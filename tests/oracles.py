@@ -161,10 +161,10 @@ def chromosome_from_codes(codes, constants, num_inputs: int) -> karva.Chromosome
     ))
 
 
-def population_views(pop) -> list[karva.Chromosome]:
-    """The ``Chromosome`` view of every chromosome of an ``evolution.Population``."""
-    return [chromosome_from_codes(codes, pools, pop.num_inputs)
-            for codes, pools in zip(pop.codes, pop.constants)]
+def population_views(codes, pools, num_inputs: int) -> list[karva.Chromosome]:
+    """The ``Chromosome`` view of every chromosome of the population arrays
+    ``(codes, pools)``."""
+    return [chromosome_from_codes(c, p, num_inputs) for c, p in zip(codes, pools)]
 
 
 @dataclass(frozen=True)

@@ -169,13 +169,13 @@ def test_criterion_04_metric_identities():
 def test_criterion_05_genome_structural_soundness():
     config = evolution.GepConfig(num_chromosomes=50, num_inputs=3)  # published defaults
     rng = np.random.default_rng(9001)
-    pop = evolution.initialize(config, rng)
+    codes, pools = evolution.initialize(config, rng)
     rounds = 2000  # 2000 rounds x 50 chromosomes = 1e5 suite applications
     applications = 0
     for _ in range(rounds):
-        pop = evolution.apply_operators(pop, config, rng)
-        applications += len(pop)
-        for chrom in oracles.population_views(pop):
+        evolution.apply_operators(codes, pools, config, rng)
+        applications += len(codes)
+        for chrom in oracles.population_views(codes, pools, config.num_inputs):
             assert len(chrom.genes) == config.num_genes
             for gene in chrom.genes:
                 assert gene.head_length == config.head_size

@@ -106,7 +106,7 @@ class TestStats:
 
     def test_overflowing_columns_exit_2_naming_them(self, tmp_path, capsys):
         for i, (a_y, a_max) in enumerate(OVERFLOW_ROWS):
-            path = overflow_cases(tmp_path, a_y, a_max)
+            path = overflow_cases(tmp_path, ay_row(a_y, a_max))
             assert run_cli("stats", "--input", path, "--out", tmp_path / f"o{i}") == 2
             err = capsys.readouterr().err
             assert "ay, ay_ratio too large" in err and "overflow" in err
@@ -133,25 +133,36 @@ class TestSplit:
         assert not set(info["train_ids"]) & set(info["test_ids"])
 
 
-# one row whose a_y and a_y/a_max have centred squares past the float range;
-# at 1e300/1e-300 the ratio itself overflows to inf
+# a_y and a_max cells of one row whose a_y and a_y/a_max have centred
+# squares past the float range; at 1e300/1e-300 the ratio itself overflows
+# to inf
 OVERFLOW_ROWS = [("1e+200", "1e-10"), ("1e+300", "1e-300")]
 
 
-def overflow_cases(tmp_path, a_y, a_max):
+def ay_row(a_y, a_max):
+    """Record 'X' with the cells ``a_y`` and ``a_max``."""
+    return ("X", "7.0", a_max, "0.4", "0.6", a_y, "0.5", "0.5", "", "")
+
+
+def overflow_cases(tmp_path, *extra):
+    """A case file of eight ordinary records followed by the rows ``extra``."""
     rows = [case_row(f"R{i}", m_w=6.0 + 0.2 * i, a_max=0.1 + 0.05 * i, t_p=0.3 + 0.02 * i,
                      a_y=0.02 + 0.01 * i, d=0.2 + 0.1 * i) for i in range(8)]
-    rows.append(("X", "7.0", a_max, "0.4", "0.6", a_y, "0.5", "0.5", "", ""))
-    return write_cases(tmp_path, rows)
+    return write_cases(tmp_path, rows + list(extra))
 
 
 @pytest.mark.parametrize("command", ["split", "fit"])
-@pytest.mark.parametrize("a_y,a_max", OVERFLOW_ROWS)
-def test_overflowing_moments_exit_2_naming_columns(tmp_path, capsys, command, a_y, a_max):
-    path = overflow_cases(tmp_path, a_y, a_max)
+@pytest.mark.parametrize("rows,names", [
+    *(pytest.param([ay_row(a_y, a_max)], "ay, ay_ratio", id=f"{a_y}-{a_max}")
+      for a_y, a_max in OVERFLOW_ROWS),
+    # an Mw range past the float range: its max - min overflows
+    pytest.param([case_row("X", m_w=-1e308), case_row("Y", m_w=1e308)], "Mw", id="Mw-1e+308"),
+])
+def test_overflowing_moments_exit_2_naming_columns(tmp_path, capsys, command, rows, names):
+    path = overflow_cases(tmp_path, *rows)
     assert run_cli(command, "--input", path, "--trials", 5, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert "ay, ay_ratio" in err and "overflow" in err
+    assert f"{names} too large" in err and "overflow" in err
     assert "Traceback" not in err
 
 
@@ -677,7 +688,7 @@ class TestSweep:
     def test_overflowing_feature_ratio_exits_2_naming_the_record(self, tmp_path, capsys):
         # ay / amax = 1e300 / 1e-300 is inf: a chromosome dividing by d1 would
         # score that row a finite 0 that the scalar oracle flags
-        path = overflow_cases(tmp_path, "1e+300", "1e-300")
+        path = overflow_cases(tmp_path, ay_row("1e+300", "1e-300"))
         assert run_cli("sweep", "--input", path, "--genes", "1:2", "--heads", "4:5",
                        "--max-generations", 2, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err

@@ -78,27 +78,29 @@ class TestFitness:
 class TestInitialize:
     def test_deterministic_under_seed(self):
         config = GepConfig(rng_seed=7)
-        a = initialize(config, np.random.default_rng(7))
-        b = initialize(config, np.random.default_rng(7))
-        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.constants, b.constants)
-        assert population_views(a) == population_views(b)
+        a_codes, a_pools = initialize(config, np.random.default_rng(7))
+        b_codes, b_pools = initialize(config, np.random.default_rng(7))
+        assert np.array_equal(a_codes, b_codes) and np.array_equal(a_pools, b_pools)
+        assert (population_views(a_codes, a_pools, config.num_inputs)
+                == population_views(b_codes, b_pools, config.num_inputs))
 
     def test_all_valid(self):
         config = GepConfig(num_inputs=3)
-        pop = initialize(config, np.random.default_rng(0))
-        assert_sound_codes(pop.codes, pop.constants, 3)
+        codes, pools = initialize(config, np.random.default_rng(0))
+        assert_sound_codes(codes, pools, 3)
 
     def test_published_defaults_geometry(self):
         config = GepConfig()
-        pop = initialize(config, np.random.default_rng(1))
-        assert len(pop) == 50
-        views = population_views(pop)
+        codes, pools = initialize(config, np.random.default_rng(1))
+        assert len(codes) == len(pools) == 50
+        views = population_views(codes, pools, config.num_inputs)
         assert all(len(c.genes) == 4 for c in views)
         assert all(g.length == 15 for c in views for g in c.genes)
 
     def test_pool_constants_in_range(self):
-        pop = initialize(GepConfig(), np.random.default_rng(3))
-        for c in population_views(pop):
+        config = GepConfig()
+        for c in population_views(*initialize(config, np.random.default_rng(3)),
+                                  config.num_inputs):
             for g in c.genes:
                 assert all(-10.0 <= v <= 10.0 for v in g.constants)
 
@@ -137,30 +139,30 @@ def only(rate_name, value):
 class TestOperators:
     def test_all_rates_zero_is_identity(self, rng):
         config = GepConfig(rates=OperatorRates(**{k: 0.0 for k in OperatorRates().as_dict()}))
-        pop = initialize(config, rng)
-        out = apply_operators(pop, config, rng)
-        assert np.array_equal(pop.codes, out.codes) and np.array_equal(pop.constants, out.constants)
-        assert out.codes is not pop.codes and out.constants is not pop.constants
+        codes, pools = initialize(config, rng)
+        out_codes, out_pools = codes.copy(), pools.copy()
+        apply_operators(out_codes, out_pools, config, rng)
+        assert np.array_equal(codes, out_codes) and np.array_equal(pools, out_pools)
 
     def test_mutation_rate_one_resamples_every_position(self):
         config = GepConfig(num_chromosomes=2, num_genes=1, head_size=7, num_inputs=2,
                            rates=only("mutation", 1.0))
         rng = np.random.default_rng(9)
-        pop = initialize(config, rng)
-        out = apply_operators(pop, config, rng)
-        assert_sound_codes(out.codes, out.constants, 2)
-        for chrom in population_views(out):
+        codes, pools = initialize(config, rng)
+        apply_operators(codes, pools, config, rng)
+        assert_sound_codes(codes, pools, 2)
+        for chrom in population_views(codes, pools, 2):
             for gene in chrom.genes:
                 assert all(s.is_terminal for s in gene.tail)
 
     def test_structural_soundness_bulk(self, rng):
         # scaled-down version of the acceptance gate
         config = GepConfig(num_chromosomes=20, num_inputs=3)
-        pop = initialize(config, rng)
+        codes, pools = initialize(config, rng)
         for _ in range(50):
-            pop = apply_operators(pop, config, rng)
-            assert_sound_codes(pop.codes, pop.constants, 3)
-            for chrom in population_views(pop):
+            apply_operators(codes, pools, config, rng)
+            assert_sound_codes(codes, pools, 3)
+            for chrom in population_views(codes, pools, 3):
                 assert len(chrom.genes) == 4
                 assert all(g.length == 15 for g in chrom.genes)
 
@@ -168,14 +170,15 @@ class TestOperators:
         for rate_name in ("one_point_recombination", "two_point_recombination",
                           "uniform_recombination", "gene_recombination"):
             config = GepConfig(num_chromosomes=2, rates=only(rate_name, 1.0))
-            pop = initialize(config, rng)
-            out = apply_operators(pop, config, rng)
-            for before, after in ((pop.codes, out.codes), (pop.constants, out.constants)):
+            codes, pools = initialize(config, rng)
+            out_codes, out_pools = codes.copy(), pools.copy()
+            apply_operators(out_codes, out_pools, config, rng)
+            for before, after in ((codes, out_codes), (pools, out_pools)):
                 # every exchange swaps cells between the pair at the same position
                 assert np.array_equal(np.sort(before, axis=0), np.sort(after, axis=0))
-            before = sorted((s.kind, s.index) for ch in population_views(pop)
+            before = sorted((s.kind, s.index) for ch in population_views(codes, pools, 3)
                             for g in ch.genes for s in g.symbols)
-            after = sorted((s.kind, s.index) for ch in population_views(out)
+            after = sorted((s.kind, s.index) for ch in population_views(out_codes, out_pools, 3)
                            for g in ch.genes for s in g.symbols)
             assert before == after
 
@@ -209,10 +212,11 @@ class TestUntouchedGenesKept:
         for rate_name in ("mutation", "conservative_mutation", "biased_mutation"):
             config = GepConfig(num_chromosomes=6, rates=only(rate_name, 0.5))
             for _ in range(30):
-                parents = initialize(config, rng)
-                children = apply_operators(parents, config, OneSite(rng))
-                edits = np.count_nonzero(children.codes != parents.codes)
-                edits += np.count_nonzero(children.constants != parents.constants)
+                codes, pools = initialize(config, rng)
+                children, child_pools = codes.copy(), pools.copy()
+                apply_operators(children, child_pools, config, OneSite(rng))
+                edits = np.count_nonzero(children != codes)
+                edits += np.count_nonzero(child_pools != pools)
                 assert edits <= 1
                 if rate_name == "biased_mutation":
                     assert edits == 1
@@ -221,16 +225,16 @@ class TestUntouchedGenesKept:
         config = GepConfig(num_chromosomes=2)
         gene_len = config.gene_length
         first = np.array([0])
-        pop = initialize(config, rng)
-        (a, b), (pa, pb) = pop.codes, pop.constants
+        parents, parent_pools = initialize(config, rng)
+        (a, b), (pa, pb) = parents, parent_pools
 
-        codes, pools = pop.codes.copy(), pop.constants.copy()
+        codes, pools = parents.copy(), parent_pools.copy()
         _one_point_recombination(codes, pools, first, FixedCut(2 * gene_len))
         assert np.array_equal(codes, [np.concatenate((a[:2], b[2:])), np.concatenate((b[:2], a[2:]))])
         assert np.array_equal(pools, [np.concatenate((pa[:2], pb[2:])),
                                       np.concatenate((pb[:2], pa[2:]))])
         # a cut inside gene 2 splits that gene only, which keeps its first parent's pool
-        codes, pools = pop.codes.copy(), pop.constants.copy()
+        codes, pools = parents.copy(), parent_pools.copy()
         _one_point_recombination(codes, pools, first, FixedCut(2 * gene_len + 3))
         assert np.array_equal(codes[0, [0, 1, 3]], np.concatenate((a[:2], b[3:])))
         assert np.array_equal(codes[0, 2], np.concatenate((a[2, :3], b[2, 3:])))
@@ -262,8 +266,8 @@ class TestRun:
         result = run(config, X, X[:, 0])
         assert result.report.per_generation_best == ()
         assert result.mean_history == ()
-        pop = initialize(config, np.random.default_rng(3))
-        best = max(fitness(c, X, X[:, 0]).fitness for c in population_views(pop))
+        views = population_views(*initialize(config, np.random.default_rng(3)), config.num_inputs)
+        best = max(fitness(c, X, X[:, 0]).fitness for c in views)
         assert result.report.fitness == best
 
     def test_history_nondecreasing_and_bounded(self):
@@ -295,9 +299,9 @@ class TestRun:
                            stagnation_limit=80, rng_seed=6)
         cached = run(config, X, y)
 
-        def every_chromosome(pop, columns, y, prev_cache, timings):
-            return ([fitness(c, columns.T, y) for c in population_views(pop)], prev_cache,
-                    len(pop))
+        def every_chromosome(codes, pools, num_inputs, columns, y, prev_cache, timings):
+            return ([fitness(c, columns.T, y) for c in population_views(codes, pools, num_inputs)],
+                    prev_cache, len(codes))
 
         monkeypatch.setattr(evolution, "_evaluate_population", every_chromosome)
         plain = run(config, X, y)
@@ -307,6 +311,40 @@ class TestRun:
         assert cached.mean_history == plain.mean_history
         assert plain.evaluations == 20 * (len(plain.report.per_generation_best) + 1)
         assert 0 < cached.evaluations < plain.evaluations
+
+    def test_elite_is_never_varied(self, monkeypatch):
+        # every operator fires on every chromosome, so only slot 0 can keep
+        # the previous generation's best
+        data_rng = np.random.default_rng(5)
+        X = data_rng.uniform(0.5, 2.0, (25, 2))
+        y = X[:, 0] * X[:, 1] + 1.0
+        rates = OperatorRates(**{k: 1.0 for k in OperatorRates().as_dict()})
+        config = GepConfig(num_chromosomes=10, num_inputs=2, rates=rates, max_generations=15,
+                           stagnation_limit=15, rng_seed=4)
+        scored = []  # (codes, pools as passed, their copies then, the fitnesses)
+        evaluate = evolution._evaluate_population
+
+        def spy(codes, pools, *args):
+            out = evaluate(codes, pools, *args)
+            scored.append((codes, pools, codes.copy(), pools.copy(), [r.fitness for r in out[0]]))
+            return out
+
+        monkeypatch.setattr(evolution, "_evaluate_population", spy)
+        result = run(config, X, y)
+        assert len(scored) == config.max_generations + 1
+        for (_, _, codes, pools, fits), (_, _, after, after_pools, _) in zip(scored, scored[1:]):
+            best = int(np.argmax(fits))
+            assert after[0].tobytes() == codes[best].tobytes()
+            assert after_pools[0].tobytes() == pools[best].tobytes()
+        # no generation's arrays were written after they were scored
+        for codes, pools, codes_then, pools_then, _ in scored:
+            assert codes.tobytes() == codes_then.tobytes()
+            assert pools.tobytes() == pools_then.tobytes()
+        lengths = karva.coding_lengths(result.best_codes).tolist()
+        total, bad = kernels.gene_sum(result.best_codes, result.best_pools, lengths,
+                                      np.ascontiguousarray(X.T), config.num_inputs)
+        report = evolution._report(total, bad, y)
+        assert (report.fitness, report.rmse) == (result.report.fitness, result.report.rmse)
 
     def test_copies_of_scored_chromosomes_are_not_evaluated(self):
         # no operator fires, so every later generation holds copies of

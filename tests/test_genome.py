@@ -13,7 +13,6 @@ from embgep import karva, kernels
 from embgep.evolution import (
     GepConfig,
     OperatorRates,
-    Population,
     apply_operators,
     canonical_keys,
     initialize,
@@ -83,7 +82,8 @@ def slot_value(slot, k):
 
 @st.composite
 def gene_pairs(draw):
-    """Two one-gene chromosomes, the second an edit of the first."""
+    """``(num_inputs, codes, pools)`` of two one-gene chromosomes, the second
+    an edit of the first."""
     num_inputs, codes, _ = draw(code_arrays(max_genes=1))
     pools = np.array([[slot_value(s, draw(st.integers(0, 3))) for s in range(10)]])
     edited, edited_pools = codes.copy(), pools.copy()
@@ -96,7 +96,7 @@ def gene_pairs(draw):
     for s in range(10):
         if draw(st.integers(0, 4)) == 0:
             edited_pools[0, s] = slot_value(s, draw(st.integers(0, 3)))
-    return Population(np.stack([codes, edited]), np.stack([pools, edited_pools]), num_inputs)
+    return num_inputs, np.stack([codes, edited]), np.stack([pools, edited_pools])
 
 
 def valued_tree(gene):
@@ -112,16 +112,17 @@ def valued_tree(gene):
 
 @settings(max_examples=500, deadline=None)
 @given(gene_pairs())
-def test_equal_keys_exactly_when_programs_are_equal(pop):
-    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
+def test_equal_keys_exactly_when_programs_are_equal(pair):
+    num_inputs, codes, pools = pair
+    keys = canonical_keys(codes, pools, karva.coding_lengths(codes), num_inputs)
     assert keys.shape[:2] == (2, 1)
     same_key = keys[0].tobytes() == keys[1].tobytes()
-    views = oracles.population_views(pop)
+    views = oracles.population_views(codes, pools, num_inputs)
     first, second = (chrom.genes[0] for chrom in views)
     assert same_key == (valued_tree(first) == valued_tree(second))
     # the code rows and their view evaluate alike
-    X = np.linspace(-2.0, 2.0, 3 * pop.num_inputs).reshape(3, pop.num_inputs)
-    values = kernels.evaluate_codes(pop.codes[1], pop.constants[1], X, pop.num_inputs)
+    X = np.linspace(-2.0, 2.0, 3 * num_inputs).reshape(3, num_inputs)
+    values = kernels.evaluate_codes(codes[1], pools[1], X, num_inputs)
     assert values.tobytes() == kernels.evaluate_chromosome_batch(views[1], X).tobytes()
 
 
@@ -139,14 +140,14 @@ def populations(draw):
 def test_every_operator_at_rate_one_keeps_the_genome_sound(drawn):
     config, seed = drawn
     rng = np.random.default_rng(seed)
-    pop = initialize(config, rng)
+    codes, pools = initialize(config, rng)
+    shape, dtype, pool_shape = codes.shape, codes.dtype, pools.shape
     for name in RATE_NAMES:
         config = replace(config, rates=OperatorRates(**{k: float(k == name) for k in RATE_NAMES}))
-        out = apply_operators(pop, config, rng)
-        assert out.codes.shape == pop.codes.shape and out.codes.dtype == pop.codes.dtype
-        assert out.constants.shape == pop.constants.shape
-        assert (out.codes < len(karva.alphabet(config.num_inputs))).all()
-        assert (out.codes[:, :, config.head_size:] >= karva.NUM_FUNCTIONS).all(), name
-        assert np.isfinite(out.constants).all()
-        assert_sound_codes(out.codes, out.constants, config.num_inputs)
-        pop = out
+        apply_operators(codes, pools, config, rng)
+        assert codes.shape == shape and codes.dtype == dtype
+        assert pools.shape == pool_shape
+        assert (codes < len(karva.alphabet(config.num_inputs))).all()
+        assert (codes[:, :, config.head_size:] >= karva.NUM_FUNCTIONS).all(), name
+        assert np.isfinite(pools).all()
+        assert_sound_codes(codes, pools, config.num_inputs)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_chromosome
 from embgep import data, displacement, karva, kernels
-from embgep.evolution import STAGES, Population, _evaluate_population, canonical_keys
+from embgep.evolution import STAGES, _evaluate_population, canonical_keys
 from embgep.karva import Chromosome, Gene, parse_symbol
 
 POOL = tuple(float(i) for i in range(10))
@@ -128,17 +128,18 @@ def test_decoding_that_reaches_a_function_in_the_tail_is_rejected(row):
 
 
 def codes_of(*genes):
-    """Population holding one one-gene chromosome per gene."""
+    """Population arrays ``(codes, pools)`` holding one one-gene chromosome
+    per gene."""
     arrays = [karva.chromosome_codes(Chromosome((g,)), NUM_INPUTS) for g in genes]
-    return Population(np.stack([codes for codes, _ in arrays]),
-                      np.stack([pools for _, pools in arrays]), NUM_INPUTS)
+    return (np.stack([codes for codes, _ in arrays]),
+            np.stack([pools for _, pools in arrays]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(genes())
 def test_layout_agrees_across_consumers(gene):
     n = karva.consumed_length(gene)
-    assert n == oracles.decode(gene).size == karva.coding_lengths(codes_of(gene).codes)[0, 0]
+    assert n == oracles.decode(gene).size == karva.coding_lengths(codes_of(gene)[0])[0, 0]
     assert n <= gene.length
 
 
@@ -160,8 +161,8 @@ def test_noncoding_edits_keep_the_program(gene, data, X):
             for j, c in enumerate(gene.constants)]
     h = gene.head_length
     edited = Gene(tuple(edited_symbols[:h]), tuple(edited_symbols[h:]), tuple(pool))
-    pop = codes_of(gene, edited)
-    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
+    codes, pools = codes_of(gene, edited)
+    keys = canonical_keys(codes, pools, karva.coding_lengths(codes), NUM_INPUTS)
     assert keys[0].tobytes() == keys[1].tobytes()
     before = kernels.evaluate_chromosome_batch(Chromosome((gene,)), X)
     after = kernels.evaluate_chromosome_batch(Chromosome((edited,)), X)
@@ -177,8 +178,8 @@ def test_read_constant_edit_changes_the_program(gene, data):
     pool = list(gene.constants)
     pool[slot] = data.draw(values.filter(lambda v: v != gene.constants[slot]))
     edited = Gene(gene.head, gene.tail, tuple(pool))
-    pop = codes_of(gene, edited)
-    keys = canonical_keys(pop, karva.coding_lengths(pop.codes))
+    codes, pools = codes_of(gene, edited)
+    keys = canonical_keys(codes, pools, karva.coding_lengths(codes), NUM_INPUTS)
     assert keys[0].tobytes() != keys[1].tobytes()
 
 
@@ -194,10 +195,11 @@ def test_batch_matches_oracle_property(chrom, X):
             assert batch[r] == scalar
 
 
-def score(pop, X, y):
-    """``_evaluate_population`` of ``pop`` over the ``(rows, inputs)`` matrix
-    ``X``, laid out as ``run`` lays it, with a fresh cache."""
-    return _evaluate_population(pop, np.ascontiguousarray(X.T), y, None,
+def score(codes, pools, X, y):
+    """``_evaluate_population`` of the population arrays ``(codes, pools)``
+    over the ``(rows, inputs)`` matrix ``X``, laid out as ``run`` lays it,
+    with a fresh cache."""
+    return _evaluate_population(codes, pools, X.shape[1], np.ascontiguousarray(X.T), y, None,
                                 dict.fromkeys(STAGES, 0.0))
 
 
@@ -205,7 +207,7 @@ def assert_fitness_matches_oracle(chrom, X, y):
     """The fitness path scores ``chrom`` 0 exactly when the scalar oracle
     flags some row, and otherwise to the bit of the oracle's RMSE."""
     codes, pools = karva.chromosome_codes(chrom, NUM_INPUTS)
-    [report], _, _ = score(Population(codes[None], pools[None], NUM_INPUTS), X, y)
+    [report], _, _ = score(codes[None], pools[None], X, y)
     values = [oracles.evaluate_chromosome(chrom, row) for row in X]
     if any(v is None for v in values):
         assert (report.fitness, report.rmse) == (0.0, math.inf)
@@ -274,6 +276,6 @@ def test_planted_relationship_scores_1000_on_noise_free_rows():
     assert (np.abs(X[:, 2] - displacement.POLE_PERIOD_RATIO) > displacement.DEFAULT_POLE_EPS).all()
     y = np.array([float(oracles.gep_formula_exact(*row)) for row in X.tolist()])
     codes, pools = planted()
-    reports, _, evaluations = score(Population(codes[None], pools[None], 3), X, y)
+    reports, _, evaluations = score(codes[None], pools[None], X, y)
     assert evaluations == 1
     assert 1000.0 - 1e-9 <= reports[0].fitness <= 1000.0
