@@ -411,6 +411,7 @@ def cmd_sweep(args) -> int:
     records, inputs, outputs, _ = _open_run(args, 0)
     X, y = data.regression_arrays(records)
     outdir = _start_output(args, records)
+    del records  # the engine reads only X, y; the ids need not stay alive while it runs
 
     cells = evolution.sweep(X, y, config, gene_grid, head_grid)
     data.write_csv(

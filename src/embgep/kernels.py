@@ -55,6 +55,11 @@ def gene_sum(codes: np.ndarray, pools: np.ndarray, lengths: list[int], columns: 
     and ``bad``, true where a computed divisor is infinite.  A row is
     non-finite in the sense of the module docstring exactly where ``bad``
     holds or ``total`` is not finite.
+
+    Only the node values that an unevaluated parent still reads are kept: a
+    function drops its two children's values once it has read them, so at
+    most about half of a gene's function nodes are held as row arrays at
+    once, beside ``total`` and ``bad``.
     """
     first_constant = NUM_FUNCTIONS + num_inputs
     num_columns, rows = columns.shape
@@ -76,6 +81,8 @@ def gene_sum(codes: np.ndarray, pools: np.ndarray, lengths: list[int], columns: 
                     if code == DIV and row[right] < NUM_FUNCTIONS:
                         bad |= np.isinf(vals[right])
                     v = _OPERATIONS[code](vals[left], vals[right])
+                    # each node has one parent, so no child is read again
+                    vals[left] = vals[right] = None
                 elif code < first_constant:
                     column = code - NUM_FUNCTIONS
                     if column >= num_columns:

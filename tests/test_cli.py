@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -695,6 +696,29 @@ class TestSweep:
         assert "record 'X': ay_ratio not finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_evolves_without_the_case_table(self, tmp_path, monkeypatch):
+        # the engine reads only X, y: the table and its ids are freed before
+        # the grid runs, and the artifacts keep their golden bytes
+        tables, alive = [], []
+        synthesize, sweep = data.synthesize, evolution.sweep
+
+        def keep_ref(*args, **kwargs):
+            table = synthesize(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in tables])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(data, "synthesize", keep_ref)
+        monkeypatch.setattr(evolution, "sweep", spy)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["sweep"]
+        assert run_cli(*golden["argv"], "--out", tmp_path) == 0
+        assert alive == [[False]]
+        assert (hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+                == golden["sha256"]["sweep.csv"])
 
 
 @pytest.mark.parametrize("argv", [

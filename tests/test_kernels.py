@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,26 @@ def test_fitness_path_flags_nonfinite_intermediate_even_if_final_finite():
     total, bad = kernels.gene_sum(codes, pools, karva.coding_lengths(codes).tolist(),
                                   np.ascontiguousarray(X.T), NUM_INPUTS)
     assert total.tolist() == [0.0, 1.0] and bad.tolist() == [True, False]
+
+
+def test_gene_sum_keeps_only_live_node_values():
+    # a head of 12 functions computes 12 row arrays, but the reverse walk
+    # reads each one once: at most 6 wait for their parent while a 7th is
+    # computed, beside the sum and the flags.  Holding every node's value
+    # until the gene ends would peak at 13 row arrays
+    rows = 20_000
+    tokens = [("+", "-", "*")[i % 3] for i in range(12)] + [f"d{i % 3}" for i in range(13)]
+    codes, pools = karva.chromosome_codes(Chromosome((gene_from_tokens(tokens, 12),)), NUM_INPUTS)
+    columns = np.random.default_rng(5).uniform(1.0, 2.0, (NUM_INPUTS, rows))
+    lengths = karva.coding_lengths(codes).tolist()
+    assert lengths == [25]
+    tracemalloc.start()
+    try:
+        kernels.gene_sum(codes, pools, lengths, columns, NUM_INPUTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * rows
 
 
 # The published gep relationship planted in the engine's own search space: a
