@@ -11,6 +11,12 @@ Rate conventions: the three mutation variants are per-site probabilities
 (symbol positions, or pool slots for constant mutation); permutation,
 inversion, the transpositions and all recombinations are per-chromosome
 (per-pair for recombinations) probabilities.
+
+Fixed costs per generation: ``select``'s roulette is the cumulative-sum
+form of ``Generator.choice`` (the same draws, without its checks of ``p``),
+``apply_operators`` reads trigger rates built once per config, and
+``_evaluate_population`` enters ``np.errstate`` once per generation for all
+the chromosomes it scores with ``kernels._gene_sum`` and ``_report``.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
 from . import karva
 from .karva import NUM_FUNCTIONS, POOL_SIZE, alphabet, code_dtype, coding_lengths, tail_length
-from .kernels import evaluate_chromosome_batch, gene_sum
+from .kernels import _gene_sum, evaluate_chromosome_batch
 
 # re-exported: perfbench's per-layer tracer binds evolution.compile_chromosome
 from .kernels import compile_chromosome  # noqa: F401
@@ -94,6 +101,14 @@ class GepConfig:
     def gene_length(self) -> int:
         return self.head_size + tail_length(self.head_size)
 
+    @cached_property
+    def _trigger_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """``apply_operators``' trigger probabilities as two column arrays,
+        one row per stage of ``_STRUCTURAL`` and of ``_RECOMBINATIONS``;
+        built once per config, so once per run."""
+        return tuple(np.array([getattr(self.rates, name) for _, name in stages])[:, None]
+                     for stages in (_STRUCTURAL, _RECOMBINATIONS))
+
 
 @dataclass(frozen=True)
 class FitnessReport:
@@ -137,16 +152,17 @@ def _as_dataset(X, y):
 
 
 def _report(total, bad, y) -> FitnessReport:
-    """Report of the gene sums ``total`` and flagged rows ``bad`` of
-    ``kernels.gene_sum``; ``total`` is overwritten.  A non-finite value in
-    ``total`` makes the RMSE non-finite, so it needs no check of its own;
-    ``np.add.reduce`` is the pairwise sum ``np.mean`` takes."""
-    if bad.any():
+    """Report of the gene sums ``total`` and flagged rows ``bad`` (or None)
+    of ``kernels.gene_sum``; ``total`` is overwritten.  A non-finite value
+    in ``total`` makes the RMSE non-finite, so it needs no check of its
+    own; ``np.add.reduce`` is the pairwise sum ``np.mean`` takes.  The
+    caller enters ``np.errstate``: the subtraction and the square can
+    overflow."""
+    if bad is not None and bad.any():
         return FitnessReport(0.0, math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(total, y, out=total)
-        np.square(total, out=total)
-        rmse = math.sqrt(np.add.reduce(total) / len(y))
+    np.subtract(total, y, out=total)
+    np.square(total, out=total)
+    rmse = math.sqrt(np.add.reduce(total) / len(y))
     if not math.isfinite(rmse):
         return FitnessReport(0.0, math.inf)
     return FitnessReport(1000.0 / (1.0 + rmse), rmse)
@@ -156,7 +172,8 @@ def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
     """RMSE-based fitness; any non-finite prediction forces fitness 0."""
     X, y = _as_dataset(X, y)
     preds = evaluate_chromosome_batch(chrom, X)
-    return _report(preds, np.isnan(preds), y)
+    with np.errstate(all="ignore"):
+        return _report(preds, np.isnan(preds), y)
 
 
 def initialize(config: GepConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +192,22 @@ def initialize(config: GepConfig, rng: np.random.Generator) -> tuple[np.ndarray,
 def select(fitnesses, rng: np.random.Generator) -> np.ndarray:
     """Indices of the next population: the single best chromosome in slot 0
     (elitism), then roulette-wheel draws proportional to fitness.  All-zero
-    fitness falls back to uniform draws."""
+    fitness falls back to uniform draws.
+
+    The roulette is the cumulative-sum sampling of
+    ``rng.choice(n, n - 1, p=fits / fits.sum())``, without that call's
+    checks of ``p``: it draws the same indices and leaves ``rng`` in the
+    same state."""
     fits = np.asarray(fitnesses, dtype=np.float64)
     n = fits.shape[0]
     total = float(fits.sum())
     if total > 0.0:
-        idx = rng.choice(n, size=n - 1, p=fits / total)
+        cdf = (fits / total).cumsum()
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(rng.random(n - 1), side="right")
     else:
         idx = rng.integers(0, n, size=n - 1)
-    return np.concatenate(([np.argmax(fits)], idx))
+    return np.concatenate(([fits.argmax()], idx))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +335,23 @@ def _gene_recombination(codes, pools, first, rng):
                 np.arange(genes) == gene)
 
 
+# apply_operators' structural stages and recombinations, in the order it
+# runs them, each with the name of its rate in OperatorRates
+_STRUCTURAL = (
+    (_permutation, "permutation"),
+    (_inversion, "inversion"),
+    (_is_transposition, "is_transposition"),
+    (_ris_transposition, "ris_transposition"),
+    (_gene_transposition, "gene_transposition"),
+)
+_RECOMBINATIONS = (
+    (_one_point_recombination, "one_point_recombination"),
+    (_two_point_recombination, "two_point_recombination"),
+    (_uniform_recombination, "uniform_recombination"),
+    (_gene_recombination, "gene_recombination"),
+)
+
+
 def apply_operators(codes: np.ndarray, pools: np.ndarray, config: GepConfig,
                     rng: np.random.Generator) -> None:
     """One generation of variation of the C-contiguous population arrays
@@ -341,27 +382,15 @@ def apply_operators(codes: np.ndarray, pools: np.ndarray, config: GepConfig,
     slots = _sites(pools.size, rates.biased_mutation, rng)
     pools.reshape(-1)[slots] += rng.normal(0.0, 1.0, size=slots.size)
 
-    stages = (
-        (_permutation, rates.permutation),
-        (_inversion, rates.inversion),
-        (_is_transposition, rates.is_transposition),
-        (_ris_transposition, rates.ris_transposition),
-        (_gene_transposition, rates.gene_transposition),
-    )
-    triggers = rng.random((len(stages), len(codes))) < np.array([r for _, r in stages])[:, None]
+    structural, recombination = config._trigger_rates
+    triggers = rng.random((len(_STRUCTURAL), len(codes))) < structural
     for stage, p in zip(*np.nonzero(triggers)):  # stage by stage, rows in order
-        stages[stage][0](codes[p], pools[p], rng)
+        _STRUCTURAL[stage][0](codes[p], pools[p], rng)
 
-    stages = (
-        (_one_point_recombination, rates.one_point_recombination),
-        (_two_point_recombination, rates.two_point_recombination),
-        (_uniform_recombination, rates.uniform_recombination),
-        (_gene_recombination, rates.gene_recombination),
-    )
     first = np.arange(0, len(codes) - 1, 2)
-    triggers = rng.random((len(stages), len(first))) < np.array([r for _, r in stages])[:, None]
+    triggers = rng.random((len(_RECOMBINATIONS), len(first))) < recombination
     for stage in np.flatnonzero(triggers.any(axis=1)):
-        stages[stage][0](codes, pools, first[triggers[stage]], rng)
+        _RECOMBINATIONS[stage][0](codes, pools, first[triggers[stage]], rng)
 
 
 def canonical_keys(codes, pools, lengths, num_inputs: int) -> np.ndarray:
@@ -408,15 +437,16 @@ def _evaluate_population(codes, pools, num_inputs, columns, y, prev_cache, timin
     keyed = perf_counter()
     size = blocks[0].size
     raw = blocks.tobytes()
-    for p in range(len(codes)):
-        key = raw[p * size : (p + 1) * size]
-        report = reports_by_key.get(key) or prev_reports.get(key)
-        if report is None:
-            total, bad = gene_sum(codes[p], pools[p], gene_lengths[p], columns, num_inputs)
-            report = _report(total, bad, y)
-            evaluations += 1
-        reports_by_key[key] = report
-        reports.append(report)
+    with np.errstate(all="ignore"):  # once for every chromosome scored below
+        for p in range(len(codes)):
+            key = raw[p * size : (p + 1) * size]
+            report = reports_by_key.get(key) or prev_reports.get(key)
+            if report is None:
+                total, bad = _gene_sum(codes[p], pools[p], gene_lengths[p], columns, num_inputs)
+                report = _report(total, bad, y)
+                evaluations += 1
+            reports_by_key[key] = report
+            reports.append(report)
     timings["canonical_keys"] += keyed - start
     timings["evaluation"] += perf_counter() - keyed
     return reports, reports_by_key, evaluations
@@ -464,7 +494,7 @@ def run(config: GepConfig, X, y, rng: np.random.Generator | None = None) -> RunR
         fits = np.array([r.fitness for r in reports])
         gen_i = int(np.argmax(fits))
         best_history.append(reports[gen_i].fitness)
-        mean_history.append(float(np.mean(fits)))
+        mean_history.append(float(np.add.reduce(fits) / len(fits)))  # np.mean's bits
         evaluation_history.append(count)
         zero_history.append(int(np.count_nonzero(fits == 0.0)))
         if reports[gen_i].fitness > best_rep.fitness:

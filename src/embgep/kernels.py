@@ -13,13 +13,17 @@ Non-finite semantics: a division by zero, an overflow or any other
 non-finite intermediate poisons that data row to NaN, even if later
 operations would have brought it back to a finite value; so does a
 non-finite sum of the genes.  ``gene_sum`` checks this at two places only:
-at every division whose divisor is a computed node (``bad |= isinf``) and
-at the gene sum.  That is complete for finite terminals.  Among + - * /,
-``x / +-inf`` is the only operation that turns a non-finite operand finite:
-a NaN operand always gives NaN, and an infinite one gives an infinity or a
-NaN in every other position.  So a non-finite node value either reaches
-the gene sum or is an infinite computed divisor, and a NaN divisor makes
-its quotient NaN.
+at every division whose divisor is a computed node (``isinf``, into a
+``bad`` mask made at the first such division) and at the gene sum.  That
+is complete for finite terminals.  Among + - * /, ``x / +-inf`` is the only
+operation that turns a non-finite operand finite: a NaN operand always
+gives NaN, and an infinite one gives an infinity or a NaN in every other
+position.  So a non-finite node value either reaches the gene sum or is an
+infinite computed divisor, and a NaN divisor makes its quotient NaN.
+
+The arithmetic overflows and divides by zero by design.  ``gene_sum``, which
+every evaluator here calls, enters ``np.errstate(all="ignore")`` and lets no
+numpy warning out; ``_gene_sum``, its body, leaves that to its caller.
 """
 
 from __future__ import annotations
@@ -45,53 +49,72 @@ def compile_chromosome(chrom: Chromosome) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def gene_sum(codes: np.ndarray, pools: np.ndarray, lengths: list[int], columns: np.ndarray,
-             num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+             num_inputs: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Sum of the genes per data row, unmasked, and the rows it flags.
 
     ``codes`` and ``pools`` are ``(G, L)`` code rows over
-    ``alphabet(num_inputs)`` and ``(G, 10)`` pools, and ``lengths`` is their
-    ``coding_lengths`` as G ints; ``columns`` holds the inputs as a
-    C-contiguous ``(inputs, rows)`` array.  Returns a new ``total`` array
-    and ``bad``, true where a computed divisor is infinite.  A row is
-    non-finite in the sense of the module docstring exactly where ``bad``
-    holds or ``total`` is not finite.
+    ``alphabet(num_inputs)`` and ``(G, 10)`` pools, G >= 1, and ``lengths``
+    is their ``coding_lengths`` as G ints; ``columns`` holds the inputs as
+    a C-contiguous ``(inputs, rows)`` array.  Returns a new ``total`` array
+    and ``bad``, true where a computed divisor is infinite (a numpy bool
+    that broadcasts when every such divisor is a constant), or None when no
+    divisor is a computed node.  A row is non-finite in the sense of the
+    module docstring exactly where ``bad`` holds or ``total`` is not finite.
 
     Only the node values that an unevaluated parent still reads are kept: a
     function drops its two children's values once it has read them, so at
     most about half of a gene's function nodes are held as row arrays at
     once, beside ``total`` and ``bad``.
+
+    numpy's floating-point warnings are silenced by one ``np.errstate``
+    per call.  The GEP loop, which scores several chromosomes a generation,
+    enters ``np.errstate`` once per generation and calls ``_gene_sum``, this
+    function's body, directly.
     """
+    with np.errstate(all="ignore"):
+        return _gene_sum(codes, pools, lengths, columns, num_inputs)
+
+
+def _gene_sum(codes, pools, lengths, columns, num_inputs):
+    """``gene_sum`` for a caller that has entered ``np.errstate(all="ignore")``
+    itself."""
     first_constant = NUM_FUNCTIONS + num_inputs
     num_columns, rows = columns.shape
-    total = np.zeros(rows, dtype=np.float64)
-    bad = np.zeros(rows, dtype=bool)
-    with np.errstate(all="ignore"):
-        for row, pool, n in zip(codes.tolist(), pools, lengths):
-            if n == 0:
-                raise ValueError("gene too short to read: a function in its tail?")
-            # the k-th function's children are at 2k+1 and 2k+2, and a
-            # coding region of n symbols holds (n - 1) // 2 functions
-            functions = (n - 1) // 2
-            vals = [None] * n
-            for i in range(n - 1, -1, -1):
-                code = row[i]
-                if code < NUM_FUNCTIONS:
-                    functions -= 1
-                    left, right = 2 * functions + 1, 2 * functions + 2
-                    if code == DIV and row[right] < NUM_FUNCTIONS:
+    total = bad = None
+    for row, pool, n in zip(codes.tolist(), pools, lengths):
+        if n == 0:
+            raise ValueError("gene too short to read: a function in its tail?")
+        # the k-th function's children are at 2k+1 and 2k+2, and a
+        # coding region of n symbols holds (n - 1) // 2 functions
+        functions = (n - 1) // 2
+        vals = [None] * n
+        for i in range(n - 1, -1, -1):
+            code = row[i]
+            if code < NUM_FUNCTIONS:
+                functions -= 1
+                left, right = 2 * functions + 1, 2 * functions + 2
+                if code == DIV and row[right] < NUM_FUNCTIONS:
+                    if bad is None:
+                        bad = np.isinf(vals[right])
+                    else:
                         bad |= np.isinf(vals[right])
-                    v = _OPERATIONS[code](vals[left], vals[right])
-                    # each node has one parent, so no child is read again
-                    vals[left] = vals[right] = None
-                elif code < first_constant:
-                    column = code - NUM_FUNCTIONS
-                    if column >= num_columns:
-                        raise ValueError(f"the chromosome reads input d{column},"
-                                         f" but X has {num_columns} column(s)")
-                    v = columns[column]
-                else:
-                    v = pool[code - first_constant]  # a numpy scalar: x / 0 gives inf
-                vals[i] = v
+                v = _OPERATIONS[code](vals[left], vals[right])
+                # each node has one parent, so no child is read again
+                vals[left] = vals[right] = None
+            elif code < first_constant:
+                column = code - NUM_FUNCTIONS
+                if column >= num_columns:
+                    raise ValueError(f"the chromosome reads input d{column},"
+                                     f" but X has {num_columns} column(s)")
+                v = columns[column]
+            else:
+                v = pool[code - first_constant]  # a numpy scalar: x / 0 gives inf
+            vals[i] = v
+        if total is None:
+            # 0.0 + x, as a sum started at zero gives, into a new row array:
+            # the gene's value may be a column of the inputs or a scalar
+            total = np.add(vals[0], 0.0, out=np.empty(rows))
+        else:
             total += vals[0]
     return total, bad
 
@@ -103,7 +126,10 @@ def evaluate_codes(codes: np.ndarray, pools: np.ndarray, X: np.ndarray,
     the sum is non-finite."""
     columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
     total, bad = gene_sum(codes, pools, coding_lengths(codes).tolist(), columns, num_inputs)
-    total[bad | ~np.isfinite(total)] = np.nan
+    nonfinite = ~np.isfinite(total)
+    if bad is not None:
+        nonfinite |= bad
+    total[nonfinite] = np.nan
     return total
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import math
 import os
 import signal
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_sound_codes, child_pids, random_chromosome
-from embgep import evolution, karva, kernels
+from embgep import data, evolution, karva, kernels
 from embgep.evolution import (
     ConfigError,
     GepConfig,
@@ -75,6 +77,54 @@ class TestFitness:
             fitness(Chromosome((identity_gene(),)), np.zeros((0, 1)), np.zeros(0))
 
 
+# genes of head 3 over d0, d1 (and c0 = 1e8): where a row holds 0.0 or 1e300
+# they divide by zero, overflow a product, subtract inf from inf and, two at
+# once, overflow the gene sum; a bare d0 of 1e300 overflows the squared error
+OVERFLOWING_GENES = {
+    "big": "* d0 c0 d0 d0 d0 d0",
+    "over_square": "/ d0 * d1 d1 d0 d0",
+    "inf_minus_inf": "- * * d0 d0 d0 d0",
+    "bare": "d0 d1 d1 d1 d1 d1 d1",
+}
+EDGE_ROWS = np.array([[0.0, 0.0], [1e300, 0.0], [0.0, 1e300], [1e300, 1e300], [1.0, 2.0]])
+
+
+def kexpr(*names):
+    pool = " 1e8" + " 0" * (karva.POOL_SIZE - 1)
+    text = "".join(f"{OVERFLOWING_GENES[name]} |{pool}\n" for name in names)
+    return karva.kexpr_codes(text, 2)
+
+
+@pytest.mark.parametrize("names", [("big", "big"), ("over_square",), ("inf_minus_inf",),
+                                   ("bare",), ("big", "over_square", "inf_minus_inf", "bare")])
+def test_no_floating_point_warning_escapes_an_evaluator(names):
+    codes, pools = kexpr(*names)
+    columns = np.ascontiguousarray(EDGE_ROWS.T)
+    y = np.zeros(len(EDGE_ROWS))
+    lengths = karva.coding_lengths(codes).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.gene_sum(codes, pools, lengths, columns, 2)
+        predicted = kernels.evaluate_codes(codes, pools, EDGE_ROWS, 2)
+        [chrom] = population_views(codes[None], pools[None], 2)
+        report = fitness(chrom, EDGE_ROWS, y)
+        # the same arithmetic outside any np.errstate does warn
+        with np.errstate(all="warn"), pytest.raises(RuntimeWarning):
+            evolution._report(*kernels._gene_sum(codes, pools, lengths, columns, 2), y)
+    assert np.isfinite(predicted[-1])
+    assert (report.fitness, report.rmse) == (0.0, math.inf)
+
+
+def test_no_floating_point_warning_escapes_a_run():
+    X = np.tile(EDGE_ROWS, (4, 1))
+    config = GepConfig(num_chromosomes=20, num_inputs=2, max_generations=30,
+                       stagnation_limit=30, rng_seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(config, X, np.ones(len(X)))
+    assert sum(result.zero_fitness_history) > 0
+
+
 class TestInitialize:
     def test_deterministic_under_seed(self):
         config = GepConfig(rng_seed=7)
@@ -129,6 +179,30 @@ class TestSelect:
         idx = select([0.0] * 6, np.random.default_rng(5))
         assert len(idx) == 6
         assert idx[0] == 0  # argmax of all-zero is index 0
+
+    def test_roulette_draws_what_generator_choice_draws(self):
+        # 1,200 fitness vectors of 2 to 60 entries, 300 of each kind
+        source = np.random.default_rng(2024)
+        kinds = {
+            "random": lambda n: source.uniform(0.0, 1000.0, n),
+            "mostly_zero": lambda n: np.where(source.random(n) < 0.85, 0.0,
+                                              source.uniform(0.0, 1000.0, n)),
+            "all_equal": lambda n: np.full(n, source.uniform(1e-3, 1000.0)),
+            "wide": lambda n: 10.0 ** source.uniform(-300.0, 3.0, n),
+        }
+        for kind, draw in kinds.items():
+            for case in range(300):
+                n = int(source.integers(2, 61))
+                fits = draw(n)
+                if kind == "mostly_zero" and not fits.any():
+                    fits[source.integers(0, n)] = source.uniform(0.0, 1000.0)
+                ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+                idx = select(fits, ours)
+                expected = np.concatenate(
+                    ([np.argmax(fits)], theirs.choice(n, n - 1, p=fits / fits.sum())))
+                assert idx.dtype == expected.dtype, kind
+                assert np.array_equal(idx, expected), (kind, case)
+                assert ours.bit_generator.state == theirs.bit_generator.state, (kind, case)
 
 
 def only(rate_name, value):
@@ -375,6 +449,32 @@ class TestRun:
         assert len(result.report.per_generation_best) == 15
         assert result.evaluations > 16  # some chromosome was scored after the first generation
         assert layouts == [(12, config.num_genes, config.gene_length)] * 16
+
+    # the published-default run on 85 synthetic rows, all 1000 generations,
+    # recorded before the generation loop's fixed costs were cut: evaluations,
+    # best fitness and RMSE, and the sha256 of the best codes, the best pools
+    # and the float64 mean-fitness history
+    FULL_STREAM = {
+        1: (4889, "0x1.a57fab232314ap+8", "0x1.5f5b46f5f1f12p+0",
+            "3fe299d98156229d818ba13cc18852c89d5e8e533df7a91d84712559953a2fa1",
+            "d419d521e79e905743856d924223401d4f595646f9099129e15577a747a48aeb",
+            "f3dd48e7499f4676dcbaa1c6004e669cfb87cbb92efbb76893c7ad57f34289c4"),
+        2: (3427, "0x1.79b46510d3061p+8", "0x1.a5c739f32c242p+0",
+            "b283b99ed4daf5d55638441212d2e14cfb6033b44bbff29652958245252d9e07",
+            "7c0b2803a6c981cd5e5eab80bcb3405d70e0f66f05be711fccb67a713afe4728",
+            "12c7faeb44bb73d58047a9d32addc3745ae2f405cc086355a39e2e87e628ef8b"),
+    }
+
+    @pytest.mark.parametrize("seed", FULL_STREAM)
+    def test_full_published_run_keeps_its_stream(self, seed):
+        table = data.synthesize(data.EMBANKMENT_SUMMARY, 85, np.random.default_rng(11))
+        X, y = data.regression_arrays(table)
+        result = run(GepConfig(stagnation_limit=1000, rng_seed=seed), X, y)
+        assert len(result.mean_history) == 1000
+        digest = [hashlib.sha256(a.tobytes()).hexdigest() for a in
+                  (result.best_codes, result.best_pools, np.array(result.mean_history))]
+        assert (result.evaluations, result.report.fitness.hex(), result.report.rmse.hex(),
+                *digest) == self.FULL_STREAM[seed]
 
     def test_stagnation_stops_early(self):
         X = np.linspace(0, 1, 10).reshape(-1, 1)

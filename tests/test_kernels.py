@@ -241,6 +241,20 @@ def test_fitness_path_flags_nonfinite_intermediate_even_if_final_finite():
     assert total.tolist() == [0.0, 1.0] and bad.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("root", ["d0", "c0"])
+def test_gene_sum_is_a_new_row_array_started_at_positive_zero(root):
+    # a gene that is one terminal has a view of the inputs or a scalar for
+    # its value; the sum is still a new row array, and a -0.0 in it sums to
+    # +0.0, as 0.0 + -0.0 does
+    codes, pools = karva.chromosome_codes(
+        Chromosome((gene_from_tokens([root, "d1", "d2"], 1, (-0.0,) + POOL[1:]),)), NUM_INPUTS)
+    columns = np.ascontiguousarray(np.array([[-0.0, 1.0, 2.0], [-0.0, 4.0, 5.0]]).T)
+    total, bad = kernels.gene_sum(codes, pools, [1], columns, NUM_INPUTS)
+    assert total.shape == (2,) and not np.shares_memory(total, columns)
+    assert total.tolist() == [0.0, 0.0] and not np.signbit(total).any()
+    assert bad is None
+
+
 def test_gene_sum_keeps_only_live_node_values():
     # a head of 12 functions computes 12 row arrays, but the reverse walk
     # reads each one once: at most 6 wait for their parent while a 7th is
