@@ -1,10 +1,16 @@
 """Command-line surface: stats, split, fit, predict, compare, sensitivity, sweep.
 
-Every command writes its artifacts plus a ``manifest.json`` listing input and
-output digests into ``--out``.  With identical seed, config and inputs every
-artifact is byte-identical across reruns (the manifest's timestamp and
-environment fields, ``sweep``'s worker count and the engine's stage timings
-``fit`` and ``sweep`` add to it are the documented exceptions).
+Every command writes its artifacts into ``--out``, plus a ``manifest.json``
+holding the digests of the ``--input`` and ``--config`` files it read and of
+exactly the artifacts it wrote.  The out dir is made only once the command
+has passed its checks of its options, config and table, so a run rejected
+by them leaves none behind; ``fit`` also scores all three stages of its
+model first.  ``sweep`` makes it, with the synthesized table, before its
+grid runs, so that the table can be freed while the engine runs.  With
+identical seed, config and inputs every artifact is byte-identical across
+reruns (the manifest's timestamp and environment fields, ``sweep``'s worker
+count and the engine's stage timings ``fit`` and ``sweep`` add to it are the
+documented exceptions).
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error.
 """
@@ -59,24 +65,50 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, args: argparse.Namespace,
-                    inputs: list[Path], outputs: list[Path],
-                    config_snapshot: dict | None = None, **run_facts) -> None:
-    """``manifest.json``: the command, its options, seed and config, input
-    and output digests, and facts of this run that vary between hosts or
-    reruns: the time, the Python and numpy versions, and ``run_facts``."""
-    manifest = {
-        "command": args.command,
-        "options": {k: v for k, v in vars(args).items() if k != "func"},
-        "seed": args.seed,
-        "config": config_snapshot,
-        "inputs": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
-        "outputs": {p.name: f"sha256:{_sha256(p)}" for p in sorted(outputs)},
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "environment": {"python": platform.python_version(), "numpy": np.__version__},
-        **run_facts,
-    }
-    _write_json(outdir / "manifest.json", manifest)
+class _Output:
+    """The out dir of one command, made when the command has passed its
+    last check: it holds the synthesized table when ``records`` were
+    synthesized, and it records every artifact path it hands out, so the
+    manifest digests exactly the files the command wrote."""
+
+    def __init__(self, args, records=None):
+        self.args = args
+        self.dir = Path(args.out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+        if records is not None and args.input is None:
+            data.save(records, self.path("synthetic_input.csv"))
+
+    def path(self, name: str) -> Path:
+        path = self.dir / name
+        self.written.append(path)
+        return path
+
+    def csv(self, name: str, header, columns) -> None:
+        data.write_csv(self.path(name), header, columns, "\n")
+
+    def json(self, name: str, payload) -> None:
+        _write_json(self.path(name), payload)
+
+    def manifest(self, config: dict | None = None, **run_facts) -> None:
+        """``manifest.json``: the command, its options, seed and config,
+        the digests of ``--input``, ``--config`` and the recorded outputs,
+        and facts of this run that vary between hosts or reruns: the time,
+        the Python and numpy versions, and ``run_facts``."""
+        args = self.args
+        inputs = [Path(p) for p in (getattr(args, "input", None), getattr(args, "config", None))
+                  if p]
+        _write_json(self.dir / "manifest.json", {
+            "command": args.command,
+            "options": {k: v for k, v in vars(args).items() if k != "func"},
+            "seed": args.seed,
+            "config": config,
+            "inputs": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
+            "outputs": {p.name: f"sha256:{_sha256(p)}" for p in self.written},
+            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "environment": {"python": platform.python_version(), "numpy": np.__version__},
+            **run_facts,
+        })
 
 
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -85,34 +117,19 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 def _open_run(args, streams: int):
     """The start of a command that reads case histories: the table from
-    --input, or synthesized; the input paths (with the --config file, if
-    any) and output paths so far; and ``streams`` RNG streams.  The first
-    stream of the seed is reserved for synthesis, whichever data source was
+    --input, or synthesized, and ``streams`` RNG streams.  The first stream
+    of the seed is reserved for synthesis, whichever data source was
     chosen, so the streams returned are the same for both.  Nothing is
-    written: the command calls ``_start_output`` once its own checks of the
+    written: the command opens its ``_Output`` once its own checks of the
     table have passed."""
     synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams)
     if args.input is not None:
         records = data.load(args.input)
         if not records:
             raise data.DatasetError("empty dataset")
-        inputs, outputs = [Path(args.input)], []
     else:
         records = data.synthesize(data.EMBANKMENT_SUMMARY, args.synth, synth_rng)
-        inputs, outputs = [], [Path(args.out) / "synthetic_input.csv"]
-    if getattr(args, "config", None):
-        inputs.append(Path(args.config))
-    return records, inputs, outputs, rngs
-
-
-def _start_output(args, records) -> Path:
-    """The out dir, made once the command has checked its table, holding
-    the synthesized table when there is one."""
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.input is None:
-        data.save(records, outdir / "synthetic_input.csv")
-    return outdir
+    return records, rngs
 
 
 def _load_config(args):
@@ -137,50 +154,41 @@ def _load_config(args):
 
 
 def cmd_stats(args) -> int:
-    records, inputs, outputs, _ = _open_run(args, 0)
+    records, _ = _open_run(args, 0)
 
     # the parameter columns of both tables: the records' own arrays and two ratios
     columns = records.parameter_columns()
     summary = data.summarize(columns)
-    outdir = _start_output(args, records)
-    stats = list(summary.values())
-    data.write_csv(
-        outdir / "summary.csv",
-        ("parameter", "min", "max", "mean", "sd"),
-        # the sample SD of fewer than two rows is undefined: a blank cell
-        [list(summary), [s.minimum for s in stats], [s.maximum for s in stats],
-         [s.mean for s in stats], [np.nan if s.degenerate else s.sd for s in stats]], "\n")
-
     names, corr = metrics.correlation_matrix(columns)
+    out = _Output(args, records)
+    stats = list(summary.values())
+    out.csv("summary.csv", ("parameter", "min", "max", "mean", "sd"),
+            # the sample SD of fewer than two rows is undefined: a blank cell
+            [list(summary), [s.minimum for s in stats], [s.maximum for s in stats],
+             [s.mean for s in stats], [np.nan if s.degenerate else s.sd for s in stats]])
     lower = np.where(np.tri(len(names), dtype=bool), corr, np.nan)  # NaN cells are left blank
-    data.write_csv(outdir / "correlations.csv", ("parameter",) + names, [names, *lower.T], "\n")
-
-    outputs += [outdir / "summary.csv", outdir / "correlations.csv"]
-    _write_manifest(outdir, args, inputs, outputs)
+    out.csv("correlations.csv", ("parameter",) + names, [names, *lower.T])
+    out.manifest()
     return 0
 
 
 def cmd_split(args) -> int:
-    records, inputs, outputs, (split_rng,) = _open_run(args, 1)
+    records, (split_rng,) = _open_run(args, 1)
 
     split = data.split_matched(records, args.fraction, args.trials, split_rng)
-    outdir = _start_output(args, records)
-    data.save(split.train, outdir / "train.csv")
-    data.save(split.test, outdir / "test.csv")
-    _write_json(
-        outdir / "split.json",
-        {
-            "fraction": args.fraction,
-            "trials": args.trials,
-            "score": split.score,
-            "n_train": len(split.train),
-            "n_test": len(split.test),
-            "train_ids": list(split.train.ids),
-            "test_ids": list(split.test.ids),
-        },
-    )
-    outputs += [outdir / "train.csv", outdir / "test.csv", outdir / "split.json"]
-    _write_manifest(outdir, args, inputs, outputs)
+    out = _Output(args, records)
+    data.save(split.train, out.path("train.csv"))
+    data.save(split.test, out.path("test.csv"))
+    out.json("split.json", {
+        "fraction": args.fraction,
+        "trials": args.trials,
+        "score": split.score,
+        "n_train": len(split.train),
+        "n_test": len(split.test),
+        "train_ids": list(split.train.ids),
+        "test_ids": list(split.test.ids),
+    })
+    out.manifest()
     return 0
 
 
@@ -236,91 +244,73 @@ def cmd_fit(args) -> int:
     from . import evolution, karva, kernels
 
     config = _load_config(args)
-    records, inputs, outputs, (split_rng, run_rng) = _open_run(args, 2)
+    records, (split_rng, run_rng) = _open_run(args, 2)
 
     split = data.split_matched(records, 0.75, args.trials, split_rng)
     stages = {stage: _stage_arrays(stage, rows) for stage, rows in
               (("Training", split.train), ("Validation", split.test), ("All data", records))}
-    outdir = _start_output(args, records)
     result = evolution.run(config, *stages["Training"], run_rng)
-
-    best_text = karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs)
-    (outdir / "best.kexpr").write_text(best_text, encoding="utf-8")
-    best = result.report.per_generation_best
-    data.write_csv(
-        outdir / "history.csv",
-        ("generation", "best_fitness", "mean_fitness", "evaluations", "zero_fitness"),
-        [range(1, len(best) + 1), best, result.mean_history, result.evaluation_history,
-         result.zero_fitness_history], "\n")
-
     predicted = {stage: kernels.evaluate_codes(result.best_codes, result.best_pools, X,
                                                config.num_inputs)
                  for stage, (X, _) in stages.items()}
     stage_rows = [_stage_metrics(stage, y, predicted[stage]) for stage, (_, y) in stages.items()]
-    header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
-              "mae_conventional", "rmse", "scatter_index", "bias")
-    data.write_csv(outdir / "metrics.csv", header,
-                   [[row[k] for row in stage_rows] for k in header], "\n")
-
+    # _stage_metrics has checked that at least 2 of these predictions are finite
     y_all, preds_all = stages["All data"][1], predicted["All data"]
     finite = np.isfinite(preds_all)
-    residual_info = None
-    if int(finite.sum()) >= 2:
-        summary = metrics.residual_summary(metrics.PredictionSet(y_all[finite], preds_all[finite]))
-        data.write_csv(
-            outdir / "residual_histogram.csv",
-            ("bin_low", "bin_high", "count"),
-            [summary.bin_edges[:-1], summary.bin_edges[1:], summary.counts], "\n")
-        residual_info = {
-            "mean_abs": summary.mean_abs,
-            "sd": summary.sd,
-            "marker_low": summary.marker_low,
-            "marker_high": summary.marker_high,
-        }
-    _write_json(
-        outdir / "metrics.json",
-        {
-            # an undefined metric (NaN, a blank cell in metrics.csv) is null
-            "stages": [{k: None if v != v else v for k, v in row.items()} for row in stage_rows],
-            "split": {"train_ids": list(split.train.ids), "test_ids": list(split.test.ids),
-                      "score": split.score},
-            "best_fitness": result.report.fitness,
-            "best_rmse": result.report.rmse,
-            "generations_run": len(result.report.per_generation_best),
-            "evaluations": result.evaluations,
-            "residuals_ln_space": residual_info,
+    residuals = metrics.residual_summary(metrics.PredictionSet(y_all[finite], preds_all[finite]))
+
+    out = _Output(args, records)
+    out.path("best.kexpr").write_text(
+        karva.kexpr_text(result.best_codes, result.best_pools, config.num_inputs),
+        encoding="utf-8")
+    best = result.report.per_generation_best
+    out.csv("history.csv",
+            ("generation", "best_fitness", "mean_fitness", "evaluations", "zero_fitness"),
+            [range(1, len(best) + 1), best, result.mean_history, result.evaluation_history,
+             result.zero_fitness_history])
+    header = ("stage", "n", "n_used", "space", "r_squared", "mae_paper",
+              "mae_conventional", "rmse", "scatter_index", "bias")
+    out.csv("metrics.csv", header, [[row[k] for row in stage_rows] for k in header])
+    out.csv("residual_histogram.csv", ("bin_low", "bin_high", "count"),
+            [residuals.bin_edges[:-1], residuals.bin_edges[1:], residuals.counts])
+    out.json("metrics.json", {
+        # an undefined metric (NaN, a blank cell in metrics.csv) is null
+        "stages": [{k: None if v != v else v for k, v in row.items()} for row in stage_rows],
+        "split": {"train_ids": list(split.train.ids), "test_ids": list(split.test.ids),
+                  "score": split.score},
+        "best_fitness": result.report.fitness,
+        "best_rmse": result.report.rmse,
+        "generations_run": len(best),
+        "evaluations": result.evaluations,
+        "residuals_ln_space": {
+            "mean_abs": residuals.mean_abs,
+            "sd": residuals.sd,
+            "marker_low": residuals.marker_low,
+            "marker_high": residuals.marker_high,
         },
-    )
-    outputs += [outdir / "best.kexpr", outdir / "history.csv",
-                outdir / "metrics.csv", outdir / "metrics.json"]
-    if residual_info is not None:
-        outputs.append(outdir / "residual_histogram.csv")
-    _write_manifest(outdir, args, inputs, outputs, dataclasses.asdict(config),
-                    timings_s=result.timings_s)
+    })
+    out.manifest(dataclasses.asdict(config), timings_s=result.timings_s)
     return 0
 
 
 def cmd_predict(args) -> int:
-    records, inputs, outputs, _ = _open_run(args, 0)
+    records, _ = _open_run(args, 0)
 
     result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
                                    args.ambraseys_cm)
-    outdir = _start_output(args, records)
+    out = _Output(args, records)
     scale = np.full(len(records), "", dtype=object)  # like status, 8 bytes a row
     scale[result.status == "ok"] = result.scale
-    data.write_csv(
-        outdir / "predictions.csv",
-        ("id", "model", "value", "scale", "D_m", "in_range", "status"),
-        [records.ids, [args.model] * len(records), result.value, scale, result.d_m,
-         result.in_range, result.status], "\n")
-    outputs.append(outdir / "predictions.csv")
-    _write_manifest(outdir, args, inputs, outputs)
+    out.csv("predictions.csv", ("id", "model", "value", "scale", "D_m", "in_range", "status"),
+            [records.ids, [args.model] * len(records), result.value, scale, result.d_m,
+             result.in_range, result.status])
+    out.manifest()
     return 0
 
 
 def cmd_compare(args) -> int:
-    records, inputs, outputs, _ = _open_run(args, 0)
-    outdir = _start_output(args, records)
+    records, _ = _open_run(args, 0)
+    out = _Output(args, records)
 
     columns = records.model_columns()
     ids = np.array(records.ids, dtype=object)  # references to the ids, 8 bytes a row
@@ -339,14 +329,10 @@ def cmd_compare(args) -> int:
         overflow = scored & ~np.isfinite(errors)
         errors[overflow] = np.nan
         scored &= ~overflow
-        path = outdir / f"relative_error_{model_id}.csv"
-        data.write_csv(
-            path,
-            ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
-            [ids[keep], measured, predicted, errors,
-             np.select([zero, overflow], ["zero_measured", "error_overflow"], status)],
-            "\n")
-        outputs.append(path)
+        out.csv(f"relative_error_{model_id}.csv",
+                ("id", "D_measured_m", "D_predicted_m", "relative_error_pct", "status"),
+                [ids[keep], measured, predicted, errors,
+                 np.select([zero, overflow], ["zero_measured", "error_overflow"], status)])
         if scored.any():
             errors_by_model[model_id] = errors[scored]
 
@@ -358,16 +344,13 @@ def cmd_compare(args) -> int:
         if model_id in errors_by_model else np.full(grid.size, np.nan)
         for model_id in displacement.MODEL_IDS
     ]
-    data.write_csv(outdir / "cumulative_frequency.csv", ("threshold_pct",) + displacement.MODEL_IDS,
-                   [grid, *fractions], "\n")
-    outputs.append(outdir / "cumulative_frequency.csv")
-    _write_manifest(outdir, args, inputs, outputs)
+    out.csv("cumulative_frequency.csv", ("threshold_pct",) + displacement.MODEL_IDS,
+            [grid, *fractions])
+    out.manifest()
     return 0
 
 
 def cmd_sensitivity(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(args.start, args.stop, args.steps)
     if args.family:
         # one Mw curve per level: the grid tiled once per level, level-major
@@ -380,10 +363,10 @@ def cmd_sensitivity(args) -> int:
         header = ("parameter", "value", "ln_D_m", "status")
         leading = [[args.param] * values.size]
     result = displacement.sensitivity_profile(varied, values, anchors, args.pole_eps)
+    out = _Output(args)
     # ln_D_m is NaN (a blank cell) where the status is not ok
-    data.write_csv(outdir / "sensitivity.csv", header,
-                   [*leading, values, result.value, result.status], "\n")
-    _write_manifest(outdir, args, [], [outdir / "sensitivity.csv"])
+    out.csv("sensitivity.csv", header, [*leading, values, result.value, result.status])
+    out.manifest()
     return 0
 
 
@@ -408,25 +391,21 @@ def cmd_sweep(args) -> int:
     head_grid = _parse_grid("--heads", args.heads)
     # every cell's config is checked before any data is read or written
     evolution.sweep_configs(config, gene_grid, head_grid)
-    records, inputs, outputs, _ = _open_run(args, 0)
+    records, _ = _open_run(args, 0)
     X, y = data.regression_arrays(records)
-    outdir = _start_output(args, records)
+    out = _Output(args, records)
     del records  # the engine reads only X, y; the ids need not stay alive while it runs
 
     cells = evolution.sweep(X, y, config, gene_grid, head_grid)
-    data.write_csv(
-        outdir / "sweep.csv", ("genes", "head", "fitness"),
-        [[c.num_genes for c in cells], [c.head_size for c in cells], [c.fitness for c in cells]],
-        "\n")
+    out.csv("sweep.csv", ("genes", "head", "fitness"),
+            [[c.num_genes for c in cells], [c.head_size for c in cells],
+             [c.fitness for c in cells]])
     best = max(cells, key=lambda c: c.fitness)
-    _write_json(
-        outdir / "sweep_argmax.json",
-        {"genes": best.num_genes, "head": best.head_size, "fitness": best.fitness},
-    )
-    outputs += [outdir / "sweep.csv", outdir / "sweep_argmax.json"]
+    out.json("sweep_argmax.json",
+             {"genes": best.num_genes, "head": best.head_size, "fitness": best.fitness})
     timings = {stage: sum(c.timings_s[stage] for c in cells) for stage in evolution.STAGES}
-    _write_manifest(outdir, args, inputs, outputs, dataclasses.asdict(config),
-                    timings_s=timings, workers=evolution.sweep_workers(len(cells)))
+    out.manifest(dataclasses.asdict(config), timings_s=timings,
+                 workers=evolution.sweep_workers(len(cells)))
     return 0
 
 

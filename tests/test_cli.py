@@ -348,6 +348,23 @@ class TestFit:
             for col in ("r_squared", "mae_conventional", "rmse", "bias"):
                 assert math.isfinite(float(row[col])) and stage[col] == float(row[col])
 
+    def test_model_that_cannot_score_a_stage_writes_nothing(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # d0 / (d0 - d0) is not finite on any row, which is known only once
+        # the evolution has run: the run exits 2 before making the out dir
+        run = evolution.run
+        codes, pools = karva.kexpr_codes("/ d0 - d0 d0 d0 d0 | " + "1.0 " * 10, 3)
+
+        def unscorable_best(*args):
+            return dataclasses.replace(run(*args), best_codes=codes, best_pools=pools)
+
+        monkeypatch.setattr(evolution, "run", unscorable_best)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fit", "--synth", 20, "--max-generations", 1, "--trials", 3,
+                       "--out", "o") == 2
+        assert "model non-finite on too many rows to score" in capsys.readouterr().err
+        assert not Path("o").exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("population_size = 12\n", encoding="utf-8")
@@ -752,6 +769,8 @@ def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, a
      "argument --max-generations: must be an integer >= 0, got '-1'"),
     (["stats", "--input", "missing.csv"], "No such file or directory: 'missing.csv'"),
     (["stats", "--input", "bad_header.csv"], "bad header (missing column(s): Vs_mps)"),
+    (["stats", "--input", "extra_column.csv"], "bad header (unexpected column(s): note)"),
+    (["stats", "--input", "swapped_columns.csv"], "bad header (columns are out of order)"),
     (["predict", "--model", "gep", "--input", "return_id.csv"],
      "line 4: id 'B\\rB' holds a carriage return"),
     # a synthesized table too small for the command is not written either
@@ -760,12 +779,16 @@ def test_bad_config_or_grid_exits_2_before_writing_data(tmp_path, monkeypatch, a
      "Validation: the set has 1 row(s), at least 2 are needed to score it"),
 ], ids=["synth_one", "synth_negative", "seed_negative", "fraction_not_a_number",
         "pole_eps_not_a_number", "max_generations_negative", "input_missing",
-        "input_bad_header", "input_carriage_return_id", "split_synth_too_small",
+        "input_bad_header", "input_extra_column", "input_swapped_columns",
+        "input_carriage_return_id", "split_synth_too_small",
         "fit_synth_too_small"])
 def test_bad_option_or_input_exits_2_before_making_the_out_dir(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     monkeypatch.chdir(tmp_path)
     Path("bad_header.csv").write_text(HEADER.rpartition(",")[0] + "\n", encoding="utf-8")
+    Path("extra_column.csv").write_text(HEADER + ",note\n", encoding="utf-8")
+    Path("swapped_columns.csv").write_text(HEADER.replace("id,Mw", "Mw,id") + "\n",
+                                           encoding="utf-8")
     write_cases(tmp_path, [case_row("A"), case_row('"B\rB"')], name="return_id.csv")
     assert run_cli(*argv, "--out", "o") == 2
     err = capsys.readouterr().err
@@ -827,6 +850,44 @@ def test_manifest_digests_the_input_and_config_files(tmp_path, argv, reads_confi
     read = [cases, cfg] if reads_config else [cases]
     assert manifest["inputs"] == {str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest()
                                   for p in read}
+
+
+FIT_ONCE = ["--trials", "5", "--max-generations", "1"]
+SWEEP_ONCE = ["--genes", "1", "--heads", "4", "--max-generations", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--synth", "20"],
+    ["stats", "--input", "cases.csv"],
+    ["split", "--trials", "5", "--synth", "20"],
+    ["split", "--trials", "5", "--input", "cases.csv"],
+    ["fit", *FIT_ONCE, "--synth", "20"],
+    ["fit", *FIT_ONCE, "--input", "cases.csv", "--config", "run.cfg"],
+    ["predict", "--model", "gep", "--synth", "20"],
+    ["predict", "--model", "gep", "--input", "cases.csv"],
+    ["compare", "--synth", "20"],
+    ["compare", "--input", "cases.csv"],
+    ["sensitivity", "--from", "5", "--to", "8", "--steps", "4"],
+    ["sweep", *SWEEP_ONCE, "--synth", "20"],
+    ["sweep", *SWEEP_ONCE, "--input", "cases.csv", "--config", "run.cfg"],
+], ids=lambda argv: "-".join([argv[0], *(a[2:] for a in argv if a in ("--synth", "--input"))]))
+def test_manifest_lists_exactly_what_the_command_read_and_wrote(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    data.save(data.synthesize(data.EMBANKMENT_SUMMARY, 20, np.random.default_rng(0)),
+              "cases.csv")
+    Path("run.cfg").write_text("number_of_chromosomes = 6\n", encoding="utf-8")
+    assert run_cli(*argv, "--out", "o") == 0
+
+    def digests(paths):
+        return {name: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+                for name, path in paths}
+
+    manifest = json.loads(Path("o", "manifest.json").read_text())
+    read = [argv[i + 1] for i, option in enumerate(argv) if option in ("--input", "--config")]
+    assert manifest["inputs"] == digests((name, Path(name)) for name in read)
+    assert manifest["outputs"] == digests((path.name, path) for path in Path("o").iterdir()
+                                          if path.name != "manifest.json")
+    assert ("synthetic_input.csv" in manifest["outputs"]) == ("--synth" in argv)
 
 
 @pytest.mark.parametrize("option, text, message", [

@@ -392,6 +392,15 @@ class TestSynthesize:
         bad["Mw"] = ParamStats(8.3, 4.9, 7.0, 0.5)  # min > max
         with pytest.raises(DatasetError):
             synthesize(bad, 10, np.random.default_rng(0))
+        bad["Mw"] = ParamStats(4.9, 8.3, 7.0, -0.5)
+        with pytest.raises(DatasetError, match="^Mw: SD must be >= 0"):
+            synthesize(bad, 10, np.random.default_rng(0))
+        bad["Mw"] = ParamStats(4.9, 8.3, 8.5, 0.5)
+        with pytest.raises(DatasetError, match=r"^Mw: mean outside \[min, max\]"):
+            synthesize(bad, 10, np.random.default_rng(0))
+        del bad["Mw"]
+        with pytest.raises(DatasetError, match="^targets missing parameter 'Mw'"):
+            synthesize(bad, 10, np.random.default_rng(0))
 
     def test_small_n_rejected(self):
         with pytest.raises(DatasetError):

@@ -688,6 +688,12 @@ class TestConfig:
             GepConfig(rates=OperatorRates(mutation=1.5))
         with pytest.raises(ConfigError):
             GepConfig(rng_seed=-1)
+        with pytest.raises(ConfigError, match="^number of inputs must be >= 1"):
+            GepConfig(num_inputs=0)
+        with pytest.raises(ConfigError, match="^max_generations must be >= 0"):
+            GepConfig(max_generations=-1)
+        with pytest.raises(ConfigError, match="^stagnation_limit must be >= 1"):
+            GepConfig(stagnation_limit=0)
 
     def test_comments_and_blank_lines(self):
         text = "# tuned parameters\n\nnumber_of_chromosomes = 40  # forty\n"

@@ -212,11 +212,17 @@ class TestSerialization:
         for text in ("", "\n\n", "  \n"):
             with pytest.raises(KExprError, match="empty K-expression text"):
                 kexpr_codes(text, 3)
+        with pytest.raises(ValueError, match="^chromosome needs at least one gene"):
+            Chromosome(())
 
     def test_mixed_gene_lengths_rejected(self):
         text = gene_line("d0 d0 d0") + "\n" + gene_line("+ d0 d0 d0 d0")
         with pytest.raises(KExprError, match="^line 2: gene length 5 differs from the first gene's 3"):
             kexpr_codes(text, 1)
+        genes = (gene_from_tokens("d0 d0 d0".split(), 1),
+                 gene_from_tokens("+ d0 d0 d0 d0".split(), 2))
+        with pytest.raises(ValueError, match="^all genes of a chromosome must share head/tail"):
+            Chromosome(genes)
 
     # each line below is wrong in one way; a good gene and a blank line come
     # first, so the error must name line 3
