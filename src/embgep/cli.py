@@ -6,13 +6,13 @@ exactly the artifacts it wrote.  The out dir is made only once the command
 has passed its checks of its options, config and table, so a run rejected
 by them leaves none behind; ``fit`` also scores all three stages of its
 model first.  ``sweep`` makes it, with the synthesized table, before its
-grid runs, so that the table can be freed while the engine runs.  With
-identical seed, config and inputs every artifact is byte-identical across
-reruns (the manifest's timestamp and environment fields, ``sweep``'s worker
-count and the engine's stage timings ``fit`` and ``sweep`` add to it are the
-documented exceptions).
+grid runs, so that the table can be freed while the engine runs, and
+removes it if the grid fails.  With identical seed, config and inputs
+every artifact is byte-identical across reruns (the manifest's timestamp
+and environment fields, ``sweep``'s worker count and the engine's stage
+timings ``fit`` and ``sweep`` add to it are the documented exceptions).
 
-Exit codes: 0 success, 1 internal error, 2 input/validation error.
+Exit codes: 0 success, 1 internal error, 2 input, validation or memory error.
 """
 
 from __future__ import annotations
@@ -69,11 +69,12 @@ class _Output:
     """The out dir of one command, made when the command has passed its
     last check: it holds the synthesized table when ``records`` were
     synthesized, and it records every artifact path it hands out, so the
-    manifest digests exactly the files the command wrote."""
+    manifest digests, and ``discard`` removes, exactly the files written."""
 
     def __init__(self, args, records=None):
         self.args = args
         self.dir = Path(args.out)
+        self.made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]  # deepest first
         self.dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
         if records is not None and args.input is None:
@@ -89,6 +90,13 @@ class _Output:
 
     def json(self, name: str, payload) -> None:
         _write_json(self.path(name), payload)
+
+    def discard(self) -> None:
+        """Remove every file written so far and every dir this object made."""
+        for path in self.written:
+            path.unlink(missing_ok=True)
+        for made in self.made:
+            made.rmdir()
 
     def manifest(self, config: dict | None = None, **run_facts) -> None:
         """``manifest.json``: the command, its options, seed and config,
@@ -396,7 +404,11 @@ def cmd_sweep(args) -> int:
     out = _Output(args, records)
     del records  # the engine reads only X, y; the ids need not stay alive while it runs
 
-    cells = evolution.sweep(X, y, config, gene_grid, head_grid)
+    try:
+        cells = evolution.sweep(X, y, config, gene_grid, head_grid)
+    except BaseException:
+        out.discard()  # a grid the engine rejects leaves no out dir, as a rejected table does
+        raise
     out.csv("sweep.csv", ("genes", "head", "fitness"),
             [[c.num_genes for c in cells], [c.head_size for c in cells],
              [c.fitness for c in cells]])
@@ -535,7 +547,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

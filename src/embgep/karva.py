@@ -6,20 +6,21 @@ length is tied to the head length by ``tail = head + 1``, which guarantees
 that breadth-first decoding of any gene always terminates inside the string.
 A chromosome is a tuple of genes combined by addition.
 
-Array form: the search loop holds genes as rows of integer symbol codes,
-a symbol's code being its position in ``alphabet(num_inputs)`` (functions,
-then inputs, then pool constants), plus one row of pool constants each.
-``coding_lengths`` gives every gene's coding length in one call, and
-``kernels.gene_sum`` evaluates code rows straight from that Karva layout;
-the package holds no other evaluator.  ``Gene``/``Chromosome`` are object
-views of one chromosome, and ``chromosome_codes`` gives a view's code rows.
-The scalar reference decoder (expression trees, evaluated one row at a
-time) is the test oracle in ``tests/oracles.py``.
+Array form: the search loop holds genes as rows of integer codes, a token's
+code being its position in the token table ``alphabet(num_inputs)``
+(functions, then inputs, then pool constants; ``token_codes`` is the
+inverse), plus one row of pool constants each.  ``coding_lengths`` gives
+every gene's coding length in one call, and ``kernels.gene_sum`` evaluates
+code rows straight from that Karva layout; the package holds no other
+evaluator.  ``Gene``/``Chromosome`` are token views of one chromosome, and
+``chromosome_codes`` gives a view's code rows.  The scalar reference decoder
+(expression trees, evaluated one row at a time) is the test oracle in
+``tests/oracles.py``.
 
-Text form (K-expression): one gene per line, space-separated symbol tokens
+Text form (K-expression): one gene per line, space-separated tokens
 (``+ - * / d0 d1 ... c0 .. c9``), a literal ``|``, then the 10 pool
 constants.  ``kexpr_text`` / ``kexpr_codes`` write and read it straight from
-and into code rows.
+and into code rows; the reader takes ``d00`` or ``c01`` as ``d0`` or ``c1``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,65 +38,9 @@ NUM_FUNCTIONS = len(FUNCTION_TOKENS)
 MAX_ARITY = 2
 POOL_SIZE = 10
 
-KIND_FUNC = "func"
-KIND_INPUT = "input"
-KIND_CONST = "const"
-
 
 class KExprError(ValueError):
-    """Malformed K-expression text or symbol token."""
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """One position of a gene: a binary function, an input or a pool constant."""
-
-    kind: str
-    index: int
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind != KIND_FUNC
-
-    @property
-    def arity(self) -> int:
-        return 0 if self.is_terminal else MAX_ARITY
-
-    @property
-    def token(self) -> str:
-        if self.kind == KIND_FUNC:
-            return FUNCTION_TOKENS[self.index]
-        if self.kind == KIND_INPUT:
-            return f"d{self.index}"
-        return f"c{self.index}"
-
-
-def function_symbol(token: str) -> Symbol:
-    if token not in FUNCTION_TOKENS:
-        raise KExprError(f"unknown function token {token!r}")
-    return Symbol(KIND_FUNC, FUNCTION_TOKENS.index(token))
-
-
-def input_symbol(index: int) -> Symbol:
-    if index < 0:
-        raise KExprError(f"negative input index {index}")
-    return Symbol(KIND_INPUT, index)
-
-
-def constant_symbol(index: int) -> Symbol:
-    if not 0 <= index < POOL_SIZE:
-        raise KExprError(f"constant index {index} outside pool 0..{POOL_SIZE - 1}")
-    return Symbol(KIND_CONST, index)
-
-
-def parse_symbol(token: str) -> Symbol:
-    if token in FUNCTION_TOKENS:
-        return function_symbol(token)
-    # str.isdigit alone also accepts non-ASCII digits such as '²' and '٢'
-    if len(token) > 1 and token[0] in ("d", "c") and token[1:].isascii() and token[1:].isdigit():
-        index = int(token[1:])
-        return input_symbol(index) if token[0] == "d" else constant_symbol(index)
-    raise KExprError(f"unknown symbol token {token!r}")
+    """Malformed K-expression text or token."""
 
 
 def tail_length(head_length: int) -> int:
@@ -106,10 +52,10 @@ def tail_length(head_length: int) -> int:
 
 @dataclass(frozen=True)
 class Gene:
-    """Head and tail symbol strings plus the 10-constant pool (c0..c9)."""
+    """Head and tail token strings plus the 10-constant pool (c0..c9)."""
 
-    head: tuple[Symbol, ...]
-    tail: tuple[Symbol, ...]
+    head: tuple[str, ...]
+    tail: tuple[str, ...]
     constants: tuple[float, ...]
 
     def __post_init__(self):
@@ -118,7 +64,7 @@ class Gene:
         object.__setattr__(self, "constants", tuple(float(c) for c in self.constants))
 
     @property
-    def symbols(self) -> tuple[Symbol, ...]:
+    def symbols(self) -> tuple[str, ...]:
         return self.head + self.tail
 
     @property
@@ -140,16 +86,9 @@ class Chromosome:
         genes = tuple(self.genes)
         if not genes:
             raise ValueError("chromosome needs at least one gene")
-        head = genes[0].head_length
-        tail = len(genes[0].tail)
-        for g in genes[1:]:
-            if g.head_length != head or len(g.tail) != tail:
-                raise ValueError("all genes of a chromosome must share head/tail lengths")
+        if len({(g.head_length, len(g.tail)) for g in genes}) > 1:
+            raise ValueError("all genes of a chromosome must share head/tail lengths")
         object.__setattr__(self, "genes", genes)
-
-    @property
-    def head_length(self) -> int:
-        return self.genes[0].head_length
 
 
 def coding_lengths(codes: np.ndarray) -> np.ndarray:
@@ -169,20 +108,23 @@ def coding_lengths(codes: np.ndarray) -> np.ndarray:
 
 
 def consumed_length(gene: Gene) -> int:
-    """``coding_lengths`` of a ``Gene`` view; only a function's code is
-    below ``NUM_FUNCTIONS``, whatever the input count."""
-    return int(coding_lengths(np.array([symbol_code(sym, 0) for sym in gene.symbols])))
+    """``coding_lengths`` of a ``Gene`` view; it reads only which codes are a function's."""
+    terminal = np.array([token not in FUNCTION_TOKENS for token in gene.symbols])
+    return int(coding_lengths(terminal * NUM_FUNCTIONS))
 
 
 @functools.lru_cache(maxsize=8)
-def alphabet(num_inputs: int) -> tuple[Symbol, ...]:
-    """Every symbol of a genome over ``num_inputs`` inputs, in code order:
+def alphabet(num_inputs: int) -> tuple[str, ...]:
+    """Every token of a genome over ``num_inputs`` inputs, in code order:
     the functions, then the inputs, then the pool constants."""
-    return (
-        tuple(function_symbol(t) for t in FUNCTION_TOKENS)
-        + tuple(input_symbol(i) for i in range(num_inputs))
-        + tuple(constant_symbol(j) for j in range(POOL_SIZE))
-    )
+    return (FUNCTION_TOKENS + tuple(f"d{i}" for i in range(num_inputs))
+            + tuple(f"c{j}" for j in range(POOL_SIZE)))
+
+
+@functools.lru_cache(maxsize=8)
+def token_codes(num_inputs: int) -> MappingProxyType[str, int]:
+    """The inverse of ``alphabet(num_inputs)``, token -> code; read-only, as it is shared."""
+    return MappingProxyType({token: code for code, token in enumerate(alphabet(num_inputs))})
 
 
 def code_dtype(num_inputs: int) -> np.dtype:
@@ -191,25 +133,18 @@ def code_dtype(num_inputs: int) -> np.dtype:
     return np.min_scalar_type(NUM_FUNCTIONS + num_inputs + POOL_SIZE)
 
 
-def symbol_code(sym: Symbol, num_inputs: int) -> int:
-    if sym.kind == KIND_FUNC:
-        return sym.index
-    if sym.kind == KIND_INPUT:
-        return NUM_FUNCTIONS + sym.index
-    return NUM_FUNCTIONS + num_inputs + sym.index
-
-
 def chromosome_codes(chrom: Chromosome, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(genes, L)`` code array and ``(genes, 10)`` pools of a chromosome view."""
-    codes = [[symbol_code(sym, num_inputs) for sym in gene.symbols] for gene in chrom.genes]
-    return (np.array(codes, dtype=code_dtype(num_inputs)),
+    table = token_codes(num_inputs)
+    return (np.array([[table[token] for token in gene.symbols] for gene in chrom.genes],
+                     dtype=code_dtype(num_inputs)),
             np.array([gene.constants for gene in chrom.genes], dtype=np.float64))
 
 
 def kexpr_text(codes: np.ndarray, pools: np.ndarray, num_inputs: int) -> str:
     """K-expression text of ``(G, L)`` code rows over ``alphabet(num_inputs)``
     and their ``(G, 10)`` pools: one line per gene."""
-    tokens = [sym.token for sym in alphabet(num_inputs)]
+    tokens = alphabet(num_inputs)
     return "".join(
         " ".join(tokens[c] for c in row) + " | " + " ".join(map(repr, pool)) + "\n"
         for row, pool in zip(codes.tolist(), pools.tolist())
@@ -225,6 +160,7 @@ def kexpr_codes(text: str, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     ``2 * head + 1`` for a head >= 1 or differs from the first gene's, and a
     pool that is not 10 finite numbers.
     """
+    table = token_codes(num_inputs)
     codes, pools = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -242,13 +178,16 @@ def kexpr_codes(text: str, num_inputs: int) -> tuple[np.ndarray, np.ndarray]:
         row = []
         for pos, token in enumerate(tokens):
             where = f"line {lineno}, position {pos}"
-            try:
-                sym = parse_symbol(token)
-            except KExprError as exc:
-                raise KExprError(f"{where}: {exc}") from None
-            if sym.kind == KIND_INPUT and sym.index >= num_inputs:
-                raise KExprError(f"{where}: input {token} but only {num_inputs} input(s)")
-            code = symbol_code(sym, num_inputs)
+            code = table.get(token)
+            if code is None:  # an index with leading zeros is read as int() reads it
+                # str.isdigit alone also accepts non-ASCII digits such as '²' and '٢'
+                index = int(token[1:]) if token[1:].isascii() and token[1:].isdigit() else -1
+                code = table.get(f"{token[0]}{index}")
+                if code is None:
+                    raise KExprError(f"{where}: " + (
+                        f"unknown symbol token {token!r}" if token[0] not in "dc" or index < 0
+                        else f"input {token} but only {num_inputs} input(s)" if token[0] == "d"
+                        else f"constant index {index} outside pool 0..{POOL_SIZE - 1}"))
             if code < NUM_FUNCTIONS and pos >= len(tokens) // 2:
                 raise KExprError(f"{where}: function {token!r} in the tail")
             row.append(code)

@@ -32,17 +32,16 @@ import operator
 
 import numpy as np
 
-from .karva import DIV, KIND_INPUT, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_lengths
+from .karva import DIV, NUM_FUNCTIONS, Chromosome, chromosome_codes, coding_lengths
 
 # the function codes ADD, SUB, MUL, DIV, in that order
 _OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def compile_chromosome(chrom: Chromosome) -> tuple[np.ndarray, np.ndarray, int]:
-    """Code rows, pools and input count of a ``Chromosome`` view, for
-    ``evaluate_codes``; the alphabet holds exactly the inputs up to the
-    highest one the chromosome names."""
-    num_inputs = 1 + max((s.index for g in chrom.genes for s in g.symbols if s.kind == KIND_INPUT),
+    """Code rows, pools and input count of a token view, for ``evaluate_codes``:
+    the inputs run up to the highest ``d<i>`` token the view holds."""
+    num_inputs = 1 + max((int(t[1:]) for g in chrom.genes for t in g.symbols if t[0] == "d"),
                          default=-1)
     codes, pools = chromosome_codes(chrom, num_inputs)
     return codes, pools, num_inputs

@@ -6,11 +6,12 @@ relationships in 60-digit decimal arithmetic (decimal).  Python floats are
 converted exactly (binary value, no re-parsing), so the oracle evaluates the
 same inputs the implementation sees.
 
-The scalar Karva decoder is the oracle of the array engine: it reads a
-``karva.Gene`` view breadth first into an expression tree, with its own
-layout code, and evaluates the tree on one input row in Python floats,
-flagging any non-finite value.  ``kernels.gene_sum`` and
-``kernels.evaluate_codes`` are checked against it.
+The scalar Karva decoder is the oracle of the array engine: it reads the
+tokens of a ``karva.Gene`` view breadth first into an expression tree, with
+its own layout code and its own reading of a token (a function has two
+arguments, ``d<i>`` is input ``i``, ``c<j>`` pool slot ``j``), and evaluates
+the tree on one input row in Python floats, flagging any non-finite value.
+``kernels.gene_sum`` and ``kernels.evaluate_codes`` are checked against it.
 """
 
 import math
@@ -110,10 +111,8 @@ def tsai_chien_exact(a_max: float, x: float, t_m: float) -> Decimal:
 
 
 def _gene(kexpr_tokens: list[str], constants: dict[int, float], head_len: int = 11) -> karva.Gene:
-    symbols = [karva.parse_symbol(tok) for tok in kexpr_tokens]
-    filler = karva.parse_symbol("d0")
     total = head_len + karva.tail_length(head_len)
-    symbols = symbols + [filler] * (total - len(symbols))
+    symbols = kexpr_tokens + ["d0"] * (total - len(kexpr_tokens))
     pool = [0.0] * karva.POOL_SIZE
     for idx, value in constants.items():
         pool[idx] = value
@@ -171,12 +170,17 @@ def population_views(codes, pools, num_inputs: int) -> list[karva.Chromosome]:
 class Node:
     """Expression-tree node; functions carry exactly two children."""
 
-    symbol: karva.Symbol
+    symbol: str
     children: tuple["Node", ...] = field(default=())
 
     @property
     def size(self) -> int:
         return 1 + sum(child.size for child in self.children)
+
+
+def arity(token: str) -> int:
+    """Number of arguments of a token: 2 for a function, 0 for a terminal."""
+    return 2 if token in karva.FUNCTION_TOKENS else 0
 
 
 def decode(gene: karva.Gene) -> Node:
@@ -191,13 +195,13 @@ def decode(gene: karva.Gene) -> Node:
         if len(first_child) == needed:
             break
         first_child.append(needed)
-        needed += sym.arity
+        needed += arity(sym)
     if needed > len(symbols):
         raise ValueError("gene too short to decode: a function in its tail?")
 
     def build(i: int) -> Node:
         sym = symbols[i]
-        return Node(sym, tuple(build(first_child[i] + k) for k in range(sym.arity)))
+        return Node(sym, tuple(build(first_child[i] + k) for k in range(arity(sym))))
 
     return build(0)
 
@@ -209,20 +213,20 @@ def evaluate_tree(tree: Node, inputs, constants) -> float | None:
     return the flag instead of a number: there is no protected arithmetic.
     """
     sym = tree.symbol
-    if sym.kind == karva.KIND_INPUT:
-        value = float(inputs[sym.index])
-    elif sym.kind == karva.KIND_CONST:
-        value = float(constants[sym.index])
+    if sym[0] == "d":
+        value = float(inputs[int(sym[1:])])
+    elif sym[0] == "c":
+        value = float(constants[int(sym[1:])])
     else:
         left = evaluate_tree(tree.children[0], inputs, constants)
         right = evaluate_tree(tree.children[1], inputs, constants)
         if left is None or right is None:
             return None
-        if sym.index == karva.ADD:
+        if sym == "+":
             value = left + right
-        elif sym.index == karva.SUB:
+        elif sym == "-":
             value = left - right
-        elif sym.index == karva.MUL:
+        elif sym == "*":
             value = left * right
         else:
             if right == 0.0:

@@ -180,7 +180,7 @@ def test_criterion_05_genome_structural_soundness():
             for gene in chrom.genes:
                 assert gene.head_length == config.head_size
                 assert gene.length == config.gene_length
-                assert all(s.is_terminal for s in gene.tail)
+                assert all(s not in karva.FUNCTION_TOKENS for s in gene.tail)
                 assert len(gene.constants) == karva.POOL_SIZE
     assert applications == 100_000
 
@@ -190,14 +190,14 @@ def test_criterion_05_genome_structural_soundness():
     count = 0
     for head in itertools.product(head_alphabet, repeat=2):
         for tail in itertools.product(tail_alphabet, repeat=3):
-            symbols = [karva.parse_symbol(t) for t in head + tail]
+            symbols = head + tail
             gene = karva.Gene(tuple(symbols[:2]), tuple(symbols[2:]), pool)
             tree = oracles.decode(gene)
             assert tree.size == karva.consumed_length(gene) <= gene.length
             stack = [tree]
             while stack:
                 node = stack.pop()
-                assert len(node.children) == (0 if node.symbol.is_terminal else 2)
+                assert len(node.children) == (2 if node.symbol in karva.FUNCTION_TOKENS else 0)
                 stack.extend(node.children)
             count += 1
     assert count == 4096

@@ -914,6 +914,31 @@ def test_sweep_workers_exception_exits_2(tmp_path, capsys, monkeypatch):
                    "--out", tmp_path / "o") == 2
     assert "but X has 1 column(s)" in capsys.readouterr().err
     assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space")
+@pytest.mark.parametrize("command, argv", [
+    ("sweep", ["--genes", "1", "--heads", "100000000", "--max-generations", "0"]),
+    ("fit", ["--config", "big.cfg"]),
+])
+def test_geometry_too_large_to_allocate_exits_2_and_leaves_no_out_dir(tmp_path, command, argv):
+    # the population arrays of either run need tens of GiB; the child, and
+    # only the child, may map 3 GB, so the allocation fails the same way on
+    # every host
+    (tmp_path / "big.cfg").write_text("number_of_chromosomes = 1000000000\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))\n"
+            "from embgep.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, command, "--synth", "10", *argv,
+                           "--out", "o"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

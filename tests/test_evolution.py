@@ -26,20 +26,20 @@ from embgep.evolution import (
     select,
     sweep,
 )
-from embgep.karva import Chromosome, Gene, constant_symbol, function_symbol, input_symbol
+from embgep.karva import Chromosome, Gene
 from oracles import population_views
 
 
 def identity_gene(head_size=1):
-    head = (input_symbol(0),) + (input_symbol(0),) * (head_size - 1)
-    tail = (input_symbol(0),) * karva.tail_length(head_size)
+    head = ("d0",) + ("d0",) * (head_size - 1)
+    tail = ("d0",) * karva.tail_length(head_size)
     return Gene(head, tail, tuple(float(i) for i in range(10)))
 
 
 def div_by_input_gene():
     # c0 / d0: non-finite whenever d0 == 0
-    head = (function_symbol("/"), constant_symbol(0))
-    tail = (input_symbol(0),) * 3
+    head = ("/", "c0")
+    tail = ("d0",) * 3
     return Gene(head, tail, (1.0,) + (0.0,) * 9)
 
 
@@ -227,7 +227,7 @@ class TestOperators:
         assert_sound_codes(codes, pools, 2)
         for chrom in population_views(codes, pools, 2):
             for gene in chrom.genes:
-                assert all(s.is_terminal for s in gene.tail)
+                assert all(s not in karva.FUNCTION_TOKENS for s in gene.tail)
 
     def test_structural_soundness_bulk(self, rng):
         # scaled-down version of the acceptance gate
@@ -250,9 +250,9 @@ class TestOperators:
             for before, after in ((codes, out_codes), (pools, out_pools)):
                 # every exchange swaps cells between the pair at the same position
                 assert np.array_equal(np.sort(before, axis=0), np.sort(after, axis=0))
-            before = sorted((s.kind, s.index) for ch in population_views(codes, pools, 3)
+            before = sorted(s for ch in population_views(codes, pools, 3)
                             for g in ch.genes for s in g.symbols)
-            after = sorted((s.kind, s.index) for ch in population_views(out_codes, out_pools, 3)
+            after = sorted(s for ch in population_views(out_codes, out_pools, 3)
                            for g in ch.genes for s in g.symbols)
             assert before == after
 

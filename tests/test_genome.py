@@ -103,8 +103,8 @@ def valued_tree(gene):
     """The gene's ``oracles.decode`` tree with each constant leaf replaced by
     its pool value."""
     def walk(node):
-        if node.symbol.kind == karva.KIND_CONST:
-            return gene.constants[node.symbol.index]
+        if node.symbol[0] == "c":
+            return gene.constants[int(node.symbol[1:])]
         return node.symbol, tuple(walk(child) for child in node.children)
 
     return walk(oracles.decode(gene))

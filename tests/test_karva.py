@@ -12,12 +12,8 @@ from embgep.karva import (
     Gene,
     KExprError,
     chromosome_codes,
-    constant_symbol,
-    function_symbol,
-    input_symbol,
     kexpr_codes,
     kexpr_text,
-    parse_symbol,
     tail_length,
 )
 from oracles import chromosome_from_codes, decode, evaluate_chromosome, evaluate_tree
@@ -27,8 +23,7 @@ POOL_TEXT = " ".join(map(repr, POOL))
 
 
 def gene_from_tokens(tokens, head_len, constants=POOL):
-    symbols = [parse_symbol(t) for t in tokens]
-    return Gene(tuple(symbols[:head_len]), tuple(symbols[head_len:]), constants)
+    return Gene(tuple(tokens[:head_len]), tuple(tokens[head_len:]), constants)
 
 
 class TestTailLength:
@@ -87,11 +82,11 @@ class TestDecode:
         # [*, +, d0 | d1, d2, d0, d1] decodes to (d1 + d2) * d0
         gene = gene_from_tokens("* + d0 d1 d2 d0 d1".split(), head_len=3)
         tree = decode(gene)
-        assert tree.symbol.token == "*"
+        assert tree.symbol == "*"
         left, right = tree.children
-        assert left.symbol.token == "+"
-        assert [c.symbol.token for c in left.children] == ["d1", "d2"]
-        assert right.symbol.token == "d0"
+        assert left.symbol == "+"
+        assert [c.symbol for c in left.children] == ["d1", "d2"]
+        assert right.symbol == "d0"
         assert evaluate_tree(tree, [2.0, 3.0, 4.0], POOL) == 14.0
 
     def test_deterministic(self):
@@ -115,7 +110,7 @@ class TestDecode:
                 stack = [tree]
                 while stack:
                     node = stack.pop()
-                    assert len(node.children) == (0 if node.symbol.is_terminal else 2)
+                    assert len(node.children) == (2 if node.symbol in karva.FUNCTION_TOKENS else 0)
                     stack.extend(node.children)
                 count += 1
         assert count == 8**2 * 4**3
@@ -161,8 +156,8 @@ class TestEvaluate:
     def test_non_finite_gene_poisons_chromosome(self):
         ok = gene_from_tokens("d0 d0 d0".split(), head_len=1)
         div0 = Gene(
-            (function_symbol("/"),),
-            (input_symbol(0), constant_symbol(0)),
+            ("/",),
+            ("d0", "c0"),
             (0.0,) * 10,
         )
         assert evaluate_chromosome(Chromosome((ok, div0)), [3.0]) is None
@@ -223,6 +218,18 @@ class TestSerialization:
                  gene_from_tokens("+ d0 d0 d0 d0".split(), 2))
         with pytest.raises(ValueError, match="^all genes of a chromosome must share head/tail"):
             Chromosome(genes)
+
+    def test_reader_spellings_of_each_code(self):
+        # an index with leading zeros is the index int() reads from it
+        for num_inputs in range(1, 5):
+            tokens = karva.alphabet(num_inputs)
+            assert len(tokens) == karva.NUM_FUNCTIONS + num_inputs + karva.POOL_SIZE
+            spelled = kexpr_codes(gene_line("+ d00 c01 c009 d0"), num_inputs)[0]
+            assert spelled.tolist() == [[tokens.index(t) for t in ("+", "d0", "c1", "c9", "d0")]]
+            # every token of the alphabet, all in one head, reads back as its own code
+            line = gene_line(" ".join(tokens + ("d0",) * (len(tokens) + 1)))
+            codes = kexpr_codes(line, num_inputs)[0]
+            assert codes[0, :len(tokens)].tolist() == list(range(len(tokens)))
 
     # each line below is wrong in one way; a good gene and a blank line come
     # first, so the error must name line 3

@@ -11,16 +11,16 @@ import oracles
 from conftest import random_chromosome
 from embgep import data, displacement, karva, kernels
 from embgep.evolution import STAGES, _evaluate_population, canonical_keys
-from embgep.karva import Chromosome, Gene, parse_symbol
+from embgep.karva import Chromosome, Gene
 
 POOL = tuple(float(i) for i in range(10))
 NUM_INPUTS = 3
 
 terminals = st.one_of(
-    st.integers(0, NUM_INPUTS - 1).map(karva.input_symbol),
-    st.integers(0, karva.POOL_SIZE - 1).map(karva.constant_symbol),
+    st.integers(0, NUM_INPUTS - 1).map("d{}".format),
+    st.integers(0, karva.POOL_SIZE - 1).map("c{}".format),
 )
-symbols = st.one_of(st.sampled_from(karva.FUNCTION_TOKENS).map(karva.function_symbol), terminals)
+symbols = st.one_of(st.sampled_from(karva.FUNCTION_TOKENS), terminals)
 # zeros provoke divisions by 0, 1e300 overflows
 values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300]), st.floats(-10.0, 10.0))
 
@@ -33,8 +33,8 @@ def genes(draw, head_len=None):
         # a root "/ a / b c" or "/ a * b c": the computed divisor is infinite
         # where c is 0 or b * c overflows, and its quotient is then finite,
         # which only the check on computed divisors flags
-        head[0] = karva.function_symbol("/")
-        head[2] = karva.function_symbol(draw(st.sampled_from(["/", "*"])))
+        head[0] = "/"
+        head[2] = draw(st.sampled_from(["/", "*"]))
     tail = draw(st.lists(terminals, min_size=h + 1, max_size=h + 1))
     pool = draw(st.lists(values, min_size=karva.POOL_SIZE, max_size=karva.POOL_SIZE))
     return Gene(tuple(head), tuple(tail), tuple(pool))
@@ -51,8 +51,7 @@ data_rows = st.lists(st.lists(values, min_size=NUM_INPUTS, max_size=NUM_INPUTS),
 
 
 def gene_from_tokens(tokens, head_len, constants=POOL):
-    symbols = [parse_symbol(t) for t in tokens]
-    return Gene(tuple(symbols[:head_len]), tuple(symbols[head_len:]), constants)
+    return Gene(tuple(tokens[:head_len]), tuple(tokens[head_len:]), constants)
 
 
 def test_batch_matches_scalar_evaluation(rng):
@@ -146,7 +145,7 @@ def test_layout_agrees_across_consumers(gene):
 
 def read_slots(gene):
     coding = gene.symbols[: karva.consumed_length(gene)]
-    return sorted({s.index for s in coding if s.kind == karva.KIND_CONST})
+    return sorted({int(s[1:]) for s in coding if s[0] == "c"})
 
 
 @settings(max_examples=200, deadline=None)

@@ -40,7 +40,7 @@ def test_install_then_uninstall_restores_every_binding():
         assert all(getattr(target, attr) is not b for (target, attr), b in zip(sites, before))
         # one call through each kind of binding: a span, a counted
         # constructor and the gene counters, which read karva.consumed_length
-        symbols = [karva.parse_symbol(t) for t in "+ d0 d1".split()]
+        symbols = "+ d0 d1".split()
         chrom = karva.Chromosome((karva.Gene(symbols[:1], symbols[1:], (0.0,) * 10),))
         kernels.evaluate_chromosome_batch(chrom, np.ones((4, 3)))
         data.gep_ln_displacement(7.0, 0.5, 2.0)
