@@ -127,11 +127,13 @@ def _open_run(args, streams: int):
     """The start of a command that reads case histories: the table from
     --input, or synthesized, and ``streams`` RNG streams.  The first stream
     of the seed is reserved for synthesis, whichever data source was
-    chosen, so the streams returned are the same for both.  Nothing is
-    written: the command opens its ``_Output`` once its own checks of the
-    table have passed."""
-    synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams)
-    if args.input is not None:
+    chosen, so the streams returned are the same for both; a command that
+    reads --input and draws no stream builds none (and never imports
+    ``numpy.random``).  Nothing is written: the command opens its
+    ``_Output`` once its own checks of the table have passed."""
+    reads_input = args.input is not None
+    synth_rng, *rngs = _spawn_rngs(args.seed, 1 + streams) if streams or not reads_input else [None]
+    if reads_input:
         records = data.load(args.input)
         if not records:
             raise data.DatasetError("empty dataset")
@@ -304,14 +306,14 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     records, _ = _open_run(args, 0)
 
-    result = displacement.evaluate(args.model, records.model_columns(), args.pole_eps,
-                                   args.ambraseys_cm)
+    columns = records.model_columns()
+    result = displacement.evaluate(args.model, columns, args.pole_eps, args.ambraseys_cm)
     out = _Output(args, records)
     scale = np.full(len(records), "", dtype=object)  # like status, 8 bytes a row
     scale[result.status == "ok"] = result.scale
     out.csv("predictions.csv", ("id", "model", "value", "scale", "D_m", "in_range", "status"),
             [records.ids, [args.model] * len(records), result.value, scale, result.d_m,
-             result.in_range, result.status])
+             displacement.in_range(args.model, columns), result.status])
     out.manifest()
     return 0
 
@@ -324,10 +326,11 @@ def cmd_compare(args) -> int:
     ids = np.array(records.ids, dtype=object)  # references to the ids, 8 bytes a row
     errors_by_model: dict[str, np.ndarray] = {}
     for model_id in displacement.MODEL_IDS:
-        result = displacement.evaluate(model_id, columns, args.pole_eps, args.ambraseys_cm)
-        keep = np.flatnonzero(result.in_range)  # each model is compared in its applied range
-        measured, predicted, status = records.d[keep], result.d_m[keep], result.status[keep]
-        del result  # its full-length columns are not needed while the table is written
+        # each model is evaluated and compared only in its applied range
+        keep = np.flatnonzero(displacement.in_range(model_id, columns))
+        inputs = {name: columns[name][keep] for name in displacement.MODELS[model_id].inputs}
+        result = displacement.evaluate(model_id, inputs, args.pole_eps, args.ambraseys_cm)
+        measured, predicted, status = records.d[keep], result.d_m, result.status
         ok = status == "ok"
         zero = ok & (measured == 0.0)
         scored = ok & ~zero

@@ -324,10 +324,7 @@ def csv_cells(column) -> list[str]:
         return ["true" if v else "false" for v in column.tolist()]
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
-    cells = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
-    return cells
+    return ["" if v != v else repr(v) for v in column.tolist()]
 
 
 def write_csv(path, header, columns, lineterminator: str) -> None:

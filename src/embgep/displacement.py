@@ -14,13 +14,15 @@ published and carrying its published applicability range:
   tsai_chien      Tsai & Chien (2016)               ln D, cm
 
 All seven live in one model table, ``MODELS``: per relationship its scale
-tag, the inputs its formula reads, its applicability range, its domain
-rules and its formula.  ``evaluate`` runs one relationship over input
-columns and labels every row ``ok``, ``pole``, ``domain_error`` or
-``missing_input``.  Three one-row entry points call it on a single case:
-``predict`` (a one-row ``Evaluation`` of a ``ModelInput``),
-``check_applicability`` (the worded bound violations of a ``ModelInput``)
-and ``gep_ln_displacement`` (ln D as a float, raising ``PoleError`` or
+tag, the inputs its formula reads, its applicability range (closed bounds
+by quantity), its domain rules and its formula.  ``evaluate`` runs one
+relationship over input columns and labels every row ``ok``, ``pole``,
+``domain_error`` or ``missing_input``; ``in_range`` says which rows lie in
+its applicability range, a verdict apart from the status.  Three one-row
+entry points serve a single case: ``predict`` (a one-row ``Evaluation`` of
+a ``ModelInput``), ``check_applicability`` (the worded bound violations of
+a ``ModelInput``, the same bounds in the same order as ``in_range``) and
+``gep_ln_displacement`` (ln D as a float, raising ``PoleError`` or
 ``ModelDomainError`` instead of returning a label).  They stay for callers
 that hold one case rather than columns, and as the bindings the per-layer
 benchmark tracer wraps.  ``sensitivity_profile`` is ``evaluate`` of ``gep``
@@ -108,41 +110,6 @@ _TO_METERS: dict[str, Callable[[float], float]] = {
 
 
 # ---------------------------------------------------------------------------
-# applicability ranges, as published
-
-_QUANTITY_LABELS = {"m_w": "Mw", "a_max": "a_max", "a_y": "a_y", "ay_ratio": "ay/amax"}
-
-
-@dataclass(frozen=True)
-class ApplicabilityRange:
-    """Closed bounds per quantity; None means unbounded on that side."""
-
-    m_w: tuple[float | None, float | None] = (None, None)
-    a_max: tuple[float | None, float | None] = (None, None)
-    a_y: tuple[float | None, float | None] = (None, None)
-    ay_ratio: tuple[float | None, float | None] = (None, None)
-
-    def __post_init__(self):
-        for name in _QUANTITY_LABELS:
-            lo, hi = getattr(self, name)
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"{name} range has lower > upper")
-
-    def breaches(self, values: dict) -> Iterator[tuple[str, str, float, bool | np.ndarray]]:
-        """(quantity, "below" or "above", bound, rows beyond it) for every set
-        bound of a quantity among ``values``, floats or columns alike; a NaN
-        breaks no bound, as a missing value is not checked."""
-        for name in _QUANTITY_LABELS:
-            if name not in values:
-                continue
-            lo, hi = getattr(self, name)
-            if lo is not None:
-                yield name, "below", lo, values[name] < lo
-            if hi is not None:
-                yield name, "above", hi, values[name] > hi
-
-
-# ---------------------------------------------------------------------------
 # the model table
 #
 # Each formula is the published expression on Python floats.  numpy's SIMD
@@ -209,39 +176,37 @@ _TSAI_CHIEN_RULES: tuple[Rule, ...] = (
 
 @dataclass(frozen=True)
 class Model:
-    """One relationship: its scale tag, the input columns its formula reads
-    (in argument order), its applicability range, its domain rules (in the
-    order they apply; the first that marks a row sets its status) and its
-    formula."""
+    """One relationship: its scale tag, the input columns its formula and
+    rules read (in the formula's argument order), its published
+    applicability range (closed (lower, upper) bounds by quantity, None for
+    an open side), its domain rules (in the order they apply; the first
+    that marks a row sets its status) and its formula."""
 
     scale: str
     inputs: tuple[str, ...]
-    applicability: ApplicabilityRange
+    bounds: dict[str, tuple[float | None, float | None]]
     rules: tuple[Rule, ...]
     formula: Callable[..., float]
 
 
 MODELS: dict[str, Model] = {
-    "gep": Model("ln_D_m", ("m_w", "ay_ratio", "period_ratio"), ApplicabilityRange(),
-                 _GEP_RULES, _gep),
+    "gep": Model("ln_D_m", ("m_w", "ay_ratio", "period_ratio"), {}, _GEP_RULES, _gep),
     "hynes_griffin": Model("log10_D_cm", ("ay_ratio",),
-                           ApplicabilityRange(m_w=(None, 8.0), ay_ratio=(0.01, 0.6)),
-                           (), _hynes_griffin),
+                           {"m_w": (None, 8.0), "ay_ratio": (0.01, 0.6)}, (), _hynes_griffin),
     "ambraseys_menu": Model("log10_D_m", ("ay_ratio",),
-                            ApplicabilityRange(m_w=(6.6, 7.2), ay_ratio=(0.05, 0.95)),
+                            {"m_w": (6.6, 7.2), "ay_ratio": (0.05, 0.95)},
                             (_OPEN_UNIT_RATIO,), _ambraseys_menu),
     "jibson": Model("log10_D_cm", ("ay_ratio",),
-                    ApplicabilityRange(m_w=(5.3, 7.6), a_y=(0.05, 0.4), ay_ratio=(None, 1.0)),
+                    {"m_w": (5.3, 7.6), "a_y": (0.05, 0.4), "ay_ratio": (None, 1.0)},
                     (_OPEN_UNIT_RATIO,), _jibson),
     "saygili_rathje": Model("ln_D_cm", ("a_max", "ay_ratio"),
-                            ApplicabilityRange(m_w=(4.5, 7.9), a_max=(None, 1.0),
-                                               a_y=(0.05, 0.3), ay_ratio=(0.05, 1.0)),
+                            {"m_w": (4.5, 7.9), "a_max": (None, 1.0), "a_y": (0.05, 0.3),
+                             "ay_ratio": (0.05, 1.0)},
                             (_POSITIVE_AMAX,), _saygili_rathje),
-    "madiai": Model("log10_D_cm", ("ay_ratio",), ApplicabilityRange(ay_ratio=(0.1, 0.9)),
+    "madiai": Model("log10_D_cm", ("ay_ratio",), {"ay_ratio": (0.1, 0.9)},
                     (_OPEN_UNIT_RATIO,), _madiai),
     "tsai_chien": Model("ln_D_cm", ("a_max", "ay_ratio", "t_m"),
-                        ApplicabilityRange(m_w=(5.9, 7.6), a_max=(None, 0.3)),
-                        _TSAI_CHIEN_RULES, _tsai_chien),
+                        {"m_w": (5.9, 7.6), "a_max": (None, 0.3)}, _TSAI_CHIEN_RULES, _tsai_chien),
 }
 
 MODEL_IDS = tuple(MODELS)
@@ -285,13 +250,13 @@ def _guarded(fn: Callable[..., float], row) -> float:
 class Evaluation:
     """One relationship over n rows.  ``value`` (on the ``scale``) and
     ``d_m`` (meters) are NaN unless the row's ``status`` (an object array
-    of ``STATUSES`` labels) is ``ok``; ``in_range`` is the applicability
-    verdict whatever the status."""
+    of ``STATUSES`` labels) is ``ok``.  Whether a row lies in the
+    relationship's applicability range is ``in_range``'s verdict, not part
+    of an evaluation."""
 
     scale: str
     value: np.ndarray
     d_m: np.ndarray
-    in_range: np.ndarray
     status: np.ndarray
 
 
@@ -301,43 +266,38 @@ def evaluate(model_id: str, columns: dict, pole_eps: float = DEFAULT_POLE_EPS,
 
     ``columns`` maps input names (``m_w``, ``a_max``, ``a_y``, ``ay_ratio``,
     ``period_ratio``, ``t_m``) to equal-length float columns and must hold
-    every input the formula reads; NaN marks a missing ``t_m``.  Bounds of
-    quantities absent from ``columns`` are not checked.  A row is ``ok``
-    only when no domain rule marks it and both its value and its meter
-    conversion are finite; a formula that overflows or divides by zero
-    gives ``domain_error``.  ``ambraseys_cm`` reads the Ambraseys-Menu value
-    as log10 of centimeters.  The rules and the formula run over
+    the model's ``inputs``, all its formula and rules read; other columns
+    are ignored, and NaN marks a missing ``t_m``.  A row is
+    ``ok`` only when no domain rule marks it and both its value and its
+    meter conversion are finite; a formula that overflows or divides by
+    zero gives ``domain_error``.  ``ambraseys_cm`` reads the Ambraseys-Menu
+    value as log10 of centimeters.  The rules and the formula run over
     ``_BLOCK_ROWS`` rows at a time, the formula on Python floats, so every
     transient is the size of one block.
     """
     model = _model(model_id)
     if not pole_eps > 0.0:  # 0 or NaN would turn the pole check off
         raise ValueError(f"pole_eps must be a number > 0, got {pole_eps!r}")
-    cols = {name: np.asarray(col, dtype=np.float64) for name, col in columns.items()}
+    cols = {name: np.asarray(columns[name], dtype=np.float64) for name in model.inputs}
     n = len(cols[model.inputs[0]])
     scale = "log10_D_cm" if ambraseys_cm and model_id == "ambraseys_menu" else model.scale
-    in_range = np.ones(n, dtype=bool)
     value = np.full(n, np.nan)
     d_m = np.full(n, np.nan)
     status = np.empty(n, dtype=object)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         block = {name: col[rows] for name, col in cols.items()}
-        status[rows] = _evaluate_block(model, scale, block, pole_eps, in_range[rows], value[rows],
-                                       d_m[rows])
-    return Evaluation(scale, value, d_m, in_range, status)
+        status[rows] = _evaluate_block(model, scale, block, pole_eps, value[rows], d_m[rows])
+    return Evaluation(scale, value, d_m, status)
 
 
 def _evaluate_block(model: Model, scale: str, cols: dict[str, np.ndarray], pole_eps: float,
-                    in_range: np.ndarray, value: np.ndarray, d_m: np.ndarray) -> np.ndarray:
-    """``evaluate`` on one block of rows: fills its slices of the
-    applicability verdicts (all true on entry), the values and the meters
-    (all NaN), and returns the block's status labels."""
+                    value: np.ndarray, d_m: np.ndarray) -> np.ndarray:
+    """``evaluate`` on one block of rows: fills its slices of the values
+    and the meters (all NaN on entry) and returns its status labels."""
     code = np.zeros(len(value), dtype=np.int8)  # index into STATUSES
     for status, rule in model.rules:
         code[(code == 0) & rule(cols, pole_eps)] = STATUSES.index(status)
-    for *_, beyond in model.applicability.breaches(cols):
-        in_range &= ~beyond
     todo = np.flatnonzero(code == 0)
     value[todo] = _each(model.formula, [cols[name][todo].tolist() for name in model.inputs])
     d_m[todo] = _each(_TO_METERS[scale], [value[todo].tolist()])
@@ -346,6 +306,36 @@ def _evaluate_block(model: Model, scale: str, cols: dict[str, np.ndarray], pole_
     value[rejected] = np.nan
     d_m[rejected] = np.nan
     return _STATUS_LABELS[code]
+
+
+# ---------------------------------------------------------------------------
+# applicability ranges, as published
+
+_QUANTITY_LABELS = {"m_w": "Mw", "a_max": "a_max", "a_y": "a_y", "ay_ratio": "ay/amax"}
+
+
+def _breaches(model: Model, values: dict) -> Iterator[tuple[str, str, float, bool | np.ndarray]]:
+    """(quantity, "below" or "above", bound, rows beyond it) for every set
+    bound of a quantity among ``values``, floats or columns alike; a NaN
+    breaks no bound, as a missing value is not checked."""
+    for name, (lower, upper) in model.bounds.items():
+        if name in values:
+            if lower is not None:
+                yield name, "below", lower, values[name] < lower
+            if upper is not None:
+                yield name, "above", upper, values[name] > upper
+
+
+def in_range(model_id: str, columns: dict) -> np.ndarray:
+    """Whether each row lies inside the relationship's published
+    applicability range, whatever its status: ``columns`` as ``evaluate``
+    takes them, and bounds of quantities absent from them are not checked."""
+    model = _model(model_id)
+    cols = {name: np.asarray(col, dtype=np.float64) for name, col in columns.items()}
+    inside = np.ones(len(cols[model.inputs[0]]), dtype=bool)
+    for *_, beyond in _breaches(model, cols):
+        inside &= ~beyond
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +365,7 @@ def check_applicability(model_id: str, inp: ModelInput) -> tuple[str, ...]:
     worded; empty when the case is in range."""
     row = {name: column[0] for name, column in _input_columns(inp).items()}
     return tuple(f"{_QUANTITY_LABELS[name]}={row[name]:g} {side} {bound:g}"
-                 for name, side, bound, beyond in _model(model_id).applicability.breaches(row)
+                 for name, side, bound, beyond in _breaches(_model(model_id), row)
                  if beyond)
 
 

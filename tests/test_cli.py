@@ -482,6 +482,24 @@ class TestCompare:
         assert jibson_ids == {"IN"}
         assert hg_ids == {"IN", "HIGH"}
 
+    def test_each_model_evaluates_only_its_applied_range(self, tmp_path, monkeypatch):
+        table = data.synthesize(data.EMBANKMENT_SUMMARY, 300, np.random.default_rng(3))
+        path = tmp_path / "cases.csv"
+        data.save(table, path)
+        evaluate, rows = displacement.evaluate, {}
+
+        def spy(model_id, columns, *args):
+            rows[model_id] = {len(column) for column in columns.values()}
+            return evaluate(model_id, columns, *args)
+
+        monkeypatch.setattr(displacement, "evaluate", spy)
+        assert run_cli("compare", "--input", path, "--out", tmp_path / "o") == 0
+        columns = table.model_columns()
+        expected = {model_id: {int(displacement.in_range(model_id, columns).sum())}
+                    for model_id in displacement.MODEL_IDS}
+        assert rows == expected
+        assert len({n for (n,) in expected.values()}) > 2  # the ranges differ on these rows
+
     def test_perfect_gep_predictions_step_at_zero(self, tmp_path):
         recs = []
         rng = np.random.default_rng(0)
@@ -969,12 +987,13 @@ def test_engine_stage_timings_only_in_the_manifest(tmp_path):
 ENGINE_MODULES = {"embgep.evolution", "embgep.karva", "embgep.kernels"}
 
 
-def modules_after(code: str) -> set[str]:
-    """The embgep modules loaded after running ``code`` in a fresh interpreter."""
+def modules_after(code: str, prefix: str = "embgep") -> set[str]:
+    """The modules under ``prefix`` loaded after running ``code`` in a fresh
+    interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('embgep')))"
+    code += f"\nimport sys; print(' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     return set(proc.stdout.split())
@@ -990,6 +1009,17 @@ def test_closed_form_commands_load_no_engine(tmp_path):
     assert "embgep.cli" in loaded and not loaded & ENGINE_MODULES
     loaded = modules_after("import embgep.data")
     assert "embgep.data" in loaded and not loaded & (ENGINE_MODULES | {"embgep.metrics"})
+
+
+def test_commands_reading_input_build_no_rng(tmp_path):
+    # stream 0 of the seed is kept for synthesis; stats, predict and compare
+    # draw no other, so with --input they build no generator at all
+    path = write_cases(tmp_path, [case_row("A"), case_row("B", m_w=6.5)])
+    code = "from embgep.cli import main\n"
+    for argv in (["stats"], ["predict", "--model", "jibson"], ["compare"]):
+        argv += ["--input", str(path), "--out", str(tmp_path / argv[0])]
+        code += f"assert main({argv!r}) == 0\n"
+    assert modules_after(code, prefix="numpy.random") == set()
 
 
 def blas_setting_and_threads(env_value: str | None) -> tuple[str, int | None]:

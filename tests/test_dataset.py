@@ -232,6 +232,17 @@ def test_write_csv_matches_csv_writer(table, lineterminator, block_rows):
         assert ours.read_bytes() == theirs.read_bytes()
 
 
+@pytest.mark.parametrize("column", [
+    [math.nan] * 3,
+    [math.nan, 1.5, -2.0],
+    [0.1, 2.5, math.nan],
+    [0.1, 2.5, 1e300],
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, math.nan],
+])
+def test_float_cells_are_repr_or_blank_where_nan(column):
+    assert data.csv_cells(np.array(column)) == ["" if v != v else repr(v) for v in column]
+
+
 class TestMatrix:
     def test_equals_per_record_reference_bitwise(self, synth85):
         records = data.CaseTable.concat([synth85, case_table(
@@ -481,7 +492,8 @@ def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
             return peak - kept
         if call == "write_csv":
             result = displacement.evaluate("gep", columns)
-            cells = [table.ids, result.value, result.d_m, result.in_range, result.status]
+            cells = [table.ids, result.value, result.d_m, displacement.in_range("gep", columns),
+                     result.status]
             _, peak, _ = _traced(lambda: data.write_csv(
                 tmp_path / "out.csv", ("id", "value", "D_m", "in_range", "status"), cells, "\n"))
             return peak

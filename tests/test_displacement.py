@@ -14,7 +14,6 @@ from embgep.displacement import (
     MEAN_MW,
     MEAN_PERIOD_RATIO,
     POLE_PERIOD_RATIO,
-    ApplicabilityRange,
     ModelDomainError,
     ModelInput,
     PoleError,
@@ -84,6 +83,12 @@ def one_row(model_id, ambraseys_cm=False, **inputs):
                     ambraseys_cm=ambraseys_cm)
 
 
+def in_range(model_id, **inputs):
+    """``displacement.in_range`` of one row; the bounds of an input left out
+    are not checked."""
+    return displacement.in_range(model_id, {name: [v] for name, v in inputs.items()})[0]
+
+
 def ok_value(model_id, **inputs):
     """The value of one ``ok`` row through ``evaluate``."""
     result = one_row(model_id, **inputs)
@@ -94,7 +99,7 @@ def ok_value(model_id, **inputs):
 class TestBaselines:
     def test_hynes_griffin_zero(self):
         assert ok_value("hynes_griffin", ay_ratio=0.0) == -0.287
-        assert not one_row("hynes_griffin", ay_ratio=0.0).in_range[0]  # below the 0.01 lower bound
+        assert not in_range("hynes_griffin", ay_ratio=0.0)  # below the 0.01 lower bound
 
     def test_hynes_griffin_oracle(self):
         result = one_row("hynes_griffin", ay_ratio=0.5)
@@ -102,8 +107,8 @@ class TestBaselines:
         assert result.scale == "log10_D_cm"
 
     def test_hynes_griffin_range(self):
-        assert one_row("hynes_griffin", ay_ratio=0.3, m_w=7.0).in_range[0]
-        assert not one_row("hynes_griffin", ay_ratio=0.3, m_w=8.5).in_range[0]
+        assert in_range("hynes_griffin", ay_ratio=0.3, m_w=7.0)
+        assert not in_range("hynes_griffin", ay_ratio=0.3, m_w=8.5)
 
     def test_ambraseys_menu_domain(self):
         assert one_row("ambraseys_menu", ay_ratio=1.0).status[0] == "domain_error"
@@ -119,14 +124,14 @@ class TestBaselines:
         assert alt.d_m[0] == pytest.approx(pred.d_m[0] / 100.0)
 
     def test_ambraseys_menu_range(self):
-        assert one_row("ambraseys_menu", ay_ratio=0.05, m_w=7.0).in_range[0]
-        assert not one_row("ambraseys_menu", ay_ratio=0.04, m_w=7.0).in_range[0]
+        assert in_range("ambraseys_menu", ay_ratio=0.05, m_w=7.0)
+        assert not in_range("ambraseys_menu", ay_ratio=0.04, m_w=7.0)
 
     def test_jibson(self):
         assert ok_value("jibson", ay_ratio=0.5) == pytest.approx(
             float(oracles.jibson_exact(0.5)), abs=1e-12)
         assert one_row("jibson", ay_ratio=1.0).status[0] == "domain_error"
-        assert one_row("jibson", ay_ratio=0.4, m_w=6.0, a_y=0.2).in_range[0]
+        assert in_range("jibson", ay_ratio=0.4, m_w=6.0, a_y=0.2)
 
     def test_saygili_rathje(self):
         assert ok_value("saygili_rathje", a_max=1.0, ay_ratio=0.0) == pytest.approx(5.52, abs=1e-15)
@@ -135,7 +140,7 @@ class TestBaselines:
             float(oracles.saygili_rathje_exact(0.3, 0.4)), abs=1e-12)
         assert result.scale == "ln_D_cm"
         assert one_row("saygili_rathje", a_max=0.0, ay_ratio=0.4).status[0] == "domain_error"
-        assert one_row("saygili_rathje", a_max=0.5, ay_ratio=0.2, m_w=6.0, a_y=0.1).in_range[0]
+        assert in_range("saygili_rathje", a_max=0.5, ay_ratio=0.2, m_w=6.0, a_y=0.1)
 
     def test_madiai(self):
         got = ok_value("madiai", ay_ratio=0.5)
@@ -143,8 +148,8 @@ class TestBaselines:
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(float(oracles.madiai_exact(0.5)), abs=1e-12)
         assert one_row("madiai", ay_ratio=1.0).status[0] == "domain_error"
-        assert one_row("madiai", ay_ratio=0.1).in_range[0]
-        assert not one_row("madiai", ay_ratio=0.05).in_range[0]
+        assert in_range("madiai", ay_ratio=0.1)
+        assert not in_range("madiai", ay_ratio=0.05)
 
     def test_tsai_chien(self):
         assert ok_value("tsai_chien", a_max=1.0, ay_ratio=0.0, t_m=1.0) == pytest.approx(
@@ -244,9 +249,10 @@ class TestApplicability:
     def test_gep_has_no_published_bounds(self):
         assert check_applicability("gep", sample_input(m_w=9.9)) == ()
 
-    def test_bad_range_definition_rejected(self):
-        with pytest.raises(ValueError):
-            ApplicabilityRange(m_w=(8.0, 5.0))
+    def test_every_published_bound_is_ordered(self):
+        for model in displacement.MODELS.values():
+            for lower, upper in model.bounds.values():
+                assert lower is None or upper is None or lower <= upper
 
 
 class TestFundamentalPeriod:
@@ -397,15 +403,16 @@ class TestModelTable:
            st.sampled_from([DEFAULT_POLE_EPS, 1e-9, 0.5]))
     def test_evaluate_equals_scalar_paths_bitwise(self, inputs, model_id, cm, eps):
         result = evaluate(model_id, input_columns(inputs), eps, cm)
+        verdicts = displacement.in_range(model_id, input_columns(inputs))
         for i, inp in enumerate(inputs):
-            got = (result.value[i], result.d_m[i], result.in_range[i], result.status[i])
+            got = (result.value[i], result.d_m[i], verdicts[i], result.status[i])
             value, d_m, in_range, status = reference_row(model_id, input_row(inp), eps, cm)
             assert (bits(got[0]), bits(got[1]), got[2], got[3]) == (
                 bits(value), bits(d_m), in_range, status)
             assert (check_applicability(model_id, inp) == ()) == in_range
             pred = predict(model_id, inp, eps, cm)
-            assert (bits(pred.value[0]), bits(pred.d_m[0]), pred.in_range[0], pred.status[0]) == (
-                bits(value), bits(d_m), in_range, status)
+            assert (bits(pred.value[0]), bits(pred.d_m[0]), pred.status[0]) == (
+                bits(value), bits(d_m), status)
             if model_id == "gep":
                 own, own_status = gep_status(inp, eps)
                 assert own_status == status
@@ -422,7 +429,7 @@ class TestModelTable:
         whole = evaluate(model_id, columns)
         with mock.patch.object(displacement, "_BLOCK_ROWS", block_rows):
             blocks = evaluate(model_id, columns)
-        for field in ("value", "d_m", "in_range"):
+        for field in ("value", "d_m"):
             assert getattr(blocks, field).tobytes() == getattr(whole, field).tobytes()
         assert blocks.status.tolist() == whole.status.tolist()
 
