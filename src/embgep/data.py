@@ -194,13 +194,14 @@ def _check(rejected: np.ndarray, message: str, cells=None) -> tuple[np.ndarray, 
     return rejected, word
 
 
-def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> CaseTable:
+def _parse_block(rows: list[list[str]], lines: list[int], seen: dict[str, None]) -> CaseTable:
     """Rows of one block as a table.  Each check marks the rows it rejects,
     and the checks are listed in the order a row is read: its id, its
     numeric cells in column order, the positive optional columns, the
     derivable T_d and then the row invariants.  The first marked row raises
     the message of its first check; a short row raises only when no earlier
-    row is marked.  ``seen`` gains the block's ids."""
+    row is marked.  ``seen``, the ids of the earlier blocks as keys in file
+    order, gains the block's ids after them."""
     width = len(CSV_HEADER)
     k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     cells = list(zip(*rows[:k])) or [()] * width
@@ -208,7 +209,7 @@ def _parse_block(rows: list[list[str]], lines: list[int], seen: set[str]) -> Cas
     duplicate = np.zeros(k, dtype=bool)
     for i, rec_id in enumerate(ids):
         duplicate[i] = rec_id in seen
-        seen.add(rec_id)
+        seen[rec_id] = None
     # an id's "\r" would end its row in the "\n"-terminated artifacts, unquoted there
     checks = [_check(np.array([not rec_id for rec_id in ids], dtype=bool), "empty id"),
               _check(np.array(["\r" in rec_id for rec_id in ids], dtype=bool),
@@ -251,8 +252,12 @@ def load(path) -> CaseTable:
     """Parse a case-history CSV in blocks of ``_BLOCK_ROWS`` rows; empty and
     header-only files give an empty table, and a UTF-8 byte-order mark
     before the header is skipped.  An error names the line and the column
-    of the first bad cell.  Each column is joined from its blocks as they
-    are dropped, so the table is never held twice."""
+    of the first bad cell.  One insertion-ordered dict of the ids read so
+    far is both the duplicate check's index and the id column: a duplicate
+    raises, so once the last block is parsed its keys are the ids in file
+    order.  It is dropped before the columns are joined, and each column is
+    joined from its blocks as they are dropped, so the table is never held
+    twice."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -271,22 +276,21 @@ def load(path) -> CaseTable:
             if not parts:
                 parts.append("columns are out of order")
             raise DatasetError(f"bad header ({'; '.join(parts)}); expected {','.join(CSV_HEADER)}")
-        ids: list[str] = []
+        seen: dict[str, None] = {}
         columns: dict[str, list[np.ndarray]] = {name: [] for name in _FIELDS}
-        for block in _blocks(reader):
-            ids.extend(block.ids)
+        for block in _blocks(reader, seen):
             for name in _FIELDS:
                 columns[name].append(getattr(block, name))
-    return CaseTable(tuple(ids), *(_joined(columns[name]) for name in _FIELDS))
+    ids = tuple(seen)
+    del seen
+    return CaseTable(ids, *(_joined(columns[name]) for name in _FIELDS))
 
 
-def _blocks(reader) -> Iterator[CaseTable]:
+def _blocks(reader, seen: dict[str, None]) -> Iterator[CaseTable]:
     """The rows after the header, parsed ``_BLOCK_ROWS`` at a time; blank
-    lines are skipped.  The set of ids seen, which finds a duplicate across
-    blocks, is freed once the last block is parsed, before ``load`` joins
-    the columns."""
+    lines are skipped.  ``seen`` gains each block's ids, so it finds a
+    duplicate across blocks and ends as ``load``'s id column."""
     rows, lines = [], []
-    seen: set[str] = set()
     try:
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -140,7 +140,7 @@ class RunResult:
 
 
 def _as_dataset(X, y):
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (rows, inputs)")
@@ -176,15 +176,36 @@ def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
         return _report(preds, np.isnan(preds), y)
 
 
+# gene positions ``initialize`` draws per ``rng.integers`` call
+_DRAW_CHUNK = 2**16
+
+
+def _draw_codes(rng: np.random.Generator, low: int, high: int, shape: tuple, dtype) -> np.ndarray:
+    """``rng.integers(low, high, size=shape).astype(dtype)``, drawn
+    ``_DRAW_CHUNK`` positions at a time into the ``dtype`` array: the same
+    int64 draws, so the same values and the same final ``rng`` state,
+    without an int64 array of the whole shape."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, flat.size)
+        flat[start:stop] = rng.integers(low, high, size=stop - start)
+    return out
+
+
 def initialize(config: GepConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random population ``(codes, pools)``: heads uniform over the whole
     alphabet, tails uniform over the terminals, pool constants uniform in
-    [-10, 10]."""
+    [-10, 10].  Heads, then tails, are drawn in chunks straight into the
+    code dtype, so the transient is the two code arrays and no int64 copy
+    of the population."""
     shape = (config.num_chromosomes, config.num_genes)
     n_symbols = len(alphabet(config.num_inputs))
-    heads = rng.integers(0, n_symbols, size=shape + (config.head_size,))
-    tails = rng.integers(NUM_FUNCTIONS, n_symbols, size=shape + (tail_length(config.head_size),))
-    codes = np.concatenate((heads, tails), axis=2).astype(code_dtype(config.num_inputs))
+    dtype = code_dtype(config.num_inputs)
+    heads = _draw_codes(rng, 0, n_symbols, shape + (config.head_size,), dtype)
+    tails = _draw_codes(rng, NUM_FUNCTIONS, n_symbols,
+                        shape + (tail_length(config.head_size),), dtype)
+    codes = np.concatenate((heads, tails), axis=2)
     pools = rng.uniform(-10.0, 10.0, size=shape + (POOL_SIZE,))
     return codes, pools
 
@@ -597,6 +618,9 @@ def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCe
     """
     configs = sweep_configs(base_config, gene_counts, head_sizes)
     n = sweep_workers(len(configs))
+    # a run reads X by column, and in Fortran order X.T is already that
+    # layout, so no cell copies it
+    X = np.asfortranarray(X, dtype=np.float64)
     # fork, not a spawned pool: a child starts with X, y and the imported
     # engine already in memory, and the parent's share keeps its CPU busy.
     # The engine starts no thread of its own.  numpy's OpenBLAS worker thread

@@ -144,12 +144,16 @@ def correlation_matrix(columns: dict[str, np.ndarray]) -> tuple[tuple[str, ...],
 
 
 def cumulative_frequency(errors, thresholds) -> np.ndarray:
-    """Fraction of errors at or below each threshold; non-decreasing in [0, 1]."""
+    """Fraction of errors at or below each threshold; non-decreasing in [0, 1].
+    A NaN error counts only in the denominator, and a NaN threshold gives 0."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1 or errors.shape[0] == 0:
         raise MetricsError("cumulative_frequency needs a nonempty 1-D error list")
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    return np.array([float(np.mean(errors <= t)) for t in thresholds])
+    # sort puts NaN errors last, beyond every threshold but a NaN one
+    at_or_below = np.sort(errors).searchsorted(thresholds, side="right")
+    at_or_below[np.isnan(thresholds)] = 0
+    return at_or_below / errors.size
 
 
 @dataclass(frozen=True)

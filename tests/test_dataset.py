@@ -164,6 +164,26 @@ def test_block_masks_match_row_reader(tmp_path, monkeypatch, body, block_rows):
         assert load(path) == expected
 
 
+def test_id_of_the_first_block_repeated_in_the_third_names_the_later_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+    ids = [f"R{i}" for i in range(11)] + ["R1"]
+    path = write_csv(tmp_path, HEADER + "\n" + "".join(f"{i},{OK_ROW}\n" for i in ids))
+    for reader in (load, reference_load):
+        with pytest.raises(DatasetError) as info:
+            reader(path)
+        assert str(info.value) == "line 13: duplicate id 'R1'"
+
+
+def test_multi_block_load_keeps_the_ids_in_file_order(tmp_path, monkeypatch):
+    # ids out of sorted and hash order, padded, and one that looks numeric
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 3)
+    ids = ["z9", " b ", "10", "a", "é", "9", "Q", "x y", "1e3", "m"]
+    path = write_csv(tmp_path, HEADER + "\n" + "".join(f"{i},{OK_ROW}\n" for i in ids))
+    table, expected = load(path), reference_load(path)
+    assert table.ids == tuple(i.strip() for i in ids) == expected.ids
+    assert table == expected
+
+
 # cells that mix numbers, blanks, whitespace-only cells and non-numbers
 PARSE_CELLS = ["", " ", "\t", "  \n", "7.0", " 0.3 ", "-2", "1e-308", "5e-324", "1e308",
                "1e500", "nan", "-inf", "1_0", "x", "R0", "0x10", "1e", "é"]
@@ -474,10 +494,11 @@ MEMORY_GROWTH_BOUND = 1.5
 @pytest.mark.parametrize("call", ["load", "evaluate", "write_csv", "split_matched"])
 def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
     # the transient is the tracemalloc peak less what the call returns and
-    # what it holds by design: load's set of the ids seen so far, which the
-    # duplicate check needs, and the split screen's centred parameter
-    # columns and their squares (two n x 8 float64 arrays), which are freed
-    # before the two tables it returns are made
+    # what it holds by design: load's insertion-ordered dict of the ids read
+    # so far, which is the duplicate check's index and becomes the id
+    # column, and the split screen's centred parameter columns and their
+    # squares (two n x 8 float64 arrays), which are freed before the two
+    # tables it returns are made
     def transient(n):
         table = synthesize(EMBANKMENT_SUMMARY, n, np.random.default_rng(n))
         path = tmp_path / f"cases_{n}.csv"
@@ -486,7 +507,7 @@ def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
         if call == "load":
             loaded, peak, kept = _traced(lambda: load(path))
             assert loaded == table
-            return peak - kept - sys.getsizeof(set(table.ids))
+            return peak - kept - sys.getsizeof(dict.fromkeys(table.ids))
         if call == "evaluate":
             _, peak, kept = _traced(lambda: displacement.evaluate("tsai_chien", columns))
             return peak - kept
@@ -501,7 +522,7 @@ def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
             lambda: split_matched(table, 0.75, trials=16, rng=np.random.default_rng(0)))
         return peak - 2 * 8 * 8 * n
 
-    # at 19 000 and 76 000 rows the set of ids fills its hash table most (28
+    # at 19 000 and 76 000 rows the dict of ids is most full (22 and 25
     # bytes a row), so a second copy of the float columns (72) would show
     n = 19_000
     assert n >= 4 * data._BLOCK_ROWS

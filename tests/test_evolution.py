@@ -154,6 +154,29 @@ class TestInitialize:
             for g in c.genes:
                 assert all(-10.0 <= v <= 10.0 for v in g.constants)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("geometry", [dict(), dict(num_chromosomes=3, num_genes=1, head_size=2),
+                                          dict(num_chromosomes=9, num_genes=5, head_size=11,
+                                               num_inputs=7)])
+    def test_chunked_draws_equal_one_int64_draw(self, monkeypatch, geometry, chunk):
+        # the one-call form draws every position as int64 and casts after
+        config = GepConfig(**geometry)
+        rng = np.random.default_rng(41)
+        shape = (config.num_chromosomes, config.num_genes)
+        n_symbols = len(karva.alphabet(config.num_inputs))
+        heads = rng.integers(0, n_symbols, size=shape + (config.head_size,))
+        tails = rng.integers(karva.NUM_FUNCTIONS, n_symbols,
+                             size=shape + (karva.tail_length(config.head_size),))
+        want_codes = np.concatenate((heads, tails), axis=2)
+        want_codes = want_codes.astype(karva.code_dtype(config.num_inputs))
+        want_pools = rng.uniform(-10.0, 10.0, size=shape + (karva.POOL_SIZE,))
+        monkeypatch.setattr(evolution, "_DRAW_CHUNK", chunk)
+        got = np.random.default_rng(41)
+        codes, pools = initialize(config, got)
+        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+        assert pools.tobytes() == want_pools.tobytes()
+        assert got.bit_generator.state == rng.bit_generator.state
+
 
 class TestSelect:
     def test_degenerate_roulette(self):
@@ -574,6 +597,15 @@ class TestSweepWorkers:
                 result = run(replace(self.config, num_genes=g, head_size=h), self.X, self.y, rng)
                 expected.append((g, h, result.report.fitness))
         assert [(c.num_genes, c.head_size, c.fitness) for c in cells] == expected
+
+    def test_cells_read_x_by_column_without_a_copy(self, monkeypatch):
+        # a run copies X.T unless it is already C-contiguous
+        set_cpus(monkeypatch, 1)
+        layouts = []
+        patch_run(monkeypatch,
+                  in_parent=lambda config, X: layouts.append(X.T.flags.c_contiguous) or X)
+        sweep(self.X, self.y, self.config, [1, 2], [3])
+        assert layouts == [True, True]
 
     def test_a_workers_exception_is_raised_here(self, monkeypatch):
         set_cpus(monkeypatch, 2)

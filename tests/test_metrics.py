@@ -162,6 +162,32 @@ class TestCumulativeFrequency:
         with pytest.raises(MetricsError):
             cumulative_frequency([], [0.0])
 
+    @pytest.mark.parametrize("errors, thresholds", [
+        ([1.0, 2.0, 2.0, 2.0, 3.0], [1.0, 2.0, 2.5, 3.0]),  # ties
+        ([1.0, 2.0, 3.0], [-1e300, -5.0, 0.0, 99.0, 1e300]),  # below and above every error
+        ([0.0, -0.0, math.inf, -math.inf, 1.0], [-0.0, 0.0, math.inf, -math.inf, 1.0]),
+        ([math.nan, 1.0, math.nan, -2.0], [-3.0, 0.0, 1.0, math.inf, math.nan]),
+        ([math.nan], [0.0, math.inf, math.nan]),
+        ([4.5], [4.5, np.nextafter(4.5, 0), np.nextafter(4.5, 9), math.nan]),  # a single error
+        ([1.0, 2.0], []),
+    ])
+    def test_matches_the_per_threshold_loop(self, errors, thresholds):
+        # the one-pass count gives the loop's fractions bit for bit, NaN included
+        got = cumulative_frequency(errors, thresholds)
+        assert got.dtype == np.float64 and got.tobytes() == per_threshold_loop(errors, thresholds)
+
+    def test_matches_the_per_threshold_loop_on_random_inputs(self, rng):
+        for _ in range(200):
+            errs = np.round(rng.normal(0, 50, int(rng.integers(1, 60))))
+            errs[rng.random(errs.size) < 0.1] = math.nan
+            grid = np.round(rng.uniform(-150, 150, 20))
+            assert cumulative_frequency(errs, grid).tobytes() == per_threshold_loop(errs, grid)
+
+
+def per_threshold_loop(errors, thresholds) -> bytes:
+    """The bytes of the reference form: one mean of a comparison per threshold."""
+    return np.array([float(np.mean(np.asarray(errors) <= t)) for t in thresholds]).tobytes()
+
 
 class TestResidualSummary:
     def test_degenerate_perfect_fit(self):
