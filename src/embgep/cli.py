@@ -389,6 +389,8 @@ def _parse_grid(option: str, text: str) -> list[int]:
                 else [int(part) for part in text.split(",") if part.strip()])
     except ValueError:
         raise ValueError(f"{option} {text!r}: expected integers as lo:hi or a,b,...") from None
+    except (OverflowError, MemoryError):  # a range too long for a list
+        raise ValueError(f"{option} {text!r}: the grid is too large to build") from None
     if not grid:
         raise ValueError(f"{option} {text!r}: the grid is empty")
     return grid
@@ -551,7 +553,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

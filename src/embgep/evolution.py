@@ -16,7 +16,7 @@ Fixed costs per generation: ``select``'s roulette is the cumulative-sum
 form of ``Generator.choice`` (the same draws, without its checks of ``p``),
 ``apply_operators`` reads trigger rates built once per config, and
 ``_evaluate_population`` enters ``np.errstate`` once per generation for all
-the chromosomes it scores with ``kernels._gene_sum`` and ``_report``.
+the chromosomes it scores with ``kernels.gene_sum`` and ``_report``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import karva
 from .karva import NUM_FUNCTIONS, POOL_SIZE, alphabet, code_dtype, coding_lengths, tail_length
-from .kernels import _gene_sum, evaluate_chromosome_batch
+from .kernels import evaluate_chromosome_batch, gene_sum
 
 # re-exported: perfbench's per-layer tracer binds evolution.compile_chromosome
 from .kernels import compile_chromosome  # noqa: F401
@@ -148,18 +148,22 @@ def _as_dataset(X, y):
         raise ValueError("y must be 1-D with one target per row")
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
+    # the kernel's NaN rule is complete only for finite data
+    for name, values in (("X", X), ("y", y)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            cell = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(f"{name}[{', '.join(map(str, cell))}] = {float(values[cell])!r}:"
+                             " the engine needs finite data")
     return X, y
 
 
-def _report(total, bad, y) -> FitnessReport:
-    """Report of the gene sums ``total`` and flagged rows ``bad`` (or None)
-    of ``kernels.gene_sum``; ``total`` is overwritten.  A non-finite value
-    in ``total`` makes the RMSE non-finite, so it needs no check of its
-    own; ``np.add.reduce`` is the pairwise sum ``np.mean`` takes.  The
-    caller enters ``np.errstate``: the subtraction and the square can
+def _report(total, y) -> FitnessReport:
+    """Report of the gene sums ``total`` of ``kernels.gene_sum``, which is
+    overwritten.  A non-finite row makes the RMSE non-finite, and so the
+    fitness 0; ``np.add.reduce`` is the pairwise sum ``np.mean`` takes.
+    The caller enters ``np.errstate``: the subtraction and the square can
     overflow."""
-    if bad is not None and bad.any():
-        return FitnessReport(0.0, math.inf)
     np.subtract(total, y, out=total)
     np.square(total, out=total)
     rmse = math.sqrt(np.add.reduce(total) / len(y))
@@ -173,7 +177,7 @@ def fitness(chrom: karva.Chromosome, X, y) -> FitnessReport:
     X, y = _as_dataset(X, y)
     preds = evaluate_chromosome_batch(chrom, X)
     with np.errstate(all="ignore"):
-        return _report(preds, np.isnan(preds), y)
+        return _report(preds, y)
 
 
 # gene positions ``initialize`` draws per ``rng.integers`` call
@@ -463,8 +467,8 @@ def _evaluate_population(codes, pools, num_inputs, columns, y, prev_cache, timin
             key = raw[p * size : (p + 1) * size]
             report = reports_by_key.get(key) or prev_reports.get(key)
             if report is None:
-                total, bad = _gene_sum(codes[p], pools[p], gene_lengths[p], columns, num_inputs)
-                report = _report(total, bad, y)
+                total = gene_sum(codes[p], pools[p], gene_lengths[p], columns, num_inputs)
+                report = _report(total, y)
                 evaluations += 1
             reports_by_key[key] = report
             reports.append(report)
@@ -617,10 +621,11 @@ def sweep(X, y, base_config: GepConfig, gene_counts, head_sizes) -> list[SweepCe
     and reaped before the exception propagates.
     """
     configs = sweep_configs(base_config, gene_counts, head_sizes)
+    X, y = _as_dataset(X, y)
     n = sweep_workers(len(configs))
     # a run reads X by column, and in Fortran order X.T is already that
     # layout, so no cell copies it
-    X = np.asfortranarray(X, dtype=np.float64)
+    X = np.asfortranarray(X)
     # fork, not a spawned pool: a child starts with X, y and the imported
     # engine already in memory, and the parent's share keeps its CPU busy.
     # The engine starts no thread of its own.  numpy's OpenBLAS worker thread

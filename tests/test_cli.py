@@ -914,10 +914,27 @@ def test_manifest_lists_exactly_what_the_command_read_and_wrote(tmp_path, monkey
     ("--heads", "4:6:8", "--heads '4:6:8': expected integers as lo:hi or a,b,..."),
     ("--genes", ",", "--genes ',': the grid is empty"),
     ("--heads", "7:5", "--heads '7:5': the grid is empty"),
+    # a length past sys.maxsize, and one past what a list may hold, which
+    # fails before anything is allocated
+    ("--heads", "1:9223372036854775808", "--heads '1:9223372036854775808': the grid is too"
+     " large to build"),
+    ("--genes", "1:2000000000000000000", "--genes '1:2000000000000000000': the grid is too"
+     " large to build"),
 ])
 def test_bad_grid_error_names_the_option_and_text(tmp_path, capsys, option, text, message):
     assert run_cli("sweep", "--synth", 20, option, text, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), ValueError(), OSError()])
+def test_an_error_without_a_message_is_named_by_its_type(tmp_path, capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert run_cli("stats", "--synth", 10, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}\n"
 
 
 def test_sweep_workers_exception_exits_2(tmp_path, capsys, monkeypatch):
@@ -935,16 +952,9 @@ def test_sweep_workers_exception_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space")
-@pytest.mark.parametrize("command, argv", [
-    ("sweep", ["--genes", "1", "--heads", "100000000", "--max-generations", "0"]),
-    ("fit", ["--config", "big.cfg"]),
-])
-def test_geometry_too_large_to_allocate_exits_2_and_leaves_no_out_dir(tmp_path, command, argv):
-    # the population arrays of either run need tens of GiB; the child, and
-    # only the child, may map 3 GB, so the allocation fails the same way on
-    # every host
-    (tmp_path / "big.cfg").write_text("number_of_chromosomes = 1000000000\n")
+def run_capped(tmp_path, *argv):
+    """The CLI run with ``argv`` in a child process that may map 3 GB, so an
+    allocation of tens of GiB fails the same way on every host."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -952,10 +962,31 @@ def test_geometry_too_large_to_allocate_exits_2_and_leaves_no_out_dir(tmp_path, 
             "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))\n"
             "from embgep.cli import main\n"
             "sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", code, command, "--synth", "10", *argv,
-                           "--out", "o"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space")
+@pytest.mark.parametrize("command, argv", [
+    ("sweep", ["--genes", "1", "--heads", "100000000", "--max-generations", "0"]),
+    ("fit", ["--config", "big.cfg"]),
+])
+def test_geometry_too_large_to_allocate_exits_2_and_leaves_no_out_dir(tmp_path, command, argv):
+    # the population arrays of either run need tens of GiB
+    (tmp_path / "big.cfg").write_text("number_of_chromosomes = 1000000000\n")
+    proc = run_capped(tmp_path, command, "--synth", "10", *argv, "--out", "o")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: Unable to allocate") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space")
+def test_grid_too_large_to_list_exits_2_naming_the_option(tmp_path):
+    # a list of 10**11 heads needs 800 GB
+    proc = run_capped(tmp_path, "sweep", "--synth", "10", "--heads", "1:100000000000",
+                      "--max-generations", "0", "--out", "o")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: --heads '1:100000000000': the grid is too large to build\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -492,22 +492,47 @@ MEMORY_GROWTH_BOUND = 1.5
 
 
 @pytest.mark.parametrize("call", ["load", "evaluate", "write_csv", "split_matched"])
-def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
+def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, monkeypatch, call):
     # the transient is the tracemalloc peak less what the call returns and
     # what it holds by design: load's insertion-ordered dict of the ids read
     # so far, which is the duplicate check's index and becomes the id
     # column, and the split screen's centred parameter columns and their
     # squares (two n x 8 float64 arrays), which are freed before the two
     # tables it returns are made
+    joined = data._joined
+
     def transient(n):
         table = synthesize(EMBANKMENT_SUMMARY, n, np.random.default_rng(n))
         path = tmp_path / f"cases_{n}.csv"
         save(table, path)
         columns = table.model_columns()
         if call == "load":
-            loaded, peak, kept = _traced(lambda: load(path))
+            # two phases, split where load first joins a column: the blocks
+            # are parsed while the id dict is held, and the columns are
+            # joined once it is dropped, each from its blocks
+            block_peaks = []
+
+            def join(parts):
+                if not block_peaks:
+                    block_peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
+                return joined(parts)
+
+            monkeypatch.setattr(data, "_joined", join)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                loaded = load(path)
+                kept, join_peak = (m - base for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
             assert loaded == table
-            return peak - kept - sys.getsizeof(dict.fromkeys(table.ids))
+            # the join holds one float column twice, as its blocks and its
+            # whole, so its transient is about one column's bytes
+            assert join_peak - kept <= 2 * 8 * n, f"join transient at {n} rows"
+            # while the blocks are parsed, the ids are the dict and not yet the tuple
+            return (block_peaks[0] - base - kept + sys.getsizeof(table.ids)
+                    - sys.getsizeof(dict.fromkeys(table.ids)))
         if call == "evaluate":
             _, peak, kept = _traced(lambda: displacement.evaluate("tsai_chien", columns))
             return peak - kept
@@ -523,7 +548,9 @@ def test_transient_memory_stays_bounded_as_rows_grow(tmp_path, call):
         return peak - 2 * 8 * 8 * n
 
     # at 19 000 and 76 000 rows the dict of ids is most full (22 and 25
-    # bytes a row), so a second copy of the float columns (72) would show
+    # bytes a row), so a second copy of the float columns (72) would show,
+    # and so would a second list of the ids (8) held while the blocks are
+    # parsed
     n = 19_000
     assert n >= 4 * data._BLOCK_ROWS
     small, large = transient(n), transient(4 * n)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import os
+import re
 import signal
 import time
 import warnings
@@ -76,6 +77,40 @@ class TestFitness:
         with pytest.raises(ValueError):
             fitness(Chromosome((identity_gene(),)), np.zeros((0, 1)), np.zeros(0))
 
+    def test_nonfinite_input_is_rejected_not_scored(self):
+        # 2 / inf is 0.0, so the row would fit y exactly
+        gene = Gene(("/", "c0"), ("d0",) * 3, (2.0,) + (0.0,) * 9)
+        with pytest.raises(ValueError, match=r"X\[0, 0\] = inf: the engine needs finite data"):
+            fitness(Chromosome((gene,)), np.array([[math.inf], [2.0]]), np.array([0.0, 1.0]))
+
+
+def finite_data():
+    X = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 5.0]])
+    return X, X.sum(axis=1)
+
+
+@pytest.mark.parametrize("entry", ["fitness", "run", "sweep"])
+@pytest.mark.parametrize("cells, named", [
+    ([("X", (2, 1), math.inf)], "X[2, 1] = inf"),
+    ([("X", (1, 0), math.nan)], "X[1, 0] = nan"),
+    ([("y", 3, -math.inf)], "y[3] = -inf"),
+    ([("y", 0, math.nan)], "y[0] = nan"),
+    # the first row is named, then the first column in it, and X before y
+    ([("X", (2, 0), math.inf), ("X", (1, 1), math.nan)], "X[1, 1] = nan"),
+    ([("X", (3, 1), math.nan), ("X", (3, 0), math.inf), ("y", 0, math.nan)], "X[3, 0] = inf"),
+])
+def test_nonfinite_data_is_rejected_naming_its_first_cell(entry, cells, named):
+    X, y = finite_data()
+    for name, where, value in cells:
+        (X if name == "X" else y)[where] = value
+    config = GepConfig(num_chromosomes=4, num_genes=1, head_size=2, num_inputs=2,
+                       max_generations=1)
+    call = {"fitness": lambda: fitness(Chromosome((identity_gene(),)), X, y),
+            "run": lambda: run(config, X, y),
+            "sweep": lambda: sweep(X, y, config, [1], [2])}[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{named}: the engine needs finite data")):
+        call()
+
 
 # genes of head 3 over d0, d1 (and c0 = 1e8): where a row holds 0.0 or 1e300
 # they divide by zero, overflow a product, subtract inf from inf and, two at
@@ -104,13 +139,12 @@ def test_no_floating_point_warning_escapes_an_evaluator(names):
     lengths = karva.coding_lengths(codes).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kernels.gene_sum(codes, pools, lengths, columns, 2)
         predicted = kernels.evaluate_codes(codes, pools, EDGE_ROWS, 2)
         [chrom] = population_views(codes[None], pools[None], 2)
         report = fitness(chrom, EDGE_ROWS, y)
         # the same arithmetic outside any np.errstate does warn
         with np.errstate(all="warn"), pytest.raises(RuntimeWarning):
-            evolution._report(*kernels._gene_sum(codes, pools, lengths, columns, 2), y)
+            evolution._report(kernels.gene_sum(codes, pools, lengths, columns, 2), y)
     assert np.isfinite(predicted[-1])
     assert (report.fitness, report.rmse) == (0.0, math.inf)
 
@@ -438,9 +472,10 @@ class TestRun:
             assert codes.tobytes() == codes_then.tobytes()
             assert pools.tobytes() == pools_then.tobytes()
         lengths = karva.coding_lengths(result.best_codes).tolist()
-        total, bad = kernels.gene_sum(result.best_codes, result.best_pools, lengths,
-                                      np.ascontiguousarray(X.T), config.num_inputs)
-        report = evolution._report(total, bad, y)
+        with np.errstate(all="ignore"):
+            total = kernels.gene_sum(result.best_codes, result.best_pools, lengths,
+                                     np.ascontiguousarray(X.T), config.num_inputs)
+            report = evolution._report(total, y)
         assert (report.fitness, report.rmse) == (result.report.fitness, result.report.rmse)
 
     def test_copies_of_scored_chromosomes_are_not_evaluated(self):

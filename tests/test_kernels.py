@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_chromosome
 from embgep import data, displacement, karva, kernels
-from embgep.evolution import STAGES, _evaluate_population, canonical_keys
+from embgep.evolution import (STAGES, FitnessReport, _evaluate_population, canonical_keys,
+                               fitness)
 from embgep.karva import Chromosome, Gene
 
 POOL = tuple(float(i) for i in range(10))
@@ -235,9 +236,31 @@ def test_fitness_path_flags_nonfinite_intermediate_even_if_final_finite():
     assert_fitness_matches_oracle(Chromosome((gene,)), X, np.zeros(2))
     assert_fitness_matches_oracle(Chromosome((gene,)), X[1:], np.zeros(1))
     codes, pools = karva.chromosome_codes(Chromosome((gene,)), NUM_INPUTS)
-    total, bad = kernels.gene_sum(codes, pools, karva.coding_lengths(codes).tolist(),
-                                  np.ascontiguousarray(X.T), NUM_INPUTS)
-    assert total.tolist() == [0.0, 1.0] and bad.tolist() == [True, False]
+    with np.errstate(all="ignore"):
+        total = kernels.gene_sum(codes, pools, karva.coding_lengths(codes).tolist(),
+                                 np.ascontiguousarray(X.T), NUM_INPUTS)
+    assert math.isnan(total[0]) and total[1] == 1.0
+
+
+@pytest.mark.parametrize("genes", [
+    ["/ d0 * c0 c0 d0 d0"],  # a row quotient: d0 / inf is 0.0
+    ["/ c1 * c0 c0 d0 d0"],  # a 0-d quotient of two constant subtrees: 1 / inf
+    ["+ d0 d1 d0 d0 d0 d0", "/ c1 * c0 c0 d0 d0"],  # the 0-d NaN joins a row sum
+])
+def test_divisor_of_constants_that_overflows_poisons_every_row(genes):
+    # c0 * c0 = 1e400 overflows to inf, and is a computed divisor
+    pool = (1e200,) + POOL[1:]
+    chrom = Chromosome(tuple(gene_from_tokens(g.split(), 3, pool) for g in genes))
+    X = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5], [4.0, 5.0, 6.0]])
+    assert [oracles.evaluate_chromosome(chrom, row) for row in X] == [None] * 3
+    codes, pools = karva.chromosome_codes(chrom, NUM_INPUTS)
+    with np.errstate(all="ignore"):
+        total = kernels.gene_sum(codes, pools, karva.coding_lengths(codes).tolist(),
+                                 np.ascontiguousarray(X.T), NUM_INPUTS)
+    assert total.shape == (3,) and np.isnan(total).all()
+    assert np.isnan(kernels.evaluate_codes(codes, pools, X, NUM_INPUTS)).all()
+    assert fitness(chrom, X, np.zeros(3)) == FitnessReport(0.0, math.inf)
+    assert_fitness_matches_oracle(chrom, X, np.zeros(3))
 
 
 @pytest.mark.parametrize("root", ["d0", "c0"])
@@ -248,16 +271,15 @@ def test_gene_sum_is_a_new_row_array_started_at_positive_zero(root):
     codes, pools = karva.chromosome_codes(
         Chromosome((gene_from_tokens([root, "d1", "d2"], 1, (-0.0,) + POOL[1:]),)), NUM_INPUTS)
     columns = np.ascontiguousarray(np.array([[-0.0, 1.0, 2.0], [-0.0, 4.0, 5.0]]).T)
-    total, bad = kernels.gene_sum(codes, pools, [1], columns, NUM_INPUTS)
+    total = kernels.gene_sum(codes, pools, [1], columns, NUM_INPUTS)
     assert total.shape == (2,) and not np.shares_memory(total, columns)
     assert total.tolist() == [0.0, 0.0] and not np.signbit(total).any()
-    assert bad is None
 
 
 def test_gene_sum_keeps_only_live_node_values():
     # a head of 12 functions computes 12 row arrays, but the reverse walk
     # reads each one once: at most 6 wait for their parent while a 7th is
-    # computed, beside the sum and the flags.  Holding every node's value
+    # computed, beside the sum.  Holding every node's value
     # until the gene ends would peak at 13 row arrays
     rows = 20_000
     tokens = [("+", "-", "*")[i % 3] for i in range(12)] + [f"d{i % 3}" for i in range(13)]
